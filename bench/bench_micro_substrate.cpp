@@ -250,8 +250,7 @@ void BM_GroupIterateCursor(benchmark::State& state) {
 BENCHMARK(BM_GroupIterateCursor)->Arg(1024)->Arg(16384);
 
 // Map-side combining: 16k records onto 2k keys with a summing combiner —
-// sorted run-length combining (the deterministic_reduce path, with the sort
-// it requires) vs hash aggregation (the new default path, no sort at all).
+// sorted run-length combining, with the sort it requires.
 struct CombineFixture {
   KVVec base;
   CombineFn sum = [](const Bytes& key, const std::vector<Bytes>& values,
@@ -284,17 +283,6 @@ void BM_CombineSorted(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_CombineSorted)->Arg(1024)->Arg(16384);
-
-void BM_CombineHashed(benchmark::State& state) {
-  CombineFixture fx(static_cast<int>(state.range(0)));
-  for (auto _ : state) {
-    KVVec buf = fx.base;
-    benchmark::DoNotOptimize(combine_hashed(buf, fx.sum));
-    benchmark::DoNotOptimize(buf);
-  }
-  state.SetItemsProcessed(state.iterations() * state.range(0));
-}
-BENCHMARK(BM_CombineHashed)->Arg(1024)->Arg(16384);
 
 void BM_FabricSendReceive(benchmark::State& state) {
   ClusterConfig cfg;

@@ -1,6 +1,7 @@
 #include "cluster/cluster.h"
 
 #include <algorithm>
+#include <array>
 #include <string>
 
 #include "common/strings.h"
@@ -67,17 +68,17 @@ bool Cluster::fault_pending(int worker, FaultPoint point, int iteration) const {
 }
 
 namespace {
-// Static-storage instant names for the trace (TraceEvent::name does not own).
+// Static-storage instant names for the trace (TraceEvent::name does not own),
+// built once from the fault_point_name table.
 const char* fault_instant_name(FaultPoint p) {
-  switch (p) {
-    case FaultPoint::kIterationBoundary: return "fault:iteration_boundary";
-    case FaultPoint::kMidMap: return "fault:mid_map";
-    case FaultPoint::kMidShuffle: return "fault:mid_shuffle";
-    case FaultPoint::kCheckpointWrite: return "fault:checkpoint_write";
-    case FaultPoint::kStatePush: return "fault:state_push";
-    case FaultPoint::kMigration: return "fault:migration";
-  }
-  return "fault:?";
+  static const auto names = [] {
+    std::array<std::string, kNumFaultPoints> out;
+    for (int i = 0; i < kNumFaultPoints; ++i) {
+      out[i] = std::string("fault:") + fault_point_name(FaultPoint(i));
+    }
+    return out;
+  }();
+  return names[static_cast<std::size_t>(p)].c_str();
 }
 }  // namespace
 

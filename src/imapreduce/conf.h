@@ -116,9 +116,9 @@ struct IterJobConf {
   // instead of one message per reduce partition, and the frame doubles as
   // the sending map's iteration-EOS for every reduce on that worker — the
   // per-(map, reduce) EOS fan-out never crosses the wire. Local partitions
-  // stream exactly as before. Requires deterministic_reduce: the coalesced
-  // batches arrive at the barrier rather than interleaved, and only the
-  // sorted-reduce contract makes arrival order invisible to results.
+  // stream exactly as before. The coalesced batches arrive at the barrier
+  // rather than interleaved; the value-sorted reduce makes arrival order
+  // invisible to results.
   bool aggregated_shuffle = false;
 
   // Memory governance (DESIGN.md §10): per-task byte budget for held record
@@ -126,13 +126,12 @@ struct IterJobConf {
   // behavior. When set, a task whose buffers overflow the budget sorts them
   // and spills a run to MiniDfs (TrafficCategory::kSpill), and the reduce
   // streams a k-way merge over its runs instead of materializing everything;
-  // output stays byte-identical to the unlimited run. Requires
-  // deterministic_reduce: the spill path sorts runs with the value-sorting
-  // comparator, and only that contract makes spill boundaries invisible.
+  // output stays byte-identical to the unlimited run. Not combinable with
+  // aggregated_shuffle, which holds remote-bound map output to the barrier
+  // whatever the budget says.
   int64_t max_task_memory_bytes = 0;
 
   Params params;
-  bool deterministic_reduce = true;
 
   // Throws ConfigError when the combination is invalid.
   void validate() const {
@@ -167,22 +166,16 @@ struct IterJobConf {
       throw ConfigError("auxiliary phase missing mapper or reducer");
     }
     if (buffer_records < 1) throw ConfigError("buffer_records must be >= 1");
-    if (aggregated_shuffle && !deterministic_reduce) {
-      throw ConfigError(
-          "aggregated_shuffle needs deterministic_reduce: coalesced batches "
-          "change arrival order, and only the sorted reduce hides that");
-    }
     if (partitioner && partitioner->num_partitions() == 0) {
       throw ConfigError("partitioner has zero partitions");
     }
     if (max_task_memory_bytes < 0) {
       throw ConfigError("max_task_memory_bytes must be >= 0 (0 = unlimited)");
     }
-    if (max_task_memory_bytes > 0 && !deterministic_reduce) {
+    if (max_task_memory_bytes > 0 && aggregated_shuffle) {
       throw ConfigError(
-          "max_task_memory_bytes needs deterministic_reduce: spilled runs "
-          "are value-sorted, and only the sorted reduce hides the spill "
-          "boundaries");
+          "max_task_memory_bytes cannot govern aggregated_shuffle: remote-"
+          "bound map output is held to the barrier and never spills");
     }
   }
 };

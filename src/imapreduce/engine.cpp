@@ -18,6 +18,7 @@
 #include "dfs/spill.h"
 #include "imapreduce/control.h"
 #include "imapreduce/static_store.h"
+#include "mapreduce/reduce_input.h"
 #include "mapreduce/shuffle_util.h"
 #include "metrics/telemetry.h"
 
@@ -745,18 +746,14 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
   TaskEmitter emitter(T_, num_aux, conf_.partitioner.get());
 
   // Memory governance (DESIGN.md §10): the budget covers the held shuffle
-  // buffers plus the sort arena scratch. Map-side spilling stays off under
-  // the aggregated exchange — remote output is held to the barrier by design
-  // there, and pushing it through spill files would move the same bytes
-  // twice without lowering the barrier-frame peak.
+  // buffers plus the sort arena scratch.
   MemoryBudget budget(conf_.max_task_memory_bytes);
   RecordArena arena(&budget);
   SpillSet spills(cluster_.dfs(), cluster_.metrics(),
                   strprintf("%s/m%d-t%d-g%d", tag_.c_str(), p, i, gen),
                   ctx.worker());
   BudgetHwmGuard hwm_guard{cluster_.metrics(), budget};
-  const bool map_budgeted = budget.limited() && !conf_.aggregated_shuffle;
-  emitter.set_track_held(map_budgeted);
+  emitter.set_track_held(budget.limited());
   int64_t held_charged = 0;
   auto sync_budget = [&] {
     const int64_t held = static_cast<int64_t>(emitter.held_bytes());
@@ -767,13 +764,30 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
     }
     held_charged = held;
   };
-  // Over-budget map-side spill: sort (and pre-combine, when the phase has a
-  // combiner) every held partition buffer and write each as a run on that
-  // partition's stream; the final flush replays them as ordinary shuffle
-  // batches ahead of the tail. Returns true when an injected crash killed
-  // the task mid-spill.
+  // Sorts a held partition buffer and, when the phase has a combiner,
+  // combines it in place (the combine span covers both) and re-counts the
+  // held bytes.
+  auto sort_and_combine = [&](KVVec& buf, int iter) {
+    TraceSpan combine_span("combine", combiner ? &ctx.vt() : nullptr, iter,
+                           gen);
+    {
+      ThreadCpuTimer sort_cpu;
+      sort_records(buf, /*sort_values=*/true, arena);
+      ctx.charge_compute(sort_cpu.elapsed_ns(), TimeCategory::kSort);
+    }
+    if (!combiner) return;
+    if (emitter.tracking_held()) emitter.sub_held(wire_size(buf));
+    ThreadCpuTimer cpu;
+    combine_sorted(buf, combine_body);
+    ctx.charge_compute(cpu.elapsed_ns());
+    if (emitter.tracking_held()) emitter.add_held(wire_size(buf));
+  };
+  // Over-budget map-side spill: sort (and pre-combine) every held partition
+  // buffer and write each as a run on that partition's stream; the final
+  // flush replays them as ordinary shuffle batches ahead of the tail.
+  // Returns true when an injected crash killed the task mid-spill.
   auto map_spill = [&](int iter) -> bool {
-    if (!map_budgeted) return false;
+    if (!budget.limited()) return false;
     sync_budget();
     if (!budget.over()) return false;
     TraceSpan spill_span("spill_write", ctx.vt(), iter, gen);
@@ -781,20 +795,8 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
     for (int r = 0; r < T_; ++r) {
       KVVec& buf = emitter.buffers()[static_cast<std::size_t>(r)];
       if (buf.empty()) continue;
+      sort_and_combine(buf, iter);
       emitter.sub_held(wire_size(buf));
-      {
-        ThreadCpuTimer sort_cpu;
-        sort_records(buf, /*sort_values=*/true, arena);
-        ctx.charge_compute(sort_cpu.elapsed_ns(), TimeCategory::kSort);
-      }
-      if (combiner) {
-        // Budgeted jobs imply deterministic_reduce (conf validation), so the
-        // sorted combine path is always the right one here.
-        TraceSpan combine_span("combine", ctx.vt(), iter, gen);
-        ThreadCpuTimer cpu;
-        combine_sorted(buf, combine_body);
-        ctx.charge_compute(cpu.elapsed_ns());
-      }
       // Injection point: died between sorting a run and registering it — the
       // torn half-file IS registered, so this task's unwind drops it and the
       // spill ledger stays balanced.
@@ -897,8 +899,8 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
     std::map<int, AggBatch> coalesced;  // dest worker -> batch
     // Runs spilled earlier in the iteration ship first — they hold the
     // iteration's OLDEST records, and each run travels as its own batch.
-    // (Map-side spilling is inactive under the aggregated exchange, so these
-    // always stream directly to their partition.)
+    // (A budget never meets the aggregated exchange — conf validation — so
+    // these always stream directly to their partition.)
     if (final_flush && spills.total_runs() > 0) {
       for (int r = 0; r < T_; ++r) {
         while (spills.has_runs(r)) {
@@ -936,32 +938,7 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
            buf.size() < static_cast<std::size_t>(conf_.buffer_records))) {
         continue;
       }
-      if (combiner) {
-        // Combine before shipping, through the shared shuffle_util path:
-        // sorted run-length grouping when deterministic_reduce pins the
-        // order, hash aggregation (no sort) otherwise.
-        const std::size_t pre_combine =
-            emitter.tracking_held() ? wire_size(buf) : 0;
-        TraceSpan combine_span("combine", ctx.vt(), iter, gen);
-        if (conf_.deterministic_reduce) {
-          {
-            ThreadCpuTimer sort_cpu;
-            sort_records(buf, /*sort_values=*/true, arena);
-            ctx.charge_compute(sort_cpu.elapsed_ns(), TimeCategory::kSort);
-          }
-          ThreadCpuTimer cpu;
-          combine_sorted(buf, combine_body);
-          ctx.charge_compute(cpu.elapsed_ns());
-        } else {
-          ThreadCpuTimer cpu;
-          combine_hashed(buf, combine_body);
-          ctx.charge_compute(cpu.elapsed_ns());
-        }
-        if (emitter.tracking_held()) {
-          emitter.sub_held(pre_combine);
-          emitter.add_held(wire_size(buf));
-        }
-      }
+      if (combiner) sort_and_combine(buf, iter);
       if (held_remote) {
         AggBatch& b = coalesced[red_row.at(r).home_worker()];
         encode_u32(static_cast<uint32_t>(r), b.entries);
@@ -1322,16 +1299,15 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
   reducer->configure(conf_.params);
 
   // Memory governance (DESIGN.md §10): collected shuffle input is charged
-  // against the budget as it arrives. Overflowing sorts the buffer and
-  // spills it to MiniDfs as a run; iteration processing then streams a k-way
-  // merge over the runs plus the in-memory tail instead of materializing
-  // the whole input — byte-identical output either way.
-  MemoryBudget budget(conf_.max_task_memory_bytes);
-  RecordArena arena(&budget);
-  SpillSet spills(cluster_.dfs(), cluster_.metrics(),
-                  strprintf("%s/r%d-t%d-g%d", tag_.c_str(), p, i, gen),
-                  ctx.worker());
-  BudgetHwmGuard hwm_guard{cluster_.metrics(), budget};
+  // against the budget as it arrives and spills as sorted runs once the
+  // budget is crossed; iteration processing then merges the runs with the
+  // in-memory tail — byte-identical output either way.
+  ReduceInput input(
+      ctx, strprintf("%s/r%d-t%d-g%d", tag_.c_str(), p, i, gen),
+      conf_.max_task_memory_bytes, [&](int iter) {
+        return cluster_.consume_fault(ctx.worker(), FaultPoint::kSpillWrite,
+                                      iter, &ctx.vt());
+      });
 
   // Previous-iteration state for distance + checkpoints + final dump
   // (§3.1.2: "the reduce tasks save the output from two consecutive
@@ -1365,14 +1341,21 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
   bool pending_seed_ship =
       is_phase0 && session_baseline_collect(start_iter - 1);
 
+  // Writes the state as this task's part file under `path`. A torn dump
+  // (fault injection) writes only the first half of the entries.
   auto dump_state = [&](const std::string& path, VClock* clock,
-                        TrafficCategory cat) {
+                        TrafficCategory cat, bool torn = false) {
+    const std::size_t n = torn ? state_map.size() / 2 : state_map.size();
     KVVec sorted;
-    sorted.reserve(state_map.size());
-    for (const auto& [key, value] : state_map) sorted.emplace_back(key, value);
+    sorted.reserve(n);
+    for (const auto& [key, value] : state_map) {
+      if (sorted.size() >= n) break;
+      sorted.emplace_back(key, value);
+    }
     sort_records(sorted, /*sort_values=*/false);
     cluster_.dfs().write_file(path + "/part-" + std::to_string(i),
                               std::move(sorted), ctx.worker(), clock, cat);
+    if (torn) cluster_.metrics().inc("imr_torn_checkpoints");
   };
 
   int k = start_iter;
@@ -1401,36 +1384,12 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
       send_eos(ctx, next_maps.at(i), i, k, gen,
                TrafficCategory::kReduceToMap);
     }
-    KVVec records;
-    int64_t held = 0;  // budget charge for `records`, released on spill/use
-    // Sorts the collected prefix and writes it out as one spill run on
-    // stream 0. Returns true when an injected crash killed the task
+    // Adds shuffled input; false when an injected crash killed the task
     // mid-spill (the torn half-run is registered, so the unwind drops it).
-    auto spill_collected = [&]() -> bool {
-      {
-        TraceSpan spill_span("spill_write", ctx.vt(), k, gen);
-        {
-          ThreadCpuTimer sort_cpu;
-          sort_records(records, conf_.deterministic_reduce, arena);
-          ctx.charge_compute(sort_cpu.elapsed_ns(), TimeCategory::kSort);
-        }
-        if (cluster_.consume_fault(ctx.worker(), FaultPoint::kSpillWrite, k,
-                                   &ctx.vt())) {
-          spills.write_torn_run(0, std::move(records), &ctx.vt());
-          fail_task(ctx, i, k, gen);
-          return true;
-        }
-        spills.write_run(0, std::move(records), &ctx.vt());
-      }
-      records = KVVec{};
-      budget.release(held);
-      held = 0;
-      cluster_.metrics().inc("imr_reduce_spills");
+    auto collect = [&](KVVec batch) -> bool {
+      if (input.add(std::move(batch), k, gen)) return true;
+      fail_task(ctx, i, k, gen);
       return false;
-    };
-    auto charge_collected = [&](std::size_t bytes) {
-      budget.charge(static_cast<int64_t>(bytes));
-      held += static_cast<int64_t>(bytes);
     };
     int eos_seen = 0;
     int rollback_to = -1;
@@ -1486,18 +1445,8 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
               // Torn baseline: half the state lands, then the task dies.
               // Recovery rolls the epoch back and re-quiesces; the retry
               // overwrites the torn part file.
-              KVVec torn;
-              torn.reserve(state_map.size() / 2);
-              for (const auto& [key, value] : state_map) {
-                if (torn.size() >= state_map.size() / 2) break;
-                torn.emplace_back(key, value);
-              }
-              sort_records(torn, /*sort_values=*/false);
-              cluster_.dfs().write_file(
-                  converged_path(ctl.session) + "/part-" + std::to_string(i),
-                  std::move(torn), ctx.worker(), &ctx.vt(),
-                  TrafficCategory::kCheckpoint);
-              cluster_.metrics().inc("imr_torn_checkpoints");
+              dump_state(converged_path(ctl.session), &ctx.vt(),
+                         TrafficCategory::kCheckpoint, /*torn=*/true);
               fail_task(ctx, i, ctl.iteration, gen);
               return;
             }
@@ -1539,38 +1488,14 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
           uint32_t end = hr.u32();
           if (task != static_cast<uint32_t>(i)) continue;
           IMR_CHECK(begin <= end && end <= all.size());
-          records.insert(records.end(), all.begin() + begin,
-                         all.begin() + end);
-          if (budget.limited()) {
-            std::size_t sliced = 0;
-            for (uint32_t x = begin; x < end; ++x) sliced += all[x].wire_size();
-            charge_collected(sliced);
-          }
-        }
-        if (budget.over() && !records.empty()) {
-          if (spill_collected()) return;
+          if (!collect(KVVec(all.begin() + begin, all.begin() + end))) return;
         }
         ++eos_seen;
         IMR_DEBUG << tag_ << ": reduce " << p << "/" << i << " gen " << gen
                   << " iter " << k << " agg frame eos " << eos_seen << "/"
                   << T_ << " from " << msg->from_task;
-      } else {
-        KVVec batch = msg->take_records();
-        const std::size_t batch_bytes =
-            budget.limited() ? wire_size(batch) : 0;
-        if (records.empty()) {
-          records = std::move(batch);
-        } else {
-          records.insert(records.end(),
-                         std::make_move_iterator(batch.begin()),
-                         std::make_move_iterator(batch.end()));
-        }
-        if (budget.limited()) {
-          charge_collected(batch_bytes);
-          if (budget.over() && !records.empty()) {
-            if (spill_collected()) return;
-          }
-        }
+      } else if (!collect(msg->take_records())) {
+        return;
       }
     }
 
@@ -1602,9 +1527,7 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
                 << (event == LoopEvent::kResume ? " resume after "
                                                 : " rollback to ")
                 << rollback_to << " gen " << gen;
-      spills.abandon();
-      budget.release(held);
-      held = 0;
+      input.reset();
       k = rollback_to + 1;
       allowed = k;
       if (event == LoopEvent::kResume) {
@@ -1633,16 +1556,7 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
     // would be useless for balancing — every reduce waits on the globally
     // slowest map, so wall times are nearly identical across workers.
     prev_end_vt = ctx.vt().now_ns();
-    const bool spilled = spills.has_runs(0);
-    {
-      // With spilled runs, `records` is the in-memory TAIL: sorted here with
-      // the same comparator the runs were sorted with, it becomes the merge's
-      // last source.
-      TraceSpan sort_span("sort", ctx.vt(), k, gen);
-      ThreadCpuTimer sort_cpu;
-      sort_records(records, conf_.deterministic_reduce, arena);
-      ctx.charge_compute(sort_cpu.elapsed_ns(), TimeCategory::kSort);
-    }
+    input.sort(k, gen);
 
     // Run the reduce function over the key groups, STREAMING the output to
     // the next phase's maps in buffer-sized batches as it is produced
@@ -1685,11 +1599,11 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
     static const Bytes kNoPrev;
     ThreadCpuTimer cpu;
     KVVec produced;
-    // Per-group body shared by the in-memory cursor and the spilled-merge
-    // stream — one body is what keeps budgeted output byte-identical to the
-    // unlimited run (same groups, same order, same batching thresholds).
-    auto reduce_group = [&](const Bytes& group_key,
-                            const std::vector<Bytes>& group_values) {
+    // Per-group body for either of ReduceInput's group passes — one body is
+    // what keeps budgeted output byte-identical to the unlimited run (same
+    // groups, same order, same batching thresholds).
+    input.group([&](const Bytes& group_key,
+                    const std::vector<Bytes>& group_values) {
       produced.clear();
       CollectEmitter group_emitter(produced);
       reducer->reduce(group_key, group_values, group_emitter);
@@ -1732,51 +1646,8 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
         ship_batch(std::move(pending_batch));
         pending_batch = KVVec{};
       }
-    };
-    if (!spilled) {
-      // Zero-copy grouping: the cursor walks key runs in place and the
-      // values adapter MOVES each run's values out of `records` (consumed by
-      // this pass) instead of deep-copying them per group.
-      GroupCursor groups(records);
-      GroupValues group_vals;
-      while (groups.next()) {
-        reduce_group(groups.key(), group_vals.take(records, groups));
-      }
-    } else {
-      // Out-of-core path (DESIGN.md §10): stream the k-way merge over the
-      // spilled runs plus the sorted in-memory tail. Each source is sorted
-      // with the same comparator and the cursor breaks ties by source index
-      // in write order, so the merged stream IS sort_records() of the full
-      // input — groups arrive in the same order with the same values, never
-      // materializing more than one group plus k read-ahead chunks.
-      auto run_cursors = spills.sources(0, &ctx.vt());
-      std::vector<RecordSource*> cursors;
-      cursors.reserve(run_cursors.size() + 1);
-      for (const auto& c : run_cursors) cursors.push_back(c.get());
-      VecSource tail(records);
-      cursors.push_back(&tail);
-      MergeCursor merge(cursors,
-                        /*compare_values=*/conf_.deterministic_reduce);
-      KV rec;
-      Bytes group_key;
-      std::vector<Bytes> group_values;
-      bool in_group = false;
-      while (merge.next(rec)) {
-        if (!in_group || rec.key != group_key) {
-          if (in_group) reduce_group(group_key, group_values);
-          group_key = std::move(rec.key);
-          group_values.clear();
-          in_group = true;
-        }
-        group_values.push_back(std::move(rec.value));
-      }
-      if (in_group) reduce_group(group_key, group_values);
-      spills.consume(0);
-      cluster_.metrics().inc("imr_reduce_merges");
-    }
+    });
     ctx.charge_compute(cpu.elapsed_ns());
-    budget.release(held);
-    held = 0;
     // Injection point: died mid reduce->map push — earlier batches of this
     // iteration are already out, the tail and all EOS markers are not.
     if (cluster_.consume_fault(ctx.worker(), FaultPoint::kStatePush, k,
@@ -1805,18 +1676,8 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
       // (§3.4.1 write-then-report ordering; pinned by a regression test).
       if (cluster_.consume_fault(ctx.worker(), FaultPoint::kCheckpointWrite, k,
                                  &ctx.vt())) {
-        KVVec torn;
-        torn.reserve(state_map.size() / 2);
-        for (const auto& [key, value] : state_map) {
-          if (torn.size() >= state_map.size() / 2) break;
-          torn.emplace_back(key, value);
-        }
-        sort_records(torn, /*sort_values=*/false);
-        cluster_.dfs().write_file(ckpt_path(k) + "/part-" + std::to_string(i),
-                                  std::move(torn), ctx.worker(),
-                                  &parallel_clock,
-                                  TrafficCategory::kCheckpoint);
-        cluster_.metrics().inc("imr_torn_checkpoints");
+        dump_state(ckpt_path(k), &parallel_clock, TrafficCategory::kCheckpoint,
+                   /*torn=*/true);
         fail_task(ctx, i, k, gen);
         return;
       }
@@ -2025,7 +1886,7 @@ void JobRun::run_aux_reduce(int j, int gen, int start_iter,
     }
 
     ThreadCpuTimer cpu;
-    sort_records(records, conf_.deterministic_reduce);
+    sort_records(records, /*sort_values=*/true);
     KVVec output;
     CollectEmitter out(output);
     GroupCursor groups(records);

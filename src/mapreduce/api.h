@@ -41,6 +41,8 @@ class Reducer {
  public:
   virtual ~Reducer() = default;
   virtual void configure(const Params& /*params*/) {}
+  // `values` arrive sorted, so floating-point accumulation does not depend
+  // on shuffle arrival order.
   virtual void reduce(const Bytes& key, const std::vector<Bytes>& values,
                       Emitter& out) = 0;
 };
@@ -76,14 +78,11 @@ struct JobConf {
   int num_map_tasks = 0;    // 0: one per input block, capped by map slots
   int num_reduce_tasks = 0; // 0: all reduce slots
   Params params;
-  // Sort values within each key group before reducing, making floating-point
-  // accumulation independent of shuffle arrival order.
-  bool deterministic_reduce = true;
   // Memory governance (DESIGN.md §10): per-reduce-task byte budget for the
   // collected shuffle input. 0 = unlimited (today's behavior). When set,
   // over-budget input is sorted and spilled to MiniDfs as runs and the group
   // pass streams a k-way merge over runs + in-memory tail — byte-identical
-  // output. Requires deterministic_reduce.
+  // output.
   int64_t max_task_memory_bytes = 0;
 
   // Convenience for the common single-input case.

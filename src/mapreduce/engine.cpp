@@ -8,7 +8,7 @@
 #include "common/hash.h"
 #include "common/log.h"
 #include "common/strings.h"
-#include "dfs/spill.h"
+#include "mapreduce/reduce_input.h"
 #include "mapreduce/shuffle_util.h"
 
 namespace imr {
@@ -87,11 +87,6 @@ JobResult MapReduceEngine::run_job(const JobConf& conf, int64_t submit_vt_ns) {
   if (conf.output_path.empty()) throw ConfigError("job has no output path");
   if (conf.max_task_memory_bytes < 0) {
     throw ConfigError("max_task_memory_bytes must be >= 0 (0 = unlimited)");
-  }
-  if (conf.max_task_memory_bytes > 0 && !conf.deterministic_reduce) {
-    throw ConfigError(
-        "max_task_memory_bytes needs deterministic_reduce: spilled runs are "
-        "value-sorted, and only the sorted reduce hides spill boundaries");
   }
 
   // Per-cluster ordinal: same job on a fresh cluster replays the same DFS
@@ -294,31 +289,16 @@ JobResult MapReduceEngine::run_job(const JobConf& conf, int64_t submit_vt_ns) {
     TraceSpan flush_span("shuffle_flush", ctx.vt());
     for (int r = 0; r < num_reduces; ++r) {
       KVVec& buf = emitter.buffers()[static_cast<std::size_t>(r)];
-      if (combiner && !conf.deterministic_reduce) {
-        // Hash aggregation: no map-side sort at all. With
-        // deterministic_reduce off the shipped order is free — the reduce
-        // side's stable key sort reconstructs the same within-key value
-        // order either way.
-        if (!buf.empty()) {
-          TraceSpan combine_span("combine", ctx.vt());
-          ThreadCpuTimer comb_cpu;
-          std::size_t saved = combine_hashed(buf, combine_body);
-          ctx.charge_compute(comb_cpu.elapsed_ns());
-          cluster_.metrics().inc("combiner_records_saved",
-                                 static_cast<int64_t>(saved));
-        }
-      } else {
-        ThreadCpuTimer sort_cpu;
-        sort_records(buf, conf.deterministic_reduce);
-        ctx.charge_compute(sort_cpu.elapsed_ns(), TimeCategory::kSort);
-        if (combiner && !buf.empty()) {
-          TraceSpan combine_span("combine", ctx.vt());
-          ThreadCpuTimer comb_cpu;
-          std::size_t saved = combine_sorted(buf, combine_body);
-          ctx.charge_compute(comb_cpu.elapsed_ns());
-          cluster_.metrics().inc("combiner_records_saved",
-                                 static_cast<int64_t>(saved));
-        }
+      ThreadCpuTimer sort_cpu;
+      sort_records(buf, /*sort_values=*/true);
+      ctx.charge_compute(sort_cpu.elapsed_ns(), TimeCategory::kSort);
+      if (combiner && !buf.empty()) {
+        TraceSpan combine_span("combine", ctx.vt());
+        ThreadCpuTimer comb_cpu;
+        std::size_t saved = combine_sorted(buf, combine_body);
+        ctx.charge_compute(comb_cpu.elapsed_ns());
+        cluster_.metrics().inc("combiner_records_saved",
+                               static_cast<int64_t>(saved));
       }
       if (!buf.empty()) {
         NetMessage msg;
@@ -343,15 +323,9 @@ JobResult MapReduceEngine::run_job(const JobConf& conf, int64_t submit_vt_ns) {
     cluster_.metrics().inc("reduce_tasks_launched");
 
     Endpoint& ep = *reduce_ep[static_cast<std::size_t>(r)];
-    // Memory governance (DESIGN.md §10): same budgeted spill/merge record
-    // path as the iterative engine's reduce, minus the iteration machinery.
-    MemoryBudget budget(conf.max_task_memory_bytes);
-    RecordArena arena(&budget);
-    SpillSet spills(cluster_.dfs(), cluster_.metrics(),
-                    job_tag + "/r" + std::to_string(r),
-                    reduce_worker[static_cast<std::size_t>(r)]);
-    KVVec records;
-    int64_t held = 0;
+    // Memory governance (DESIGN.md §10): the same reduce-input stage as the
+    // iterative engine's reduce, minus the iteration machinery.
+    ReduceInput input(ctx, ctx.task_name(), conf.max_task_memory_bytes);
     int eos_seen = 0;
     while (eos_seen < M) {
       auto msg = ep.receive(ctx.vt());
@@ -359,40 +333,10 @@ JobResult MapReduceEngine::run_job(const JobConf& conf, int64_t submit_vt_ns) {
       if (msg->kind == NetMessage::Kind::kEos) {
         ++eos_seen;
       } else {
-        KVVec batch = msg->take_records();
-        const std::size_t batch_bytes =
-            budget.limited() ? wire_size(batch) : 0;
-        if (records.empty()) {
-          records = std::move(batch);
-        } else {
-          records.insert(records.end(),
-                         std::make_move_iterator(batch.begin()),
-                         std::make_move_iterator(batch.end()));
-        }
-        if (budget.limited()) {
-          budget.charge(static_cast<int64_t>(batch_bytes));
-          held += static_cast<int64_t>(batch_bytes);
-          if (budget.over() && !records.empty()) {
-            TraceSpan spill_span("spill_write", ctx.vt());
-            ThreadCpuTimer sort_cpu;
-            sort_records(records, conf.deterministic_reduce, arena);
-            ctx.charge_compute(sort_cpu.elapsed_ns(), TimeCategory::kSort);
-            spills.write_run(0, std::move(records), &ctx.vt());
-            records = KVVec{};
-            budget.release(held);
-            held = 0;
-          }
-        }
+        input.add(msg->take_records());
       }
     }
-
-    const bool spilled = spills.has_runs(0);
-    {
-      TraceSpan sort_span("sort", ctx.vt());
-      ThreadCpuTimer sort_cpu;
-      sort_records(records, conf.deterministic_reduce, arena);
-      ctx.charge_compute(sort_cpu.elapsed_ns(), TimeCategory::kSort);
-    }
+    input.sort();
 
     std::unique_ptr<Reducer> reducer = conf.reducer();
     reducer->configure(conf.params);
@@ -400,51 +344,11 @@ JobResult MapReduceEngine::run_job(const JobConf& conf, int64_t submit_vt_ns) {
     VectorEmitter out_emitter(output);
     ThreadCpuTimer cpu;
     int64_t groups = 0;
-    if (!spilled) {
-      GroupCursor cursor(records);
-      GroupValues group_vals;
-      while (cursor.next()) {
-        ++groups;
-        reducer->reduce(cursor.key(), group_vals.take(records, cursor),
-                        out_emitter);
-      }
-    } else {
-      // Streaming k-way merge over the spilled runs plus the sorted
-      // in-memory tail: the merged stream reproduces sort_records() of the
-      // whole input, so the groups (and the output) are byte-identical.
-      auto run_cursors = spills.sources(0, &ctx.vt());
-      std::vector<RecordSource*> cursors;
-      cursors.reserve(run_cursors.size() + 1);
-      for (const auto& c : run_cursors) cursors.push_back(c.get());
-      VecSource tail(records);
-      cursors.push_back(&tail);
-      MergeCursor merge(cursors, /*compare_values=*/conf.deterministic_reduce);
-      KV rec;
-      Bytes group_key;
-      std::vector<Bytes> group_values;
-      bool in_group = false;
-      while (merge.next(rec)) {
-        if (!in_group || rec.key != group_key) {
-          if (in_group) {
-            ++groups;
-            reducer->reduce(group_key, group_values, out_emitter);
-          }
-          group_key = std::move(rec.key);
-          group_values.clear();
-          in_group = true;
-        }
-        group_values.push_back(std::move(rec.value));
-      }
-      if (in_group) {
-        ++groups;
-        reducer->reduce(group_key, group_values, out_emitter);
-      }
-      spills.consume(0);
-    }
+    input.group([&](const Bytes& key, const std::vector<Bytes>& values) {
+      ++groups;
+      reducer->reduce(key, values, out_emitter);
+    });
     ctx.charge_compute(cpu.elapsed_ns());
-    if (budget.hwm() > 0) {
-      cluster_.metrics().gauge_max("imr_arena_hwm", budget.hwm());
-    }
     red_groups.fetch_add(groups);
     red_out.fetch_add(static_cast<int64_t>(output.size()));
 

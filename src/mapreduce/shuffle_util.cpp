@@ -217,60 +217,6 @@ std::size_t combine_sorted(KVVec& sorted, const CombineFn& fn) {
   return saved;
 }
 
-std::size_t combine_hashed(KVVec& records, const CombineFn& fn) {
-  if (records.empty()) return 0;
-
-  struct Group {
-    std::size_t first;  // index of the group's first record (the key source)
-    std::vector<Bytes> values;
-  };
-  std::vector<Group> groups;  // first-appearance order
-  groups.reserve(records.size() / 2 + 1);
-
-  // Open-addressed index: slot -> group id + 1, 0 = empty. Power-of-two
-  // capacity at load factor <= 0.5 keeps probe chains short.
-  const std::size_t capacity = next_pow2(2 * records.size());
-  const std::size_t mask = capacity - 1;
-  std::vector<uint32_t> slots(capacity, 0);
-
-  for (std::size_t i = 0; i < records.size(); ++i) {
-    const Bytes& key = records[i].key;
-    std::size_t s = static_cast<std::size_t>(fnv1a(key)) & mask;
-    while (true) {
-      uint32_t g = slots[s];
-      if (g == 0) {
-        slots[s] = static_cast<uint32_t>(groups.size()) + 1;
-        groups.push_back(Group{i, {}});
-        groups.back().values.push_back(std::move(records[i].value));
-        break;
-      }
-      Group& grp = groups[g - 1];
-      if (records[grp.first].key == key) {
-        grp.values.push_back(std::move(records[i].value));
-        break;
-      }
-      s = (s + 1) & mask;
-    }
-  }
-
-  KVVec combined;
-  combined.reserve(groups.size());
-  for (const Group& g : groups) {
-    fn(records[g.first].key, g.values, combined);
-  }
-  std::size_t saved = records.size() - combined.size();
-  records = std::move(combined);
-  return saved;
-}
-
-std::size_t combine_records(KVVec& records, bool deterministic,
-                            const CombineFn& fn) {
-  if (records.empty()) return 0;
-  if (!deterministic) return combine_hashed(records, fn);
-  sort_records(records, /*sort_values=*/true);
-  return combine_sorted(records, fn);
-}
-
 CombineFn combine_fn(Reducer& combiner) {
   return [&combiner](const Bytes& key, const std::vector<Bytes>& values,
                      KVVec& out) {

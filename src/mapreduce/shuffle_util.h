@@ -12,10 +12,8 @@
 //     Reducer::reduce signatures expect, either borrowing (moving values out
 //     of a consumed buffer — zero deep copies for heap-allocated values) or
 //     copying (for buffers the caller still needs).
-//   - combine_sorted / combine_hashed are the single combiner implementation
-//     both engines ship through: run-length grouping over sorted input when
-//     deterministic_reduce demands a stable order, hash aggregation with no
-//     sort at all when it does not.
+//   - combine_sorted is the single combiner implementation both engines
+//     ship through: run-length grouping over value-sorted input.
 #pragma once
 
 #include <span>
@@ -159,24 +157,9 @@ using CombineFn = std::function<void(
 
 // Combines a buffer already sorted with sort_records(buf, true) in place,
 // replacing it with the combined records (in key order). Returns the number
-// of input records combined away. This is the deterministic_reduce path:
-// byte-identical to sorting plus run-length grouping.
+// of input records combined away. Byte-identical to sorting plus run-length
+// grouping.
 std::size_t combine_sorted(KVVec& sorted, const CombineFn& fn);
-
-// Combines an UNSORTED buffer in place by hash aggregation — no sort, one
-// fnv1a hash and (amortized) one probe per record. Groups are emitted in
-// key-first-appearance order with within-key value order preserved, which is
-// exactly the value order a stable key-only sort would have fed the
-// combiner; only the cross-key output order differs, and the reduce side
-// re-sorts anyway. Legal only when deterministic_reduce is off (the sorted
-// path stays behind that flag).
-std::size_t combine_hashed(KVVec& records, const CombineFn& fn);
-
-// Dispatcher: sorts + run-combines when `deterministic`, hash-combines
-// otherwise. Engines that charge sort CPU separately call the two phases
-// directly.
-std::size_t combine_records(KVVec& records, bool deterministic,
-                            const CombineFn& fn);
 
 // Binds a classic Reducer used as a combiner to the shared CombineFn shape.
 CombineFn combine_fn(Reducer& combiner);

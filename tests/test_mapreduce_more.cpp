@@ -171,30 +171,6 @@ TEST(MapReduceMore, SingleReduceTaskCollectsEverything) {
   EXPECT_EQ(cluster->dfs().file_records(parts[0]), 200u);
 }
 
-TEST(MapReduceMore, NonDeterministicReduceStillCorrectForMin) {
-  auto cluster = testutil::free_cluster();
-  KVVec recs;
-  for (uint32_t i = 0; i < 300; ++i) {
-    recs.emplace_back(u32_key(i % 10), f64_value(static_cast<double>(i)));
-  }
-  cluster->dfs().write_file("in", std::move(recs), 0, nullptr);
-  JobConf job;
-  job.set_input("in", identity_mapper());
-  job.output_path = "out";
-  job.deterministic_reduce = false;  // skip value sorting
-  job.reducer = make_reducer(
-      [](const Bytes& k, const std::vector<Bytes>& vs, Emitter& out) {
-        double best = 1e300;
-        for (const Bytes& v : vs) best = std::min(best, as_f64(v));
-        out.emit(k, f64_value(best));
-      });
-  MapReduceEngine engine(*cluster);
-  engine.run_job(job);
-  for (const KV& kv : read_output(*cluster, "out")) {
-    EXPECT_EQ(as_f64(kv.value), static_cast<double>(as_u32(kv.key)));
-  }
-}
-
 TEST(MapReduceMore, ChainedJobsShareNoState) {
   auto cluster = testutil::free_cluster();
   cluster->dfs().write_file("in", numbered_records(50), 0, nullptr);

@@ -241,15 +241,6 @@ TEST(PlanPlacement, RespectsCapacityAndIsDeterministic) {
 // Conf validation
 // ---------------------------------------------------------------------------
 
-TEST(PartitionConf, AggregatedShuffleNeedsDeterministicReduce) {
-  IterJobConf conf = Sssp::imapreduce("in", "out", 10);
-  conf.aggregated_shuffle = true;
-  conf.deterministic_reduce = false;
-  EXPECT_THROW(conf.validate(), ConfigError);
-  conf.deterministic_reduce = true;
-  EXPECT_NO_THROW(conf.validate());
-}
-
 TEST(PartitionConf, PartitionCountMustMatchTaskCount) {
   const Graph g = small_grid();
   auto cluster = testutil::free_cluster(3, 4, 4);

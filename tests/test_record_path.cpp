@@ -279,70 +279,24 @@ TEST(RecordPathCombine, SortedPathMatchesOldSortPlusGroupPipeline) {
         });
 
     KVVec actual = input;
-    std::size_t saved = combine_records(actual, /*deterministic=*/true, fn);
+    sort_records(actual, /*sort_values=*/true);
+    std::size_t saved = combine_sorted(actual, fn);
     expect_identical(expected, actual);
     EXPECT_EQ(saved, input.size() - actual.size());
   }
 }
 
-TEST(RecordPathCombine, HashedPreservesWithinKeyArrivalOrder) {
-  // The hashed path must feed each key the same value sequence a STABLE
-  // key-only sort would have: that is what makes it byte-equivalent once the
-  // reduce side re-sorts. Compare per-key outputs against that reference.
-  for (uint64_t seed : {51u, 52u}) {
-    KVVec input = nasty_corpus(seed, 3000);
-    CombineFn fn = concat_combiner();
-
-    KVVec ref_buf = input;
-    sort_records_reference(ref_buf, /*sort_values=*/false);  // stable
-    std::map<Bytes, Bytes> expected;
-    for_each_group_reference(
-        ref_buf, [&](const Bytes& key, const std::vector<Bytes>& values) {
-          KVVec one;
-          fn(key, values, one);
-          for (KV& kv : one) expected[key] = std::move(kv.value);
-        });
-
-    KVVec actual_buf = input;
-    std::size_t saved = combine_hashed(actual_buf, fn);
-    EXPECT_EQ(saved, input.size() - actual_buf.size());
-    ASSERT_EQ(expected.size(), actual_buf.size());
-    for (const KV& kv : actual_buf) {
-      ASSERT_TRUE(expected.count(kv.key));
-      EXPECT_EQ(expected[kv.key], kv.value);
-    }
-
-    // First-appearance key order: the first occurrence index in the input
-    // must be increasing across the hashed output.
-    std::map<Bytes, std::size_t> first_at;
-    for (std::size_t i = 0; i < input.size(); ++i) {
-      first_at.emplace(input[i].key, i);
-    }
-    std::size_t prev = 0;
-    bool first = true;
-    for (const KV& kv : actual_buf) {
-      std::size_t at = first_at[kv.key];
-      if (!first) {
-        EXPECT_GT(at, prev);
-      }
-      prev = at;
-      first = false;
-    }
-  }
-}
-
 TEST(RecordPathCombine, EmptyBufferIsNoop) {
   KVVec empty;
-  EXPECT_EQ(combine_records(empty, true, concat_combiner()), 0u);
-  EXPECT_EQ(combine_records(empty, false, concat_combiner()), 0u);
+  sort_records(empty, /*sort_values=*/true);
+  EXPECT_EQ(combine_sorted(empty, concat_combiner()), 0u);
   EXPECT_TRUE(empty.empty());
 }
 
 // --- Engine-level equivalence -----------------------------------------------
 
-// A classic job whose final output must be byte-identical whether the
-// map-side combiner runs the sorted path (deterministic_reduce on) or the
-// hash path (off), and whether a combiner runs at all.
+// A classic job whose final output must be byte-identical whether a
+// map-side combiner runs or not.
 TEST(RecordPathEngine, CombinerPathChoiceDoesNotChangeJobOutput) {
   auto cluster = testutil::free_cluster();
   Rng rng(61);
@@ -367,13 +321,12 @@ TEST(RecordPathEngine, CombinerPathChoiceDoesNotChangeJobOutput) {
         out.emit(key, u64_key(n));
       });
 
-  auto run = [&](bool combiner, bool deterministic, const std::string& out) {
+  auto run = [&](bool combiner, const std::string& out) {
     JobConf job;
     job.set_input("in", fanout);
     job.output_path = out;
     job.reducer = summer;
     if (combiner) job.combiner = summer;
-    job.deterministic_reduce = deterministic;
     MapReduceEngine engine(*cluster);
     engine.run_job(job);
     std::map<Bytes, Bytes> result;
@@ -385,10 +338,7 @@ TEST(RecordPathEngine, CombinerPathChoiceDoesNotChangeJobOutput) {
     return result;
   };
 
-  auto plain = run(false, true, "out_plain");
-  EXPECT_EQ(plain, run(true, true, "out_sorted_combine"));
-  EXPECT_EQ(plain, run(true, false, "out_hashed_combine"));
-  EXPECT_EQ(plain, run(false, false, "out_plain_nondet"));
+  EXPECT_EQ(run(false, "out_plain"), run(true, "out_combine"));
 }
 
 }  // namespace

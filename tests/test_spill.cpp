@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "algorithms/concomp.h"
+#include "algorithms/matpower.h"
 #include "algorithms/pagerank.h"
 #include "algorithms/sssp.h"
 #include "cluster/fault_schedule.h"
@@ -345,12 +346,13 @@ TEST(SpillConf, RejectsNegativeBudget) {
   EXPECT_THROW(conf.validate(), ConfigError);
 }
 
-TEST(SpillConf, BudgetRequiresDeterministicReduce) {
+TEST(SpillConf, BudgetRejectsAggregatedShuffle) {
   IterJobConf conf = Sssp::imapreduce("in", "out", 5);
   conf.max_task_memory_bytes = 1 << 20;
-  conf.deterministic_reduce = false;
+  EXPECT_NO_THROW(conf.validate());
+  conf.aggregated_shuffle = true;
   EXPECT_THROW(conf.validate(), ConfigError);
-  conf.deterministic_reduce = true;
+  conf.max_task_memory_bytes = 0;
   EXPECT_NO_THROW(conf.validate());
 }
 
@@ -368,9 +370,6 @@ TEST(SpillConf, ClassicEngineEnforcesTheSameGates) {
   });
   MapReduceEngine engine(*cluster);
   job.max_task_memory_bytes = -5;
-  EXPECT_THROW(engine.run_job(job), ConfigError);
-  job.max_task_memory_bytes = 1 << 20;
-  job.deterministic_reduce = false;
   EXPECT_THROW(engine.run_job(job), ConfigError);
 }
 
@@ -408,6 +407,9 @@ TEST(ClassicSpill, BudgetedReduceMatchesUnlimitedByteForByte) {
   EXPECT_EQ(runs_before, 0) << "unlimited run must not spill";
   identity_job("out_budget", kTinyBudget);
   EXPECT_GE(cluster->metrics().count("imr_spill_runs_written"), 2);
+  // The shared reduce-input stage counts classic spills and merges too.
+  EXPECT_GE(cluster->metrics().count("imr_reduce_spills"), 2);
+  EXPECT_GE(cluster->metrics().count("imr_reduce_merges"), 1);
   EXPECT_GE(cluster->metrics().gauge("imr_arena_hwm"), 1);
   expect_balanced(*cluster);
   EXPECT_TRUE(cluster->dfs().list("spill/").empty());
@@ -424,10 +426,12 @@ TEST(ClassicSpill, BudgetedReduceMatchesUnlimitedByteForByte) {
 
 // ---------------------------------------------------------------------------
 // Iterative engine: the byte-identity property suite. Bulk and workset modes
-// share a parameterized sweep; sessions get their own case below.
+// share a parameterized sweep; sessions get their own case below. Matrix
+// power (bulk only) is the sweep's multi-phase job and the one whose map
+// side spills through a combiner.
 // ---------------------------------------------------------------------------
 
-enum class SpAlgo { kSssp, kConComp, kPrDelta };
+enum class SpAlgo { kSssp, kConComp, kPrDelta, kMatPower };
 
 const char* algo_name(SpAlgo a) {
   switch (a) {
@@ -437,6 +441,8 @@ const char* algo_name(SpAlgo a) {
       return "ConComp";
     case SpAlgo::kPrDelta:
       return "PrDelta";
+    case SpAlgo::kMatPower:
+      return "MatPower";
   }
   return "?";
 }
@@ -473,7 +479,25 @@ void setup_algo(SpAlgo algo, Cluster& cluster, const Graph& g,
     case SpAlgo::kPrDelta:
       PageRank::setup_delta(cluster, g, base);
       break;
+    case SpAlgo::kMatPower:
+      ADD_FAILURE() << "matrix power takes a matrix, not a graph";
+      break;
   }
+}
+
+// Writes the identity sweep's input for (algo, seed) under `base` and
+// returns the final state's record count.
+int64_t setup_input(SpAlgo algo, uint64_t seed, Cluster& cluster,
+                    const std::string& base) {
+  if (algo == SpAlgo::kMatPower) {
+    const Matrix m =
+        MatPower::generate(static_cast<uint32_t>(8 + 4 * seed), 7000 + seed);
+    MatPower::setup(cluster, m, base);
+    return static_cast<int64_t>(m.n) * m.n;
+  }
+  const Graph g = spill_graph(algo, seed);
+  setup_algo(algo, cluster, g, base);
+  return static_cast<int64_t>(g.num_nodes());
 }
 
 IterJobConf make_conf(SpAlgo algo, const std::string& base,
@@ -488,6 +512,8 @@ IterJobConf make_conf(SpAlgo algo, const std::string& base,
     case SpAlgo::kPrDelta:
       return PageRank::imapreduce_delta(base, out, /*max_iterations=*/80,
                                         kPrTheta);
+    case SpAlgo::kMatPower:
+      return MatPower::imapreduce(base, out, /*max_iterations=*/3);
   }
   return {};
 }
@@ -496,14 +522,21 @@ using SpillIdentityParam = std::tuple<uint64_t, SpAlgo, bool /*workset*/>;
 
 class SpillIdentity : public ::testing::TestWithParam<SpillIdentityParam> {};
 
+std::string identity_case_name(
+    const ::testing::TestParamInfo<SpillIdentityParam>& info) {
+  return std::string("seed") + std::to_string(std::get<0>(info.param)) + "_" +
+         algo_name(std::get<1>(info.param)) +
+         (std::get<2>(info.param) ? "_workset" : "_bulk");
+}
+
 TEST_P(SpillIdentity, BudgetedRunMatchesUnlimitedByteForByte) {
   const auto [seed, algo, workset] = GetParam();
-  const Graph g = spill_graph(algo, seed);
-  const auto n = static_cast<int64_t>(g.num_nodes());
   const int tasks = 3;
+  // Matrix power runs its fixed iteration count; the graph jobs converge.
+  const bool converges = algo != SpAlgo::kMatPower;
 
   auto cluster = testutil::free_cluster(3, 4, 4);
-  setup_algo(algo, *cluster, g, "in");
+  const int64_t n = setup_input(algo, seed, *cluster, "in");
 
   IterJobConf ref_conf = make_conf(algo, "in", "out_ref");
   ref_conf.num_tasks = tasks;
@@ -525,7 +558,7 @@ TEST_P(SpillIdentity, BudgetedRunMatchesUnlimitedByteForByte) {
                                ChannelFaultConfig{}, expect);
   EXPECT_TRUE(ref_run.violations.empty())
       << ::testing::PrintToString(ref_run.violations);
-  ASSERT_TRUE(ref_run.report.converged);
+  ASSERT_EQ(ref_run.report.converged, converges);
   EXPECT_EQ(cluster->metrics().count("imr_spill_runs_written"), 0)
       << "unlimited run must not spill";
 
@@ -533,7 +566,7 @@ TEST_P(SpillIdentity, BudgetedRunMatchesUnlimitedByteForByte) {
                                   ChannelFaultConfig{}, expect);
   EXPECT_TRUE(budget_run.violations.empty())
       << ::testing::PrintToString(budget_run.violations);
-  ASSERT_TRUE(budget_run.report.converged);
+  ASSERT_EQ(budget_run.report.converged, converges);
 
   // Identical bytes AND identical iteration count: per-iteration state is
   // the same, so the convergence decision lands on the same k*.
@@ -563,11 +596,15 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(SpAlgo::kSssp, SpAlgo::kConComp,
                                          SpAlgo::kPrDelta),
                        ::testing::Bool()),
-    [](const ::testing::TestParamInfo<SpillIdentityParam>& info) {
-      return std::string("seed") + std::to_string(std::get<0>(info.param)) +
-             "_" + algo_name(std::get<1>(info.param)) +
-             (std::get<2>(info.param) ? "_workset" : "_bulk");
-    });
+    identity_case_name);
+
+// Workset mode needs a single-phase job, so matrix power runs bulk only.
+INSTANTIATE_TEST_SUITE_P(
+    MatPowerSeeds, SpillIdentity,
+    ::testing::Combine(::testing::Values(uint64_t{1}, uint64_t{2}, uint64_t{3}),
+                       ::testing::Values(SpAlgo::kMatPower),
+                       ::testing::Values(false)),
+    identity_case_name);
 
 // Session mode: a budgeted session over the same converge -> mutate ->
 // reconverge -> close sequence must close on the same bytes as the unlimited
@@ -590,6 +627,8 @@ TEST(SpillIdentity, SessionEpochsMatchUnlimited) {
         break;
       case SpAlgo::kPrDelta:
         delta = PageRank::static_delta(g0, g1);
+        break;
+      case SpAlgo::kMatPower:
         break;
     }
 

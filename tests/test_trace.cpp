@@ -564,5 +564,32 @@ TEST(TraceChaos, FaultInstantsAndRecoverySpansAppear) {
   EXPECT_TRUE(recovery_span) << "no recovery span on the master track";
 }
 
+// Every injection point, kSpillWrite included, names its trace instant
+// after fault_point_name, so a traced fault says which point fired.
+TEST(TraceChaos, EveryFaultPointNamesItsInstant) {
+  TraceGuard guard;
+  auto cluster = testutil::free_cluster(1, 1, 1);
+  FaultSchedule schedule;
+  for (int p = 0; p < kNumFaultPoints; ++p) {
+    schedule.add(0, static_cast<FaultPoint>(p), 1);
+  }
+  cluster->set_fault_schedule(schedule);
+  VClock vt;
+  for (int p = 0; p < kNumFaultPoints; ++p) {
+    ASSERT_TRUE(cluster->consume_fault(0, static_cast<FaultPoint>(p), 1, &vt));
+  }
+
+  std::multiset<std::string> instants;
+  for (const auto& t : TraceRecorder::instance().snapshot()) {
+    for (const auto& ev : t.events) {
+      if (ev.type == TraceEventType::kInstant) instants.insert(ev.name);
+    }
+  }
+  for (int p = 0; p < kNumFaultPoints; ++p) {
+    const char* name = fault_point_name(static_cast<FaultPoint>(p));
+    EXPECT_EQ(instants.count(std::string("fault:") + name), 1u) << name;
+  }
+}
+
 }  // namespace
 }  // namespace imr
