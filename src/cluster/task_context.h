@@ -73,6 +73,28 @@ class TaskContext {
   void send(Endpoint& to, NetMessage msg, TrafficCategory category) {
     cluster_.fabric().send(worker_, vt_, to, std::move(msg), category);
   }
+  // A data batch, and the end-of-stream marker that closes a sender's
+  // stream, from engine task `from`. The iterative engine stamps its
+  // (iteration, generation); the classic engine passes zeros.
+  void send_records(Endpoint& to, KVVec records, int from, int iteration,
+                    int generation, TrafficCategory category) {
+    NetMessage msg;
+    msg.kind = NetMessage::Kind::kData;
+    msg.from_task = from;
+    msg.iteration = iteration;
+    msg.generation = generation;
+    msg.set_records(std::move(records));
+    send(to, std::move(msg), category);
+  }
+  void send_eos(Endpoint& to, int from, int iteration, int generation,
+                TrafficCategory category) {
+    NetMessage msg;
+    msg.kind = NetMessage::Kind::kEos;
+    msg.from_task = from;
+    msg.iteration = iteration;
+    msg.generation = generation;
+    send(to, std::move(msg), category);
+  }
   // One payload to many mailboxes; the enqueued copies share msg's records
   // buffer (each is still charged its full wire size).
   void broadcast(const std::vector<std::shared_ptr<Endpoint>>& to,

@@ -3,11 +3,11 @@
 //
 // MemoryBudget is the policy object: every buffer the task holds (collected
 // shuffle batches, held map output, arena blocks) charges its wire bytes
-// against the budget, and the engines consult over() to decide when to
-// degrade to disk (sort + spill a run to MiniDfs) instead of growing. The
-// default limit of 0 means unlimited — charging still tracks the high-water
-// mark, but over() never fires and the engines behave byte-for-byte as
-// before.
+// against the budget, and the engines consult over() to decide when to stop
+// growing: a map ships the output it holds, a reduce degrades to disk (sort
+// and spill a run to MiniDfs). The default limit of 0 means unlimited —
+// charging still tracks the high-water mark, but over() never fires and the
+// engines behave byte-for-byte as before.
 //
 // RecordArena is the mechanism that takes the global allocator off the hot
 // path: sort_records' (prefix, index) order array — one malloc/free pair per

@@ -83,17 +83,6 @@ bool SpillSet::has_runs(int stream) const {
   return it != streams_.end() && !it->second.empty();
 }
 
-std::size_t SpillSet::run_count(int stream) const {
-  auto it = streams_.find(stream);
-  return it == streams_.end() ? 0 : it->second.size();
-}
-
-std::size_t SpillSet::total_runs() const {
-  std::size_t n = 0;
-  for (const auto& [stream, runs] : streams_) n += runs.size();
-  return n;
-}
-
 std::vector<std::unique_ptr<RecordSource>> SpillSet::sources(int stream,
                                                              VClock* vt) {
   std::vector<std::unique_ptr<RecordSource>> out;
@@ -105,20 +94,6 @@ std::vector<std::unique_ptr<RecordSource>> SpillSet::sources(int stream,
                                                  worker_, vt));
   }
   return out;
-}
-
-KVVec SpillSet::take_run(int stream, VClock* vt) {
-  auto it = streams_.find(stream);
-  if (it == streams_.end() || it->second.empty()) return {};
-  Run run = it->second.front();
-  it->second.erase(it->second.begin());
-  if (it->second.empty()) streams_.erase(it);
-  KVVec records =
-      dfs_.read_all(run.path, worker_, vt, TrafficCategory::kSpill);
-  metrics_.inc("imr_spill_bytes_read", static_cast<int64_t>(run.bytes));
-  metrics_.inc("imr_spill_runs_read");
-  dfs_.remove(run.path);
-  return records;
 }
 
 void SpillSet::consume(int stream) {

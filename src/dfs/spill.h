@@ -1,19 +1,18 @@
 // SpillSet — a task's registry of budgeted spill runs on MiniDfs.
 //
-// When a task's MemoryBudget overflows, the engine sorts the offending
-// buffer and hands it here: write_run stores it as one sorted run file
-// under "spill/<tag>/" (TrafficCategory::kSpill — spill I/O never pollutes
-// the Fig-11 dfs_read/dfs_write decomposition) and registers it on a
-// per-stream list. Streams keep independent run sequences in write order:
-// the reduce side uses a single stream, the map side one stream per output
-// partition. Run order within a stream IS arrival order, which is what lets
-// shuffle_util::MergeCursor's source-index tiebreak reproduce the in-memory
-// sort byte-for-byte.
+// When a reduce task's MemoryBudget overflows, its input stage
+// (ReduceInput) sorts the collected buffer and hands it here: write_run
+// stores it as one sorted run file under "spill/<tag>/"
+// (TrafficCategory::kSpill — spill I/O never pollutes the Fig-11
+// dfs_read/dfs_write decomposition) and registers it on a per-stream list.
+// Streams keep independent run sequences in write order; ReduceInput, the
+// one user, spills on a single stream. Run order within a stream IS arrival
+// order, which is what lets shuffle_util::MergeCursor's source-index
+// tiebreak reproduce the in-memory sort byte-for-byte.
 //
 // Every byte written is accounted on the spill ledger (invariant 11:
 // imr_spill_bytes_written == read + dropped, same for run counts). A run
-// leaves the registry in exactly one of three ways:
-//   - take_run: read back whole (map-side final flush) — counted read;
+// leaves the registry in exactly one of two ways:
 //   - consume:  after a streaming merge drained the stream's cursors —
 //               counted read, whole-run granularity;
 //   - abandon:  rollback, fault unwind, or end-of-task GC — counted
@@ -61,20 +60,12 @@ class SpillSet {
   void write_torn_run(int stream, KVVec records, VClock* vt);
 
   bool has_runs(int stream) const;
-  std::size_t run_count(int stream) const;
-  std::size_t total_runs() const;
 
   // Chunked streaming cursors over `stream`'s runs, one per run in write
   // order. Reading charges kSpill traffic incrementally; the runs stay
   // registered (and on the ledger's open side) until consume(stream) or
   // abandon(). `vt` must outlive the cursors.
   std::vector<std::unique_ptr<RecordSource>> sources(int stream, VClock* vt);
-
-  // Reads one whole run back (FIFO within the stream), unregisters it, and
-  // removes the file. Counted read. Returns an empty vector when the stream
-  // has no runs left. Map-side final flush drains a partition's runs this
-  // way, shipping each as its own batch.
-  KVVec take_run(int stream, VClock* vt);
 
   // Unregisters and removes all of `stream`'s runs, counting them read —
   // called after a merge over sources(stream) has drained them.

@@ -92,13 +92,6 @@ struct IterJobConf {
   // §3.4.2: report-driven task-pair migration.
   bool load_balancing = false;
   double migration_threshold = 0.4;  // relative deviation that triggers it
-  // Noise gate for the deviation test: the slowest worker must also exceed
-  // the trimmed average by this much absolute virtual time. Iteration spans
-  // carry measured thread-CPU time, so on a loaded machine a homogeneous
-  // cluster can show large *relative* deviation on microsecond-scale
-  // iterations; a migration (which costs a rollback) is only worth it when
-  // the gap is material.
-  double migration_min_gap_ms = 25.0;
 
   std::optional<AuxConf> aux;
 
@@ -122,13 +115,12 @@ struct IterJobConf {
   bool aggregated_shuffle = false;
 
   // Memory governance (DESIGN.md §10): per-task byte budget for held record
-  // buffers and arena scratch. 0 = unlimited — byte-for-byte today's
-  // behavior. When set, a task whose buffers overflow the budget sorts them
-  // and spills a run to MiniDfs (TrafficCategory::kSpill), and the reduce
-  // streams a k-way merge over its runs instead of materializing everything;
-  // output stays byte-identical to the unlimited run. Not combinable with
-  // aggregated_shuffle, which holds remote-bound map output to the barrier
-  // whatever the budget says.
+  // buffers and arena scratch. 0 = unlimited. When set, a map over its
+  // budget ships the output it holds instead of holding it to the barrier,
+  // and a reduce whose collected input overflows the budget sorts it and
+  // spills a run to MiniDfs (TrafficCategory::kSpill), then streams a k-way
+  // merge over its runs instead of materializing everything; output stays
+  // byte-identical to the unlimited run.
   int64_t max_task_memory_bytes = 0;
 
   Params params;
@@ -171,11 +163,6 @@ struct IterJobConf {
     }
     if (max_task_memory_bytes < 0) {
       throw ConfigError("max_task_memory_bytes must be >= 0 (0 = unlimited)");
-    }
-    if (max_task_memory_bytes > 0 && aggregated_shuffle) {
-      throw ConfigError(
-          "max_task_memory_bytes cannot govern aggregated_shuffle: remote-"
-          "bound map output is held to the barrier and never spills");
     }
   }
 };

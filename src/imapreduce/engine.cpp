@@ -5,18 +5,17 @@
 #include <deque>
 #include <map>
 #include <set>
+#include <span>
 #include <thread>
 #include <unordered_map>
 
 #include "cluster/placement.h"
 #include "cluster/task_context.h"
-#include "common/arena.h"
-#include "common/codec.h"
 #include "common/hash.h"
 #include "common/log.h"
 #include "common/strings.h"
-#include "dfs/spill.h"
 #include "imapreduce/control.h"
+#include "imapreduce/map_output.h"
 #include "imapreduce/static_store.h"
 #include "mapreduce/reduce_input.h"
 #include "mapreduce/shuffle_util.h"
@@ -25,90 +24,6 @@
 namespace imr {
 
 namespace {
-
-// Map-side emitter: partitions emit() across the phase's reduce tasks and
-// side() across the auxiliary map tasks (dropped when no aux phase).
-class TaskEmitter : public IterEmitter {
- public:
-  // `part` (optional) overrides the flat hash for the main shuffle routing —
-  // the conf's partitioner (DESIGN.md §9). Aux side-output keys live in their
-  // own small key space and always hash.
-  TaskEmitter(int num_partitions, int num_aux_partitions,
-              const Partitioner* part = nullptr)
-      : buffers_(static_cast<std::size_t>(num_partitions)),
-        aux_buffers_(static_cast<std::size_t>(
-            std::max(0, num_aux_partitions))),
-        part_(part) {}
-
-  void emit(Bytes key, Bytes value) override {
-    uint32_t p = part_ != nullptr
-                     ? part_->partition(key)
-                     : partition_of(key, static_cast<uint32_t>(buffers_.size()));
-    if (sketch_ != nullptr) {
-      sketch_->offer(key);
-      (*partition_counts_)[p] += 1;
-    }
-    if (track_held_) held_bytes_ += key.size() + value.size() + 8;
-    buffers_[p].emplace_back(std::move(key), std::move(value));
-    ++emitted_;
-  }
-
-  // Memory governance (DESIGN.md §10): wire bytes currently held across the
-  // partition buffers, maintained incrementally. Off (zero probes on emit)
-  // unless the owning task runs under a budget; the task adjusts the count
-  // whenever it ships, combines, or spills a buffer.
-  void set_track_held(bool on) { track_held_ = on; }
-  bool tracking_held() const { return track_held_; }
-  std::size_t held_bytes() const { return held_bytes_; }
-  void add_held(std::size_t bytes) { held_bytes_ += bytes; }
-  void sub_held(std::size_t bytes) {
-    held_bytes_ -= bytes < held_bytes_ ? bytes : held_bytes_;
-  }
-
-  // Telemetry hot-key profiling: every emitted key feeds the sketch and the
-  // exact per-partition counts. Null (the default) keeps emit() probe-free.
-  void set_profile(SpaceSaving* sketch, std::vector<int64_t>* counts) {
-    sketch_ = sketch;
-    partition_counts_ = counts;
-  }
-
-  void side(Bytes key, Bytes value) override {
-    if (aux_buffers_.empty()) return;
-    uint32_t p = partition_of(key, static_cast<uint32_t>(aux_buffers_.size()));
-    aux_buffers_[p].emplace_back(std::move(key), std::move(value));
-  }
-
-  std::vector<KVVec>& buffers() { return buffers_; }
-  std::vector<KVVec>& aux_buffers() { return aux_buffers_; }
-  int64_t emitted() const { return emitted_; }
-
-  void clear() {
-    for (auto& b : buffers_) b.clear();
-    for (auto& b : aux_buffers_) b.clear();
-    held_bytes_ = 0;
-  }
-
- private:
-  std::vector<KVVec> buffers_;
-  std::vector<KVVec> aux_buffers_;
-  const Partitioner* part_;
-  int64_t emitted_ = 0;
-  SpaceSaving* sketch_ = nullptr;
-  std::vector<int64_t>* partition_counts_ = nullptr;
-  bool track_held_ = false;
-  std::size_t held_bytes_ = 0;
-};
-
-// Reports the budget's high-water mark to the cluster gauge when the owning
-// task exits, whatever the exit path (terminate, rollback unwind, injected
-// crash). One gauge across all tasks: the LARGEST per-task footprint.
-struct BudgetHwmGuard {
-  MetricsRegistry& metrics;
-  const MemoryBudget& budget;
-  ~BudgetHwmGuard() {
-    if (budget.hwm() > 0) metrics.gauge_max("imr_arena_hwm", budget.hwm());
-  }
-};
 
 // Reduce-side emitter: plain collection; side() feeds nothing here (the
 // engine taps the reduce output itself for reduce-sourced aux phases).
@@ -306,6 +221,10 @@ class JobRun {
       refresh();
       return row_;
     }
+    // The row as a MapOutput destination; must not outlive this EpRow.
+    MapOutput::Row row_fn() {
+      return [this]() -> const auto& { return row(); };
+    }
 
    private:
     void refresh() {
@@ -372,27 +291,6 @@ class JobRun {
     fail.generation = gen;
     fail.worker = ctx.worker();
     task_send_ctl(ctx, fail);
-  }
-
-  // --- data helpers ---
-  void send_batch(TaskContext& ctx, Endpoint& to, KVVec records, int from,
-                  int iter, int gen, TrafficCategory cat) {
-    NetMessage msg;
-    msg.kind = NetMessage::Kind::kData;
-    msg.from_task = from;
-    msg.iteration = iter;
-    msg.generation = gen;
-    msg.set_records(std::move(records));
-    ctx.send(to, std::move(msg), cat);
-  }
-  void send_eos(TaskContext& ctx, Endpoint& to, int from, int iter, int gen,
-                TrafficCategory cat) {
-    NetMessage msg;
-    msg.kind = NetMessage::Kind::kEos;
-    msg.from_task = from;
-    msg.iteration = iter;
-    msg.generation = gen;
-    ctx.send(to, std::move(msg), cat);
   }
 
   // --- task bodies ---
@@ -680,11 +578,9 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
   const bool workset = conf_.workset_mode;
   const bool sync_gate = is_phase0 && !conf_.async_maps && !one2all;
   const int eos_target = one2all ? T_ : 1;
-  const int num_aux =
-      (conf_.aux && is_phase0 &&
-       conf_.aux->source == AuxConf::Source::kMapSideOutput)
-          ? T_
-          : 0;
+  const bool feeds_aux =
+      conf_.aux && is_phase0 &&
+      conf_.aux->source == AuxConf::Source::kMapSideOutput;
 
   StashedInbox inbox(ep);
   TaskContext ctx(cluster_, map_ep_name(p, i), worker, start_vt);
@@ -743,104 +639,19 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
     };
   }
 
-  TaskEmitter emitter(T_, num_aux, conf_.partitioner.get());
-
-  // Memory governance (DESIGN.md §10): the budget covers the held shuffle
-  // buffers plus the sort arena scratch.
-  MemoryBudget budget(conf_.max_task_memory_bytes);
-  RecordArena arena(&budget);
-  SpillSet spills(cluster_.dfs(), cluster_.metrics(),
-                  strprintf("%s/m%d-t%d-g%d", tag_.c_str(), p, i, gen),
-                  ctx.worker());
-  BudgetHwmGuard hwm_guard{cluster_.metrics(), budget};
-  emitter.set_track_held(budget.limited());
-  int64_t held_charged = 0;
-  auto sync_budget = [&] {
-    const int64_t held = static_cast<int64_t>(emitter.held_bytes());
-    if (held > held_charged) {
-      budget.charge(held - held_charged);
-    } else {
-      budget.release(held_charged - held);
-    }
-    held_charged = held;
-  };
-  // Sorts a held partition buffer and, when the phase has a combiner,
-  // combines it in place (the combine span covers both) and re-counts the
-  // held bytes.
-  auto sort_and_combine = [&](KVVec& buf, int iter) {
-    TraceSpan combine_span("combine", combiner ? &ctx.vt() : nullptr, iter,
-                           gen);
-    {
-      ThreadCpuTimer sort_cpu;
-      sort_records(buf, /*sort_values=*/true, arena);
-      ctx.charge_compute(sort_cpu.elapsed_ns(), TimeCategory::kSort);
-    }
-    if (!combiner) return;
-    if (emitter.tracking_held()) emitter.sub_held(wire_size(buf));
-    ThreadCpuTimer cpu;
-    combine_sorted(buf, combine_body);
-    ctx.charge_compute(cpu.elapsed_ns());
-    if (emitter.tracking_held()) emitter.add_held(wire_size(buf));
-  };
-  // Over-budget map-side spill: sort (and pre-combine) every held partition
-  // buffer and write each as a run on that partition's stream; the final
-  // flush replays them as ordinary shuffle batches ahead of the tail.
-  // Returns true when an injected crash killed the task mid-spill.
-  auto map_spill = [&](int iter) -> bool {
-    if (!budget.limited()) return false;
-    sync_budget();
-    if (!budget.over()) return false;
-    TraceSpan spill_span("spill_write", ctx.vt(), iter, gen);
-    bool wrote = false;
-    for (int r = 0; r < T_; ++r) {
-      KVVec& buf = emitter.buffers()[static_cast<std::size_t>(r)];
-      if (buf.empty()) continue;
-      sort_and_combine(buf, iter);
-      emitter.sub_held(wire_size(buf));
-      // Injection point: died between sorting a run and registering it — the
-      // torn half-file IS registered, so this task's unwind drops it and the
-      // spill ledger stays balanced.
-      if (cluster_.consume_fault(ctx.worker(), FaultPoint::kSpillWrite, iter,
-                                 &ctx.vt())) {
-        spills.write_torn_run(r, std::move(buf), &ctx.vt());
-        fail_task(ctx, i, iter, gen);
-        return true;
-      }
-      spills.write_run(r, std::move(buf), &ctx.vt());
-      buf = KVVec{};
-      wrote = true;
-    }
-    sync_budget();
-    if (wrote) cluster_.metrics().inc("imr_map_spills");
-    return false;
-  };
-
-  // Telemetry hot-key profile of this task's shuffle output: a SpaceSaving
-  // sketch plus exact per-partition emit counts, handed to the cluster
-  // ledger on EVERY exit path (the guard covers injected-crash returns and
-  // error unwinds alike). The ledger keeps the highest-generation push per
-  // task, so a respawned task supersedes the zombie it replaced.
+  // Routing, streaming, the barrier flush and the task's memory budget
+  // (DESIGN.md §9, §10). Telemetry profiles phase 0's shuffle output.
   const bool profiled = is_phase0 && TelemetryRecorder::enabled();
-  SpaceSaving sketch;
-  std::vector<int64_t> partition_counts;
-  if (profiled) {
-    partition_counts.assign(static_cast<std::size_t>(T_), 0);
-    emitter.set_profile(&sketch, &partition_counts);
-  }
-  struct ProfileGuard {
-    JobRun& run;
-    bool armed;
-    int task;
-    const int& gen;
-    SpaceSaving& sketch;
-    std::vector<int64_t>& counts;
-    ~ProfileGuard() {
-      if (!armed) return;
-      run.cluster_.telemetry().record_task_profile(task, gen,
-                                                   std::move(sketch),
-                                                   std::move(counts));
-    }
-  } profile_guard{*this, profiled, i, gen, sketch, partition_counts};
+  MapOutput out(ctx, {.task = i,
+                      .generation = gen,
+                      .reduces = red_row.row_fn(),
+                      .aux = feeds_aux ? aux_row.row_fn() : MapOutput::Row(),
+                      .partitioner = conf_.partitioner.get(),
+                      .combine = std::move(combine_body),
+                      .buffer_records = conf_.buffer_records,
+                      .aggregated = conf_.aggregated_shuffle,
+                      .budget_bytes = conf_.max_task_memory_bytes,
+                      .profiled = profiled});
 
   static const Bytes kEmpty;
 
@@ -850,19 +661,25 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
   // workset_size series.
   int64_t iter_input_records = 0;
 
-  // Hash join against the static index (§3.2.2): one probe per record.
-  auto process_one2one_batch = [&](const KVVec& batch) {
-    ThreadCpuTimer cpu;
-    iter_input_records += static_cast<int64_t>(batch.size());
-    // The probe scope pins the store for the duration of the join: find()'s
-    // pointers die on any mutation, and the debug assertion inside
-    // apply_delta/build fires if a delta ever lands mid-join.
-    StaticStore::ProbeScope probes(static_store);
-    for (const KV& kv : batch) {
-      const Bytes* sv = static_store.find(kv.key);
-      mapper->map(kv.key, kv.value, sv ? *sv : kEmpty, emitter);
+  // Every one2one input — a slice of the loaded state, a batch the sync
+  // gate deferred, a live batch — is one batch: a hash join against the
+  // static index (§3.2.2, one probe per record), then the output stage's
+  // chance to ship.
+  auto map_batch = [&](std::span<const KV> batch, int iter) {
+    {
+      ThreadCpuTimer cpu;
+      iter_input_records += static_cast<int64_t>(batch.size());
+      // The probe scope pins the store for the duration of the join:
+      // find()'s pointers die on any mutation, and the debug assertion
+      // inside apply_delta/build fires if a delta ever lands mid-join.
+      StaticStore::ProbeScope probes(static_store);
+      for (const KV& kv : batch) {
+        const Bytes* sv = static_store.find(kv.key);
+        mapper->map(kv.key, kv.value, sv ? *sv : kEmpty, out);
+      }
+      ctx.charge_compute(cpu.elapsed_ns());
     }
-    ctx.charge_compute(cpu.elapsed_ns());
+    out.after_batch(iter);
   };
   auto process_one2all = [&](KVVec& states) {
     ThreadCpuTimer cpu;
@@ -878,111 +695,16 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
       sort_records(states, /*sort_values=*/false);
     }
     for (const KV& kv : static_store.records()) {
-      mapper->map_all(kv.key, kv.value, states, emitter);
+      mapper->map_all(kv.key, kv.value, states, out);
     }
     ctx.charge_compute(cpu.elapsed_ns());
-  };
-
-  auto flush_buffers = [&](int iter, bool final_flush) {
-    // Aggregated exchange (DESIGN.md §9): output destined for a reduce homed
-    // on a REMOTE worker is held to the iteration barrier (final flush) and
-    // shipped below as ONE coalesced message per destination worker. Local
-    // partitions stream exactly as before, so the paired-task fast path
-    // keeps its pipelining.
-    const bool agg = conf_.aggregated_shuffle;
-    struct AggBatch {
-      std::vector<std::shared_ptr<Endpoint>> eps;
-      KVVec records;
-      Bytes entries;  // per partition: task:u32, begin:u32, end:u32
-      uint32_t count = 0;
-    };
-    std::map<int, AggBatch> coalesced;  // dest worker -> batch
-    // Runs spilled earlier in the iteration ship first — they hold the
-    // iteration's OLDEST records, and each run travels as its own batch.
-    // (A budget never meets the aggregated exchange — conf validation — so
-    // these always stream directly to their partition.)
-    if (final_flush && spills.total_runs() > 0) {
-      for (int r = 0; r < T_; ++r) {
-        while (spills.has_runs(r)) {
-          KVVec run = spills.take_run(r, &ctx.vt());
-          if (!run.empty()) {
-            send_batch(ctx, red_row.at(r), std::move(run), i, iter, gen,
-                       TrafficCategory::kShuffle);
-          }
-        }
-      }
-    }
-    if (agg && final_flush) {
-      // The barrier frame is also this map's iteration-EOS for every reduce
-      // on the destination worker (each sibling mailbox receives the one
-      // frame), so a frame goes to every remote worker hosting a partition —
-      // record ranges or not — and no per-reduce EOS crosses the wire.
-      for (int r = 0; r < T_; ++r) {
-        const int home = red_row.at(r).home_worker();
-        if (home == ctx.worker()) continue;
-        coalesced[home].eps.push_back(
-            red_row.row()[static_cast<std::size_t>(r)]);
-      }
-    }
-    for (int r = 0; r < T_; ++r) {
-      KVVec& buf = emitter.buffers()[static_cast<std::size_t>(r)];
-      if (buf.empty()) continue;
-      const bool held_remote =
-          agg && red_row.at(r).home_worker() != ctx.worker();
-      // With a combiner, ship only at the end of the iteration: combining
-      // within small streamed batches finds few duplicate keys and forfeits
-      // most of the aggregation (matrix power would shuffle the full
-      // pre-combine product stream).
-      if (!final_flush &&
-          (held_remote || combiner ||
-           buf.size() < static_cast<std::size_t>(conf_.buffer_records))) {
-        continue;
-      }
-      if (combiner) sort_and_combine(buf, iter);
-      if (held_remote) {
-        AggBatch& b = coalesced[red_row.at(r).home_worker()];
-        encode_u32(static_cast<uint32_t>(r), b.entries);
-        encode_u32(static_cast<uint32_t>(b.records.size()), b.entries);
-        encode_u32(static_cast<uint32_t>(b.records.size() + buf.size()),
-                   b.entries);
-        ++b.count;
-        b.records.insert(b.records.end(),
-                         std::make_move_iterator(buf.begin()),
-                         std::make_move_iterator(buf.end()));
-        buf = KVVec{};
-        continue;
-      }
-      if (emitter.tracking_held()) emitter.sub_held(wire_size(buf));
-      send_batch(ctx, red_row.at(r), std::move(buf), i, iter, gen,
-                 TrafficCategory::kShuffle);
-      buf = KVVec{};
-    }
-    // Ship the coalesced batches: records for every partition on the worker
-    // concatenated in partition order, control = header (count, then
-    // (task, begin, end) record ranges) each receiver slices its own range
-    // from. One wire transfer per destination worker and iteration
-    // (kShuffleAgg) — possibly entry-free, since the frame doubles as the
-    // EOS barrier marker; the sibling mailbox hand-offs are free.
-    for (auto& [w, b] : coalesced) {
-      NetMessage msg;
-      msg.kind = NetMessage::Kind::kData;
-      msg.from_task = i;
-      msg.iteration = iter;
-      msg.generation = gen;
-      Bytes header;
-      encode_u32(b.count, header);
-      header.insert(header.end(), b.entries.begin(), b.entries.end());
-      msg.control = std::move(header);
-      msg.set_records(std::move(b.records));
-      ctx.send_coalesced(b.eps, msg, TrafficCategory::kShuffleAgg);
-    }
   };
 
   // Returns true when an injected crash killed the task mid-shuffle.
   auto finish_iteration = [&](int iter) -> bool {
     {
       ThreadCpuTimer cpu;
-      mapper->flush(emitter);
+      mapper->flush(out);
       ctx.charge_compute(cpu.elapsed_ns());
     }
     if (iter_input_records > 0) {
@@ -990,7 +712,7 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
       iter_input_records = 0;
     }
     TraceSpan flush_span("shuffle_flush", ctx.vt(), iter, gen);
-    flush_buffers(iter, /*final_flush=*/true);
+    out.flush(iter);
     // Injection point: died after flushing shuffle data but before the EOS
     // hand-offs (under the aggregated exchange, remote frames — EOS
     // included — are out, local reduces got nothing) — downstream reduces
@@ -1001,29 +723,9 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
       fail_task(ctx, i, iter, gen);
       return true;
     }
-    for (int r = 0; r < T_; ++r) {
-      // Under the aggregated exchange remote reduces already hold this map's
-      // EOS — it rode the barrier frame — so only same-worker hand-offs
-      // still send one.
-      if (conf_.aggregated_shuffle &&
-          red_row.at(r).home_worker() != ctx.worker()) {
-        continue;
-      }
-      send_eos(ctx, red_row.at(r), i, iter, gen, TrafficCategory::kShuffle);
-    }
+    out.close_iteration(iter);
     IMR_DEBUG << tag_ << ": map " << p << "/" << i << " shipped eos iter "
               << iter << " gen " << gen;
-    if (num_aux > 0) {
-      for (int a = 0; a < num_aux; ++a) {
-        KVVec& buf = emitter.aux_buffers()[static_cast<std::size_t>(a)];
-        if (!buf.empty()) {
-          send_batch(ctx, aux_row.at(a), std::move(buf), i, iter, gen,
-                     TrafficCategory::kShuffle);
-          buf = KVVec{};
-        }
-        send_eos(ctx, aux_row.at(a), i, iter, gen, TrafficCategory::kShuffle);
-      }
-    }
     return false;
   };
 
@@ -1058,28 +760,13 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
       have_pending = false;
       if (one2all) {
         process_one2all(pending);
-      } else if (conf_.max_task_memory_bytes > 0) {
-        // The whole-state map (phase-0 start, rollback reload) would hold
-        // its entire output until the iteration flush; under a budget,
-        // process it in shuffle-batch slices so the governor can ship or
-        // spill between them, exactly like the eager streaming path below.
-        const std::size_t slice =
-            static_cast<std::size_t>(std::max(conf_.buffer_records, 1));
-        KVVec chunk;
-        for (std::size_t off = 0; off < pending.size(); off += slice) {
-          const auto end =
-              pending.begin() +
-              static_cast<std::ptrdiff_t>(std::min(pending.size(), off + slice));
-          chunk.assign(
-              std::make_move_iterator(pending.begin() +
-                                      static_cast<std::ptrdiff_t>(off)),
-              std::make_move_iterator(end));
-          process_one2one_batch(chunk);
-          flush_buffers(k, /*final_flush=*/false);
-          if (map_spill(k)) return;
-        }
       } else {
-        process_one2one_batch(pending);
+        const std::span<const KV> state(pending);
+        const auto slice = static_cast<std::size_t>(conf_.buffer_records);
+        for (std::size_t off = 0; off < state.size(); off += slice) {
+          map_batch(state.subspan(off, std::min(slice, state.size() - off)),
+                    k);
+        }
       }
       pending = KVVec{};
       if (finish_iteration(k)) return;
@@ -1093,7 +780,8 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
 
     // Collect this iteration's state input.
     int eos_seen = 0;
-    KVVec stash;       // buffered batches (sync mode / one2all)
+    KVVec stash;                      // one2all: the whole broadcast state
+    std::vector<NetMessage> deferred;  // sync: batches ahead of the go
     bool done = false;
     LoopEvent event = LoopEvent::kIterationReady;
     while (!done) {
@@ -1184,17 +872,17 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
         continue;
       }
       // Data batch for iteration k.
-      if (one2all || (sync_gate && go_allowed < k)) {
+      if (one2all) {
         KVVec batch = msg->take_records();
         stash.insert(stash.end(), std::make_move_iterator(batch.begin()),
                      std::make_move_iterator(batch.end()));
+      } else if (sync_gate && go_allowed < k) {
+        deferred.push_back(std::move(*msg));
       } else {
         // Asynchronous eager processing (§3.3): join+map immediately. The
         // records are only read, so the (possibly shared) payload is used
         // in place.
-        process_one2one_batch(msg->records());
-        flush_buffers(k, /*final_flush=*/false);
-        if (map_spill(k)) return;
+        map_batch(msg->records(), k);
       }
     }
 
@@ -1216,9 +904,7 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
                 << (event == LoopEvent::kResume ? " resume after "
                                                 : " rollback to ")
                 << rollback_to << " gen " << gen;
-      emitter.clear();
-      spills.abandon();
-      sync_budget();
+      out.reset(gen);
       k = rollback_to + 1;
       go_allowed = k;
       if (is_phase0) {
@@ -1235,13 +921,8 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
       continue;
     }
 
-    if (!stash.empty()) {
-      if (one2all) {
-        process_one2all(stash);
-      } else {
-        process_one2one_batch(stash);
-      }
-    }
+    if (!stash.empty()) process_one2all(stash);
+    for (const NetMessage& batch : deferred) map_batch(batch.records(), k);
     if (finish_iteration(k)) return;
     if (profiled) {
       cluster_.telemetry().record_map_iter(
@@ -1308,6 +989,11 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
         return cluster_.consume_fault(ctx.worker(), FaultPoint::kSpillWrite,
                                       iter, &ctx.vt());
       });
+  // Buffers the output for a reduce-sourced auxiliary phase (§5.3).
+  MapOutput aux_copy(ctx, {.task = i,
+                           .generation = gen,
+                           .aux = aux_from_reduce ? aux_row.row_fn()
+                                                  : MapOutput::Row()});
 
   // Previous-iteration state for distance + checkpoints + final dump
   // (§3.1.2: "the reduce tasks save the output from two consecutive
@@ -1378,11 +1064,10 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
       cluster_.metrics().inc("imr_session_seed_records",
                              static_cast<int64_t>(seeds.size()));
       if (!seeds.empty()) {
-        send_batch(ctx, next_maps.at(i), std::move(seeds), i, k, gen,
-                   TrafficCategory::kReduceToMap);
+        ctx.send_records(next_maps.at(i), std::move(seeds), i, k, gen,
+                         TrafficCategory::kReduceToMap);
       }
-      send_eos(ctx, next_maps.at(i), i, k, gen,
-               TrafficCategory::kReduceToMap);
+      ctx.send_eos(next_maps.at(i), i, k, gen, TrafficCategory::kReduceToMap);
     }
     // Adds shuffled input; false when an injected crash killed the task
     // mid-spill (the torn half-run is registered, so the unwind drops it).
@@ -1475,21 +1160,11 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
                   << " from " << msg->from_task;
       } else if (!msg->control.empty()) {
         // Aggregated frame (DESIGN.md §9): one payload carrying every
-        // partition homed on this worker; slice out our own record range.
-        // The buffer is shared with sibling mailboxes — copy, never
-        // take_records. The frame is flushed at the sender's iteration
-        // barrier, so it IS that map's EOS for this reduce — count it even
-        // when it carries no range for us.
-        ByteReader hr(msg->control);
-        const KVVec& all = msg->records();
-        for (uint32_t n = hr.u32(); n > 0; --n) {
-          uint32_t task = hr.u32();
-          uint32_t begin = hr.u32();
-          uint32_t end = hr.u32();
-          if (task != static_cast<uint32_t>(i)) continue;
-          IMR_CHECK(begin <= end && end <= all.size());
-          if (!collect(KVVec(all.begin() + begin, all.begin() + end))) return;
-        }
+        // partition homed on this worker, shared with the sibling mailboxes,
+        // so our ranges are copied out. The frame is flushed at the sender's
+        // iteration barrier, so it IS that map's EOS for this reduce — count
+        // it even when it carries no range for us.
+        if (!MapOutput::for_each_frame_range(*msg, i, collect)) return;
         ++eos_seen;
         IMR_DEBUG << tag_ << ": reduce " << p << "/" << i << " gen " << gen
                   << " iter " << k << " agg frame eos " << eos_seen << "/"
@@ -1528,6 +1203,7 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
                                                 : " rollback to ")
                 << rollback_to << " gen " << gen;
       input.reset();
+      aux_copy.reset(gen);
       k = rollback_to + 1;
       allowed = k;
       if (event == LoopEvent::kResume) {
@@ -1582,8 +1258,8 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
         msg.set_records(std::move(batch));
         ctx.broadcast(next_maps.row(), msg, cat);
       } else {
-        send_batch(ctx, next_maps.at(i), std::move(batch), i, out_iter, gen,
-                   cat);
+        ctx.send_records(next_maps.at(i), std::move(batch), i, out_iter, gen,
+                         cat);
       }
     };
 
@@ -1591,7 +1267,6 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
     // changed-set can be collected inline while the groups stream through.
     const bool ckpt_due = last_phase && conf_.checkpoint_every > 0 &&
                           k % conf_.checkpoint_every == 0;
-    KVVec output;  // full iteration output, kept for the aux copy
     KVVec ckpt_workset;  // changed records of a checkpoint iteration
     KVVec pending_batch;
     double local_distance = 0;
@@ -1634,7 +1309,7 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
           local_distance += reducer->distance(kv.key, prev, kv.value);
           state_map[kv.key] = kv.value;
         }
-        if (aux_from_reduce) output.push_back(kv);
+        if (aux_from_reduce) aux_copy.side(kv.key, kv.value);
         pending_batch.push_back(std::move(kv));
       }
       if (pending_batch.size() >=
@@ -1658,10 +1333,10 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
     if (!pending_batch.empty()) ship_batch(std::move(pending_batch));
     if (next_mapping == Mapping::kOne2All) {
       for (int m = 0; m < T_; ++m) {
-        send_eos(ctx, next_maps.at(m), i, out_iter, gen, cat);
+        ctx.send_eos(next_maps.at(m), i, out_iter, gen, cat);
       }
     } else {
-      send_eos(ctx, next_maps.at(i), i, out_iter, gen, cat);
+      ctx.send_eos(next_maps.at(i), i, out_iter, gen, cat);
     }
 
     // Checkpoint (§3.4.1) — written in parallel with the iteration, so it is
@@ -1703,19 +1378,7 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
     }
 
     // Copy to a reduce-sourced auxiliary phase (§5.3).
-    if (aux_from_reduce) {
-      const int num_aux = static_cast<int>(aux_row.row().size());
-      TaskEmitter aux_emit(1, num_aux);
-      for (const KV& kv : output) aux_emit.side(kv.key, kv.value);
-      for (int a = 0; a < num_aux; ++a) {
-        KVVec& buf = aux_emit.aux_buffers()[static_cast<std::size_t>(a)];
-        if (!buf.empty()) {
-          send_batch(ctx, aux_row.at(a), std::move(buf), i, k, gen,
-                     TrafficCategory::kShuffle);
-        }
-        send_eos(ctx, aux_row.at(a), i, k, gen, TrafficCategory::kShuffle);
-      }
-    }
+    if (aux_from_reduce) aux_copy.close_iteration(k);
 
     // Injection point (§3.4.1, the classic one): died at the iteration
     // boundary, after all of iteration k's work. Consuming the event (rather
@@ -1768,7 +1431,8 @@ void JobRun::run_aux_map(int j, int gen, int start_iter,
 
   std::unique_ptr<IterMapper> mapper = conf_.aux->mapper();
   mapper->configure(conf_.params);
-  TaskEmitter emitter(aux_reduces_, 0);
+  MapOutput out(ctx,
+                {.task = j, .generation = gen, .reduces = red_row.row_fn()});
   static const Bytes kEmpty;
 
   int k = start_iter;
@@ -1800,7 +1464,7 @@ void JobRun::run_aux_map(int j, int gen, int start_iter,
       }
       ThreadCpuTimer cpu;
       for (const KV& kv : msg->records()) {
-        mapper->map(kv.key, kv.value, kEmpty, emitter);
+        mapper->map(kv.key, kv.value, kEmpty, out);
       }
       ctx.charge_compute(cpu.elapsed_ns());
     }
@@ -1812,24 +1476,17 @@ void JobRun::run_aux_map(int j, int gen, int start_iter,
       // and resume where the main phase resumes.
       mapper = conf_.aux->mapper();
       mapper->configure(conf_.params);
-      emitter.clear();
+      out.reset(gen);
       k = rollback_to + 1;
       continue;
     }
     {
       ThreadCpuTimer cpu;
-      mapper->flush(emitter);
+      mapper->flush(out);
       ctx.charge_compute(cpu.elapsed_ns());
     }
-    for (int r = 0; r < aux_reduces_; ++r) {
-      KVVec& buf = emitter.buffers()[static_cast<std::size_t>(r)];
-      if (!buf.empty()) {
-        send_batch(ctx, red_row.at(r), std::move(buf), j, k, gen,
-                   TrafficCategory::kShuffle);
-        buf = KVVec{};
-      }
-      send_eos(ctx, red_row.at(r), j, k, gen, TrafficCategory::kShuffle);
-    }
+    out.flush(k);
+    out.close_iteration(k);
     ++k;
   }
 }
@@ -2292,6 +1949,13 @@ void JobRun::master_loop() {
         }
 
         // --- load balancing (§3.4.2) ---
+        // Noise gate for the deviation test: the slowest worker must also
+        // exceed the trimmed average by this much absolute virtual time.
+        // Iteration spans carry measured thread-CPU time, so on a loaded
+        // machine a homogeneous cluster can show large *relative* deviation
+        // on microsecond-scale iterations; a migration (which costs a
+        // rollback) is only worth it when the gap is material.
+        constexpr double kMigrationMinGapMs = 25.0;
         if (conf_.load_balancing && last_ckpt > 0 &&
             decided - last_migration_iter >= 2 &&
             done_iter.worker_dur.size() >= 3) {
@@ -2316,7 +1980,7 @@ void JobRun::master_loop() {
                     << static_cast<double>(durs.back().second) / 1e6
                     << " ms (worker " << slowest << "), dev " << dev;
           if (avg > 0 && dev > conf_.migration_threshold &&
-              gap_ms > conf_.migration_min_gap_ms &&
+              gap_ms > kMigrationMinGapMs &&
               cluster_.worker_alive(fastest) && slowest != fastest) {
             // Migrate the slowest pair on the slowest worker.
             int victim = -1;

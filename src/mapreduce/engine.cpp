@@ -300,19 +300,13 @@ JobResult MapReduceEngine::run_job(const JobConf& conf, int64_t submit_vt_ns) {
         cluster_.metrics().inc("combiner_records_saved",
                                static_cast<int64_t>(saved));
       }
+      Endpoint& to = *reduce_ep[static_cast<std::size_t>(r)];
       if (!buf.empty()) {
-        NetMessage msg;
-        msg.kind = NetMessage::Kind::kData;
-        msg.from_task = m;
-        msg.set_records(std::move(buf));
-        ctx.send(*reduce_ep[static_cast<std::size_t>(r)], std::move(msg),
-                 TrafficCategory::kShuffle);
+        ctx.send_records(to, std::move(buf), m, /*iteration=*/0,
+                         /*generation=*/0, TrafficCategory::kShuffle);
       }
-      NetMessage eos;
-      eos.kind = NetMessage::Kind::kEos;
-      eos.from_task = m;
-      ctx.send(*reduce_ep[static_cast<std::size_t>(r)], std::move(eos),
-               TrafficCategory::kShuffle);
+      ctx.send_eos(to, m, /*iteration=*/0, /*generation=*/0,
+                   TrafficCategory::kShuffle);
     }
   };
 

@@ -1,13 +1,15 @@
 // Memory-governance / out-of-core suite — DESIGN.md §10.
 //
-// The load-bearing property: a run with a task memory budget — which sorts
-// and spills over-budget buffers to MiniDfs and streams a k-way merge over
-// the runs at reduce time — must produce the SAME final state, byte for
-// byte, as the unlimited run of the same job, across algorithms, iteration
-// modes (bulk, workset, session), and injected worker deaths at the spill
-// write itself. Budgets here are deliberately tiny (smaller than one arena
-// block), so every buffered batch degrades to disk and every reduce
-// iteration runs the merge path.
+// The load-bearing property: a run with a task memory budget — whose maps
+// ship over-budget output early and whose reduces sort and spill
+// over-budget input to MiniDfs, then stream a k-way merge over the runs —
+// must produce the SAME final state, byte for byte, as the unlimited run of
+// the same job, across algorithms, iteration modes (bulk, workset,
+// session), map modes (async, sync, aggregated exchange), and injected
+// worker deaths at the spill write itself. Budgets here are deliberately
+// tiny (smaller than one arena block), so every map batch flushes what the
+// map holds, every collected reduce batch degrades to disk, and every
+// reduce iteration runs the merge path.
 //
 // Also here: MemoryBudget/RecordArena units, the MergeCursor-vs-sort_records
 // identity property, the SpillSet ledger (invariant 11: bytes/runs written ==
@@ -49,8 +51,8 @@ namespace {
 using chaos::run_chaos_job;
 
 // Smaller than one arena block: after the first sort maps a block the budget
-// is permanently over, so every buffered batch spills. The hostile extreme —
-// maximum run counts, maximum merge fan-in.
+// is permanently over, so every collected reduce batch spills. The hostile
+// extreme — maximum run counts, maximum merge fan-in.
 constexpr int64_t kTinyBudget = 512;
 
 constexpr double kPrTheta = 1e-4;
@@ -255,28 +257,6 @@ void expect_balanced(Cluster& c) {
   EXPECT_EQ(l.runs_written, l.runs_read + l.runs_dropped);
 }
 
-TEST(SpillSet, TakeRunIsFifoAndCountsRead) {
-  auto cluster = testutil::free_cluster(1, 1, 1);
-  VClock vt;
-  SpillSet spills(cluster->dfs(), cluster->metrics(), "t/u1", 0);
-  KVVec r1 = numbered_records(1, 20), r2 = numbered_records(2, 30);
-  spills.write_run(0, r1, &vt);
-  spills.write_run(0, r2, &vt);
-  EXPECT_EQ(spills.run_count(0), 2u);
-  EXPECT_EQ(spills.total_runs(), 2u);
-
-  KVVec back1 = spills.take_run(0, &vt);
-  expect_identical(r1, back1);
-  KVVec back2 = spills.take_run(0, &vt);
-  expect_identical(r2, back2);
-  EXPECT_TRUE(spills.take_run(0, &vt).empty());
-  EXPECT_FALSE(spills.has_runs(0));
-
-  expect_balanced(*cluster);
-  EXPECT_EQ(ledger(*cluster).runs_read, 2);
-  EXPECT_TRUE(cluster->dfs().list("spill/").empty());
-}
-
 TEST(SpillSet, SourcesThenConsumeRoundTripsThroughChunkedCursors) {
   auto cluster = testutil::free_cluster(1, 1, 1);
   VClock vt;
@@ -344,16 +324,6 @@ TEST(SpillConf, RejectsNegativeBudget) {
   IterJobConf conf = Sssp::imapreduce("in", "out", 5);
   conf.max_task_memory_bytes = -1;
   EXPECT_THROW(conf.validate(), ConfigError);
-}
-
-TEST(SpillConf, BudgetRejectsAggregatedShuffle) {
-  IterJobConf conf = Sssp::imapreduce("in", "out", 5);
-  conf.max_task_memory_bytes = 1 << 20;
-  EXPECT_NO_THROW(conf.validate());
-  conf.aggregated_shuffle = true;
-  EXPECT_THROW(conf.validate(), ConfigError);
-  conf.max_task_memory_bytes = 0;
-  EXPECT_NO_THROW(conf.validate());
 }
 
 TEST(SpillConf, ClassicEngineEnforcesTheSameGates) {
@@ -428,10 +398,37 @@ TEST(ClassicSpill, BudgetedReduceMatchesUnlimitedByteForByte) {
 // Iterative engine: the byte-identity property suite. Bulk and workset modes
 // share a parameterized sweep; sessions get their own case below. Matrix
 // power (bulk only) is the sweep's multi-phase job and the one whose map
-// side spills through a combiner.
+// side ships over-budget output through a combiner.
 // ---------------------------------------------------------------------------
 
 enum class SpAlgo { kSssp, kConComp, kPrDelta, kMatPower };
+
+// How the maps take their input and ship their output: async maps map each
+// batch as it arrives, sync maps defer the batches that beat the master's
+// go, and the aggregated exchange holds remote-bound output to the barrier
+// frame (DESIGN.md §9). The budget governs the output of all three.
+enum class MapMode { kAsync, kSync, kAgg };
+
+// Async is the default and keeps the case names it always had.
+const char* mode_suffix(MapMode m) {
+  switch (m) {
+    case MapMode::kAsync:
+      return "";
+    case MapMode::kSync:
+      return "_sync";
+    case MapMode::kAgg:
+      return "_agg";
+  }
+  return "?";
+}
+
+void apply_mode(MapMode m, IterJobConf& conf) {
+  conf.async_maps = m != MapMode::kSync;
+  conf.aggregated_shuffle = m == MapMode::kAgg;
+}
+
+const auto kMapModes =
+    ::testing::Values(MapMode::kAsync, MapMode::kSync, MapMode::kAgg);
 
 const char* algo_name(SpAlgo a) {
   switch (a) {
@@ -518,7 +515,8 @@ IterJobConf make_conf(SpAlgo algo, const std::string& base,
   return {};
 }
 
-using SpillIdentityParam = std::tuple<uint64_t, SpAlgo, bool /*workset*/>;
+using SpillIdentityParam =
+    std::tuple<uint64_t, SpAlgo, bool /*workset*/, MapMode>;
 
 class SpillIdentity : public ::testing::TestWithParam<SpillIdentityParam> {};
 
@@ -526,11 +524,12 @@ std::string identity_case_name(
     const ::testing::TestParamInfo<SpillIdentityParam>& info) {
   return std::string("seed") + std::to_string(std::get<0>(info.param)) + "_" +
          algo_name(std::get<1>(info.param)) +
-         (std::get<2>(info.param) ? "_workset" : "_bulk");
+         (std::get<2>(info.param) ? "_workset" : "_bulk") +
+         mode_suffix(std::get<3>(info.param));
 }
 
 TEST_P(SpillIdentity, BudgetedRunMatchesUnlimitedByteForByte) {
-  const auto [seed, algo, workset] = GetParam();
+  const auto [seed, algo, workset, mode] = GetParam();
   const int tasks = 3;
   // Matrix power runs its fixed iteration count; the graph jobs converge.
   const bool converges = algo != SpAlgo::kMatPower;
@@ -543,8 +542,9 @@ TEST_P(SpillIdentity, BudgetedRunMatchesUnlimitedByteForByte) {
   IterJobConf budget_conf = make_conf(algo, "in", "out_budget");
   budget_conf.num_tasks = tasks;
   budget_conf.max_task_memory_bytes = kTinyBudget;
-  if (workset) {
-    for (IterJobConf* c : {&ref_conf, &budget_conf}) {
+  for (IterJobConf* c : {&ref_conf, &budget_conf}) {
+    apply_mode(mode, *c);
+    if (workset) {
       c->workset_mode = true;
       c->distance_threshold = -1.0;
     }
@@ -561,6 +561,7 @@ TEST_P(SpillIdentity, BudgetedRunMatchesUnlimitedByteForByte) {
   ASSERT_EQ(ref_run.report.converged, converges);
   EXPECT_EQ(cluster->metrics().count("imr_spill_runs_written"), 0)
       << "unlimited run must not spill";
+  EXPECT_EQ(cluster->metrics().count("imr_map_budget_flushes"), 0);
 
   auto budget_run = run_chaos_job(*cluster, budget_conf, FaultSchedule{},
                                   ChannelFaultConfig{}, expect);
@@ -575,15 +576,19 @@ TEST_P(SpillIdentity, BudgetedRunMatchesUnlimitedByteForByte) {
       << "budgeted run diverged (seed=" << seed << ", algo=" << algo_name(algo)
       << ", workset=" << workset << ")";
 
-  // The budget actually bit: multiple runs spilled, merged reduces ran, the
-  // arena high-water mark registered, and the ledger closed balanced with no
-  // files left behind.
+  // The budget actually bit: over-budget maps shipped what they held,
+  // multiple runs spilled, merged reduces ran, the arena high-water mark
+  // registered, and the ledger closed balanced with no files left behind.
+  const int64_t flushes = cluster->metrics().count("imr_map_budget_flushes");
+  EXPECT_GE(flushes, 1);
+  if (mode == MapMode::kSync && !workset) {
+    // Every iteration's deferred batches are mapped one at a time under the
+    // governor, not only the first iteration's loaded state.
+    EXPECT_GE(flushes, budget_run.report.iterations_run);
+  }
   EXPECT_GE(cluster->metrics().count("imr_spill_runs_written"), 2);
   EXPECT_GE(cluster->metrics().count("imr_reduce_spills"), 1);
   EXPECT_GE(cluster->metrics().count("imr_reduce_merges"), 1);
-  if (!workset) {
-    EXPECT_GE(cluster->metrics().count("imr_map_spills"), 1);
-  }
   EXPECT_GE(cluster->metrics().gauge("imr_arena_hwm"), 1);
   EXPECT_EQ(cluster->metrics().count("imr_spill_leaks"), 0);
   expect_balanced(*cluster);
@@ -595,7 +600,7 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(uint64_t{1}, uint64_t{2}, uint64_t{3}),
                        ::testing::Values(SpAlgo::kSssp, SpAlgo::kConComp,
                                          SpAlgo::kPrDelta),
-                       ::testing::Bool()),
+                       ::testing::Bool(), kMapModes),
     identity_case_name);
 
 // Workset mode needs a single-phase job, so matrix power runs bulk only.
@@ -603,7 +608,7 @@ INSTANTIATE_TEST_SUITE_P(
     MatPowerSeeds, SpillIdentity,
     ::testing::Combine(::testing::Values(uint64_t{1}, uint64_t{2}, uint64_t{3}),
                        ::testing::Values(SpAlgo::kMatPower),
-                       ::testing::Values(false)),
+                       ::testing::Values(false), kMapModes),
     identity_case_name);
 
 // Session mode: a budgeted session over the same converge -> mutate ->
@@ -666,12 +671,12 @@ TEST(SpillIdentity, SessionEpochsMatchUnlimited) {
 // unlimited clean run's bytes with the ledger balanced.
 // ---------------------------------------------------------------------------
 
-using SpillChaosParam = std::tuple<uint64_t, FaultPoint, SpAlgo>;
+using SpillChaosParam = std::tuple<uint64_t, FaultPoint, SpAlgo, MapMode>;
 
 class SpillChaosSweep : public ::testing::TestWithParam<SpillChaosParam> {};
 
 TEST_P(SpillChaosSweep, RecoversToUnlimitedRunBytes) {
-  const auto [seed, point, algo] = GetParam();
+  const auto [seed, point, algo, mode] = GetParam();
   constexpr int kWorkers = 3;
   constexpr int kTasks = 4;
   const Graph g = spill_graph(algo, seed + 10);
@@ -683,6 +688,7 @@ TEST_P(SpillChaosSweep, RecoversToUnlimitedRunBytes) {
   IterJobConf conf = make_conf(algo, "in", "out");
   conf.num_tasks = kTasks;
   conf.checkpoint_every = 2;
+  apply_mode(mode, conf);
 
   InvariantExpectations expect;
   expect.expected_state_records = n;
@@ -747,11 +753,13 @@ INSTANTIATE_TEST_SUITE_P(
                                          FaultPoint::kMidShuffle,
                                          FaultPoint::kIterationBoundary),
                        ::testing::Values(SpAlgo::kSssp, SpAlgo::kConComp,
-                                         SpAlgo::kPrDelta)),
+                                         SpAlgo::kPrDelta),
+                       kMapModes),
     [](const ::testing::TestParamInfo<SpillChaosParam>& info) {
       return std::string("seed") + std::to_string(std::get<0>(info.param)) +
              "_" + fault_point_name(std::get<1>(info.param)) + "_" +
-             algo_name(std::get<2>(info.param));
+             algo_name(std::get<2>(info.param)) +
+             mode_suffix(std::get<3>(info.param));
     });
 
 // Default random fault schedules must never draw kSpillWrite: unbudgeted

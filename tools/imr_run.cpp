@@ -35,11 +35,12 @@
 //                          the iteration barrier (DESIGN.md §9)
 //   --buffer N             reduce->map send buffer records
 //   --max-memory B         per-task memory budget in bytes, with optional
-//                          k/m/g suffix (binary units, e.g. 64m). Tasks
-//                          whose record buffers overflow the budget sort
-//                          and spill runs to MiniDfs and the reduce streams
-//                          a k-way merge over them — same output bytes,
-//                          bounded footprint (DESIGN.md §10). Default:
+//                          k/m/g suffix (binary units, e.g. 64m). A map
+//                          over the budget ships the output it holds; a
+//                          reduce over it sorts and spills runs to MiniDfs
+//                          and streams a k-way merge over them — same
+//                          output bytes, bounded footprint (DESIGN.md §10).
+//                          Combines with --agg-exchange. Default:
 //                          unlimited.
 //   --checkpoint N         checkpoint every N iterations
 //   --balance              enable load balancing
