@@ -28,17 +28,6 @@ std::string Flags::get(const std::string& name, const std::string& dflt) const {
   return it == values_.end() ? dflt : it->second;
 }
 
-int64_t Flags::get_int(const std::string& name, int64_t dflt) const {
-  auto it = values_.find(name);
-  if (it == values_.end()) return dflt;
-  try {
-    return std::stoll(it->second);
-  } catch (const std::exception&) {
-    throw ConfigError("flag --" + name + " expects an integer, got '" +
-                      it->second + "'");
-  }
-}
-
 double Flags::get_double(const std::string& name, double dflt) const {
   auto it = values_.find(name);
   if (it == values_.end()) return dflt;

@@ -1,8 +1,10 @@
 #include "common/strings.h"
 
+#include <cctype>
 #include <charconv>
 #include <cstdarg>
 #include <cstdio>
+#include <limits>
 #include <sstream>
 
 namespace imr {
@@ -75,6 +77,26 @@ bool parse_double_strict(const std::string& s, double& out) {
   const char* last = first + s.size();
   auto res = std::from_chars(first, last, out);
   return res.ec == std::errc() && res.ptr == last;
+}
+
+bool parse_byte_count(std::string_view s, int64_t& out) {
+  int64_t unit = 1;
+  if (!s.empty()) {
+    switch (std::tolower(static_cast<unsigned char>(s.back()))) {
+      case 'k': unit = int64_t{1} << 10; break;
+      case 'm': unit = int64_t{1} << 20; break;
+      case 'g': unit = int64_t{1} << 30; break;
+      default: break;
+    }
+  }
+  if (unit > 1) s.remove_suffix(1);
+  int64_t v = 0;
+  if (!parse_int_strict(s, v) || v <= 0 ||
+      v > std::numeric_limits<int64_t>::max() / unit) {
+    return false;
+  }
+  out = v * unit;
+  return true;
 }
 
 std::string strprintf(const char* fmt, ...) {

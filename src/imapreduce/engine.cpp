@@ -39,15 +39,25 @@ class CollectEmitter : public IterEmitter {
   KVVec& out_;
 };
 
-// What a task's message loop decided.
+// How a task's collect step ended.
 enum class LoopEvent {
   kIterationReady,
   kRollback,
   kResume,  // session epoch resume (kRollback arithmetic, no state reload)
   kTerminate,
+  // Exit without output: a Kill, a closed mailbox, or a crash inside a
+  // handler (which already sent the task's failure notice).
   kKill,
-  kClosed,
 };
+
+struct Collected {
+  LoopEvent event = LoopEvent::kIterationReady;
+  int restart_at = 0;  // kRollback/kResume: the iteration to resume after
+};
+
+// Handlers of a task with no gate and no control of its own.
+constexpr auto kUngated = [] { return true; };
+constexpr auto kNoOwnControl = [](const CtlMsg&, NetMessage&) { return true; };
 
 // Iteration-aware mailbox wrapper. In asynchronous execution a fast upstream
 // task may legitimately run one iteration ahead and send data tagged with a
@@ -57,8 +67,58 @@ enum class LoopEvent {
 // generation or an already-completed iteration are stale.
 class StashedInbox {
  public:
-  explicit StashedInbox(std::shared_ptr<Endpoint> ep) : ep_(std::move(ep)) {}
+  // `senders`: the upstream tasks whose EOS completes an iteration's input.
+  StashedInbox(std::shared_ptr<Endpoint> ep, int senders)
+      : ep_(std::move(ep)), senders_(senders) {}
 
+  // The per-iteration protocol of every persistent task (§3.1.2, §3.4):
+  // gathers iteration k's input until each sender's EOS is in and ready()
+  // (the master's gate) holds. Data goes to on_data(msg), and control other
+  // than Terminate, Kill, Rollback and Resume to on_control(ctl, msg); a
+  // handler returns false when the task died inside it. A Rollback or
+  // Resume adopts its generation into `gen`.
+  template <typename Ready, typename OnControl, typename OnData>
+  Collected collect(VClock& vt, int& gen, int k, Ready ready,
+                    OnControl on_control, OnData on_data) {
+    int eos_seen = 0;
+    while (eos_seen < senders_ || !ready()) {
+      std::optional<NetMessage> msg = next(vt, gen, k);
+      if (!msg) return {LoopEvent::kKill};
+      if (msg->kind == NetMessage::Kind::kControl) {
+        const CtlMsg ctl = CtlMsg::decode(msg->control);
+        switch (ctl.type) {
+          case CtlType::kTerminate:
+            return {LoopEvent::kTerminate};
+          case CtlType::kKill:
+            return {LoopEvent::kKill};
+          case CtlType::kRollback:
+          case CtlType::kResume:
+            gen = ctl.generation;
+            return {ctl.type == CtlType::kResume ? LoopEvent::kResume
+                                                 : LoopEvent::kRollback,
+                    ctl.iteration};
+          default:
+            if (!on_control(ctl, *msg)) return {LoopEvent::kKill};
+            continue;
+        }
+      }
+      // An aggregated frame (DESIGN.md §9) is flushed at its sender's
+      // iteration barrier, so it is also that sender's EOS.
+      const bool eos = msg->kind == NetMessage::Kind::kEos ||
+                       !msg->control.empty();
+      if (msg->kind == NetMessage::Kind::kData && !on_data(*msg)) {
+        return {LoopEvent::kKill};
+      }
+      if (eos) {
+        ++eos_seen;
+        IMR_DEBUG << ep_->name() << " gen " << gen << " iter " << k << " eos "
+                  << eos_seen << "/" << senders_ << " from " << msg->from_task;
+      }
+    }
+    return {};
+  }
+
+ private:
   // Returns the next message that is either a control message or a data/EOS
   // message matching (gen, iter). Buffers future-iteration data; drops
   // stale-generation and past-iteration messages. nullopt = endpoint closed.
@@ -95,8 +155,8 @@ class StashedInbox {
     }
   }
 
- private:
   std::shared_ptr<Endpoint> ep_;
+  int senders_;
   std::map<std::pair<int, int>, std::deque<NetMessage>> stash_;
 };
 
@@ -107,7 +167,7 @@ namespace detail {
 // One run of an iterative job. Owns endpoints, task threads, and the master
 // protocol state. In session mode (DESIGN.md §8) the run QUIESCES instead of
 // terminating once the workset drains: the reduces dump a converged-<epoch>
-// baseline checkpoint and every task stays parked in its collect loop, state
+// baseline checkpoint and every task stays parked in its collect step, state
 // and static indexes resident, until apply_update() routes a static-delta
 // batch to the maps and resumes iteration from the perturbed-key frontier —
 // or close_session() terminates the run and dumps the final output.
@@ -291,6 +351,16 @@ class JobRun {
     fail.generation = gen;
     fail.worker = ctx.worker();
     task_send_ctl(ctx, fail);
+  }
+  // True when an injected crash at `point` killed the task, which has then
+  // sent its failure notice; the caller must return immediately.
+  bool dies_at(TaskContext& ctx, FaultPoint point, int task, int iteration,
+               int gen) {
+    if (!cluster_.consume_fault(ctx.worker(), point, iteration, &ctx.vt())) {
+      return false;
+    }
+    fail_task(ctx, task, iteration, gen);
+    return true;
   }
 
   // --- task bodies ---
@@ -577,12 +647,11 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
   // frontier iterations at a glance.
   const bool workset = conf_.workset_mode;
   const bool sync_gate = is_phase0 && !conf_.async_maps && !one2all;
-  const int eos_target = one2all ? T_ : 1;
   const bool feeds_aux =
       conf_.aux && is_phase0 &&
       conf_.aux->source == AuxConf::Source::kMapSideOutput;
 
-  StashedInbox inbox(ep);
+  StashedInbox inbox(ep, one2all ? T_ : 1);
   TaskContext ctx(cluster_, map_ep_name(p, i), worker, start_vt);
   EpRow red_row(*this, EpKind::kReduce, p);
   EpRow aux_row(*this, EpKind::kAuxMap);
@@ -718,11 +787,7 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
     // included — are out, local reduces got nothing) — downstream reduces
     // hold a partial iteration that only the rollback's generation bump can
     // clear.
-    if (cluster_.consume_fault(ctx.worker(), FaultPoint::kMidShuffle, iter,
-                               &ctx.vt())) {
-      fail_task(ctx, i, iter, gen);
-      return true;
-    }
+    if (dies_at(ctx, FaultPoint::kMidShuffle, i, iter, gen)) return true;
     out.close_iteration(iter);
     IMR_DEBUG << tag_ << ": map " << p << "/" << i << " shipped eos iter "
               << iter << " gen " << gen;
@@ -731,18 +796,83 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
 
   int k = start_iter;
   int go_allowed = start_iter;  // sync gating: first iteration is free
-  // Phase-0 maps begin from the loaded state (initial or checkpoint) — except
-  // at a refining epoch's baseline, where the converged state is resident in
-  // the reduces and the input is the seed frontier the paired reduce ships.
-  bool have_pending = is_phase0;
-  KVVec pending;
-  if (is_phase0) {
-    if (session_baseline_collect(start_iter - 1)) {
-      have_pending = false;
-    } else {
-      pending = load_map_state(ctx, i, start_iter - 1, one2all);
+  // The iteration's whole input, when it does not stream in as batches: a
+  // one2all broadcast, or the loaded state (initial or checkpoint) a phase-0
+  // map begins from. `loaded` skips the collect step for the latter.
+  KVVec whole;
+  bool loaded = false;
+  std::vector<NetMessage> deferred;  // sync: batches ahead of the go
+  // At a refining epoch's baseline the converged state is resident in the
+  // reduces: the map loads nothing and collects the seed frontier the
+  // paired reduce ships.
+  auto load_state = [&](int ckpt_iter) {
+    loaded = is_phase0 && !session_baseline_collect(ckpt_iter);
+    whole = loaded ? load_map_state(ctx, i, ckpt_iter, one2all) : KVVec{};
+  };
+  load_state(start_iter - 1);
+
+  auto ready = [&] { return !sync_gate || go_allowed >= k; };
+  auto on_control = [&](const CtlMsg& ctl, NetMessage& msg) {
+    if (ctl.type == CtlType::kGo) {
+      go_allowed = std::max(go_allowed, ctl.iteration);
+      return true;
     }
-  }
+    if (ctl.type != CtlType::kDelta || ctl.generation != gen) return true;
+    // Session update batch for this partition (master is blocked in its ack
+    // barrier; every task is parked). The hooks observe the PRE-batch
+    // store, then the batch is applied in one pass — exactly how a
+    // respawned task replays it from the history.
+    KVVec op_records = msg.take_records();
+    std::vector<StaticDeltaOp> ops;
+    ops.reserve(op_records.size());
+    for (const KV& kv : op_records) ops.push_back(delta_op_from_kv(kv));
+    KVVec seeds;
+    bool refining = true;
+    ThreadCpuTimer delta_cpu;
+    for (const StaticDeltaOp& op : ops) {
+      const Bytes* old_value = static_store.find(op.key);
+      // Hook first: the verdict must be computed for every op so the seed
+      // list is deterministic regardless of op order.
+      bool op_refines = mapper->perturbed_keys(op, old_value, seeds);
+      refining = op_refines && refining;
+    }
+    static_store.apply_delta(ops);
+    ctx.charge_compute(delta_cpu.elapsed_ns());
+    cluster_.metrics().inc("imr_delta_ops_applied",
+                           static_cast<int64_t>(ops.size()));
+    CtlMsg ack;
+    ack.type = CtlType::kDeltaAck;
+    ack.task = i;
+    ack.iteration = ctl.iteration;
+    ack.generation = gen;
+    ack.session = ctl.session;
+    ack.workset_size = refining ? 1 : 0;
+    ack.state_records = static_cast<int64_t>(ops.size());
+    NetMessage amsg;
+    amsg.kind = NetMessage::Kind::kControl;
+    amsg.from_task = i;
+    amsg.iteration = ctl.iteration;
+    amsg.generation = gen;
+    amsg.control = ack.encode();
+    amsg.set_records(std::move(seeds));
+    ctx.send(*master_ep_, std::move(amsg), TrafficCategory::kControl);
+    return true;
+  };
+  auto on_data = [&](NetMessage& msg) {
+    if (one2all) {
+      KVVec batch = msg.take_records();
+      whole.insert(whole.end(), std::make_move_iterator(batch.begin()),
+                   std::make_move_iterator(batch.end()));
+    } else if (sync_gate && go_allowed < k) {
+      deferred.push_back(std::move(msg));
+    } else {
+      // Asynchronous eager processing (§3.3): join+map immediately. The
+      // records are only read, so the (possibly shared) payload is used in
+      // place.
+      map_batch(msg.records(), k);
+    }
+    return true;
+  };
 
   while (true) {
     TraceSpan iter_span(workset ? "map_iter_frontier" : "map_iter", ctx.vt(),
@@ -750,179 +880,50 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
     const int64_t iter_start_vt_ns = ctx.vt().now_ns();
     // Injection point: died while working on iteration k, before its shuffle
     // output exists.
-    if (cluster_.consume_fault(ctx.worker(), FaultPoint::kMidMap, k,
-                               &ctx.vt())) {
-      fail_task(ctx, i, k, gen);
-      return;
-    }
-    int rollback_to = -1;
-    if (have_pending) {
-      have_pending = false;
-      if (one2all) {
-        process_one2all(pending);
-      } else {
-        const std::span<const KV> state(pending);
-        const auto slice = static_cast<std::size_t>(conf_.buffer_records);
-        for (std::size_t off = 0; off < state.size(); off += slice) {
-          map_batch(state.subspan(off, std::min(slice, state.size() - off)),
-                    k);
-        }
-      }
-      pending = KVVec{};
-      if (finish_iteration(k)) return;
-      if (profiled) {
-        cluster_.telemetry().record_map_iter(
-            i, gen, k, ctx.vt().now_ns() - iter_start_vt_ns);
-      }
-      ++k;
-      continue;
-    }
-
-    // Collect this iteration's state input.
-    int eos_seen = 0;
-    KVVec stash;                      // one2all: the whole broadcast state
-    std::vector<NetMessage> deferred;  // sync: batches ahead of the go
-    bool done = false;
-    LoopEvent event = LoopEvent::kIterationReady;
-    while (!done) {
-      // Completion check up front: both the data EOS and (in sync mode) the
-      // master's go may arrive in either order.
-      if (eos_seen >= eos_target && (!sync_gate || go_allowed >= k)) {
-        break;
-      }
-      auto msg = inbox.next(ctx.vt(), gen, k);
-      if (!msg) {
-        event = LoopEvent::kClosed;
-        break;
-      }
-      if (msg->kind == NetMessage::Kind::kControl) {
-        CtlMsg ctl = CtlMsg::decode(msg->control);
-        switch (ctl.type) {
-          case CtlType::kTerminate:
-          case CtlType::kKill:
-            event = LoopEvent::kTerminate;
-            done = true;
-            break;
-          case CtlType::kRollback:
-            gen = ctl.generation;
-            rollback_to = ctl.iteration;
-            event = LoopEvent::kRollback;
-            done = true;
-            break;
-          case CtlType::kResume:
-            gen = ctl.generation;
-            rollback_to = ctl.iteration;
-            event = LoopEvent::kResume;
-            done = true;
-            break;
-          case CtlType::kDelta: {
-            // Session update batch for this partition (master is blocked in
-            // its ack barrier; every task is parked). The hooks observe the
-            // PRE-batch store, then the batch is applied in one pass —
-            // exactly how a respawned task replays it from the history.
-            if (ctl.generation != gen) break;
-            KVVec op_records = msg->take_records();
-            std::vector<StaticDeltaOp> ops;
-            ops.reserve(op_records.size());
-            for (const KV& kv : op_records) {
-              ops.push_back(delta_op_from_kv(kv));
-            }
-            KVVec seeds;
-            bool refining = true;
-            ThreadCpuTimer delta_cpu;
-            for (const StaticDeltaOp& op : ops) {
-              const Bytes* old_value = static_store.find(op.key);
-              // Hook first: the verdict must be computed for every op so the
-              // seed list is deterministic regardless of op order.
-              bool op_refines = mapper->perturbed_keys(op, old_value, seeds);
-              refining = op_refines && refining;
-            }
-            static_store.apply_delta(ops);
-            ctx.charge_compute(delta_cpu.elapsed_ns());
-            cluster_.metrics().inc("imr_delta_ops_applied",
-                                   static_cast<int64_t>(ops.size()));
-            CtlMsg ack;
-            ack.type = CtlType::kDeltaAck;
-            ack.task = i;
-            ack.iteration = ctl.iteration;
-            ack.generation = gen;
-            ack.session = ctl.session;
-            ack.workset_size = refining ? 1 : 0;
-            ack.state_records = static_cast<int64_t>(ops.size());
-            NetMessage amsg;
-            amsg.kind = NetMessage::Kind::kControl;
-            amsg.from_task = i;
-            amsg.iteration = ctl.iteration;
-            amsg.generation = gen;
-            amsg.control = ack.encode();
-            amsg.set_records(std::move(seeds));
-            ctx.send(*master_ep_, std::move(amsg), TrafficCategory::kControl);
-            break;
-          }
-          case CtlType::kGo:
-            go_allowed = std::max(go_allowed, ctl.iteration);
-            break;
-          default:
-            break;
-        }
-        continue;
-      }
-      if (msg->kind == NetMessage::Kind::kEos) {
-        ++eos_seen;
-        continue;
-      }
-      // Data batch for iteration k.
-      if (one2all) {
-        KVVec batch = msg->take_records();
-        stash.insert(stash.end(), std::make_move_iterator(batch.begin()),
-                     std::make_move_iterator(batch.end()));
-      } else if (sync_gate && go_allowed < k) {
-        deferred.push_back(std::move(*msg));
-      } else {
-        // Asynchronous eager processing (§3.3): join+map immediately. The
-        // records are only read, so the (possibly shared) payload is used
-        // in place.
-        map_batch(msg->records(), k);
-      }
-    }
-
-    if (event == LoopEvent::kClosed || event == LoopEvent::kTerminate) {
+    if (dies_at(ctx, FaultPoint::kMidMap, i, k, gen)) return;
+    const Collected c =
+        loaded ? Collected{}
+               : inbox.collect(ctx.vt(), gen, k, ready, on_control, on_data);
+    if (c.event == LoopEvent::kTerminate || c.event == LoopEvent::kKill) {
       IMR_DEBUG << tag_ << ": map " << p << "/" << i << " gen " << gen
                 << " exiting at iter " << k;
       return;
     }
-    if (event == LoopEvent::kRollback || event == LoopEvent::kResume) {
+    if (c.event != LoopEvent::kIterationReady) {
       // Restart from the checkpoint (§3.4) or the session resume point: stale
       // queue contents are filtered by generation (rollback) or stale
       // iteration (resume); reload whatever input the restart point needs.
       // The static store is NOT touched — session mutations are loop-
       // invariant within an epoch and survive rollbacks.
-      TraceSpan rb_span(
-          event == LoopEvent::kResume ? "session_resume" : "rollback",
-          ctx.vt(), rollback_to, gen);
+      const bool resume = c.event == LoopEvent::kResume;
+      TraceSpan rb_span(resume ? "session_resume" : "rollback", ctx.vt(),
+                        c.restart_at, gen);
       IMR_DEBUG << tag_ << ": map " << p << "/" << i
-                << (event == LoopEvent::kResume ? " resume after "
-                                                : " rollback to ")
-                << rollback_to << " gen " << gen;
+                << (resume ? " resume after " : " rollback to ")
+                << c.restart_at << " gen " << gen;
       out.reset(gen);
-      k = rollback_to + 1;
+      deferred.clear();
+      k = c.restart_at + 1;
       go_allowed = k;
-      if (is_phase0) {
-        if (session_baseline_collect(rollback_to)) {
-          // Refining baseline: the frontier arrives as the paired reduce's
-          // seed batch — start with no pending input.
-          have_pending = false;
-          pending = KVVec{};
-        } else {
-          pending = load_map_state(ctx, i, rollback_to, one2all);
-          have_pending = true;
-        }
-      }
+      load_state(c.restart_at);
       continue;
     }
 
-    if (!stash.empty()) process_one2all(stash);
+    loaded = false;
+    if (!one2all) {
+      const std::span<const KV> state(whole);
+      const auto slice = static_cast<std::size_t>(conf_.buffer_records);
+      for (std::size_t off = 0; off < state.size(); off += slice) {
+        map_batch(state.subspan(off, std::min(slice, state.size() - off)), k);
+      }
+    } else if (!whole.empty()) {
+      // An empty broadcast maps nothing: map_all UDFs such as K-means'
+      // nearest() need state to map against.
+      process_one2all(whole);
+    }
+    whole = KVVec{};
     for (const NetMessage& batch : deferred) map_batch(batch.records(), k);
+    deferred.clear();
     if (finish_iteration(k)) return;
     if (profiled) {
       cluster_.telemetry().record_map_iter(
@@ -956,7 +957,7 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
       conf_.aux && last_phase &&
       conf_.aux->source == AuxConf::Source::kReduceOutput;
 
-  StashedInbox inbox(ep);
+  StashedInbox inbox(ep, T_);
   TaskContext ctx(cluster_, red_ep_name(p, i), worker, start_vt);
   EpRow next_maps(*this, EpKind::kMap, next_p);
   EpRow aux_row(*this, EpKind::kAuxMap);
@@ -969,10 +970,7 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
   // Injection point: a respawned task (gen > 0 means it was just migrated or
   // recovered) dies on startup — a failure during recovery itself, the
   // cascading case of §3.4.2.
-  if (gen > 0 &&
-      cluster_.consume_fault(ctx.worker(), FaultPoint::kMigration, start_iter,
-                             &ctx.vt())) {
-    fail_task(ctx, i, start_iter, gen);
+  if (gen > 0 && dies_at(ctx, FaultPoint::kMigration, i, start_iter, gen)) {
     return;
   }
 
@@ -1048,6 +1046,59 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
   int allowed = start_iter;  // master Continue gate (phase-0 reduces)
   int64_t prev_end_vt = ctx.vt().now_ns();
 
+  // The gate: iteration k may only be *processed* after the master accepted
+  // iteration k-1 (deterministic termination, §3.1.2). Data may be fully
+  // collected before the Continue arrives.
+  auto ready = [&] { return !is_phase0 || allowed >= k; };
+  auto on_control = [&](const CtlMsg& ctl, NetMessage&) {
+    if (ctl.type == CtlType::kContinue) {
+      allowed = std::max(allowed, ctl.iteration + 1);
+      return true;
+    }
+    if (ctl.type != CtlType::kConvergedCkpt || ctl.generation != gen) {
+      return true;
+    }
+    // Session quiesce: dump the epoch baseline checkpoint and ack, then keep
+    // collecting (parked). Written on the task clock — the quiesce IS a
+    // barrier, unlike periodic checkpoints.
+    if (cluster_.consume_fault(ctx.worker(), FaultPoint::kCheckpointWrite,
+                               ctl.iteration, &ctx.vt())) {
+      // Torn baseline: half the state lands, then the task dies. Recovery
+      // rolls the epoch back and re-quiesces; the retry overwrites the torn
+      // part file.
+      dump_state(converged_path(ctl.session), &ctx.vt(),
+                 TrafficCategory::kCheckpoint, /*torn=*/true);
+      fail_task(ctx, i, ctl.iteration, gen);
+      return false;
+    }
+    dump_state(converged_path(ctl.session), &ctx.vt(),
+               TrafficCategory::kCheckpoint);
+    cluster_.metrics().inc("imr_converged_checkpoints");
+    CtlMsg ack;
+    ack.type = CtlType::kCkptAck;
+    ack.task = i;
+    ack.iteration = ctl.iteration;
+    ack.generation = gen;
+    ack.session = ctl.session;
+    ack.state_records = static_cast<int64_t>(state_map.size());
+    task_send_ctl(ctx, ack);
+    return true;
+  };
+  // Adds shuffled input; false when an injected crash killed the task
+  // mid-spill (the torn half-run is registered, so the unwind drops it).
+  auto add = [&](KVVec batch) {
+    if (input.add(std::move(batch), k, gen)) return true;
+    fail_task(ctx, i, k, gen);
+    return false;
+  };
+  auto on_data = [&](NetMessage& msg) {
+    // An aggregated frame (DESIGN.md §9) carries every partition homed on
+    // this worker and is shared with the sibling mailboxes, so our ranges
+    // are copied out.
+    return msg.control.empty() ? add(msg.take_records())
+                               : MapOutput::for_each_frame_range(msg, i, add);
+  };
+
   while (true) {
     TraceSpan iter_span("reduce_iter", ctx.vt(), k, gen);
     if (pending_seed_ship) {
@@ -1069,117 +1120,14 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
       }
       ctx.send_eos(next_maps.at(i), i, k, gen, TrafficCategory::kReduceToMap);
     }
-    // Adds shuffled input; false when an injected crash killed the task
-    // mid-spill (the torn half-run is registered, so the unwind drops it).
-    auto collect = [&](KVVec batch) -> bool {
-      if (input.add(std::move(batch), k, gen)) return true;
-      fail_task(ctx, i, k, gen);
-      return false;
-    };
-    int eos_seen = 0;
-    int rollback_to = -1;
-    LoopEvent event = LoopEvent::kIterationReady;
-    bool done = false;
-    while (!done) {
-      // The gate: iteration k may only be *processed* after the master
-      // accepted iteration k-1 (deterministic termination, §3.1.2). Data may
-      // be fully collected before the Continue arrives.
-      if (eos_seen >= T_ && (!is_phase0 || allowed >= k)) {
-        done = true;
-        break;
-      }
-      auto msg = inbox.next(ctx.vt(), gen, k);
-      if (!msg) {
-        event = LoopEvent::kClosed;
-        break;
-      }
-      if (msg->kind == NetMessage::Kind::kControl) {
-        CtlMsg ctl = CtlMsg::decode(msg->control);
-        switch (ctl.type) {
-          case CtlType::kContinue:
-            allowed = std::max(allowed, ctl.iteration + 1);
-            break;
-          case CtlType::kTerminate:
-            event = LoopEvent::kTerminate;
-            done = true;
-            break;
-          case CtlType::kKill:
-            event = LoopEvent::kKill;
-            done = true;
-            break;
-          case CtlType::kRollback:
-            gen = ctl.generation;
-            rollback_to = ctl.iteration;
-            event = LoopEvent::kRollback;
-            done = true;
-            break;
-          case CtlType::kResume:
-            gen = ctl.generation;
-            rollback_to = ctl.iteration;
-            event = LoopEvent::kResume;
-            done = true;
-            break;
-          case CtlType::kConvergedCkpt: {
-            // Session quiesce: dump the epoch baseline checkpoint and ack,
-            // then keep collecting (parked). Written on the task clock —
-            // the quiesce IS a barrier, unlike periodic checkpoints.
-            if (ctl.generation != gen) break;
-            if (cluster_.consume_fault(ctx.worker(),
-                                       FaultPoint::kCheckpointWrite,
-                                       ctl.iteration, &ctx.vt())) {
-              // Torn baseline: half the state lands, then the task dies.
-              // Recovery rolls the epoch back and re-quiesces; the retry
-              // overwrites the torn part file.
-              dump_state(converged_path(ctl.session), &ctx.vt(),
-                         TrafficCategory::kCheckpoint, /*torn=*/true);
-              fail_task(ctx, i, ctl.iteration, gen);
-              return;
-            }
-            dump_state(converged_path(ctl.session), &ctx.vt(),
-                       TrafficCategory::kCheckpoint);
-            cluster_.metrics().inc("imr_converged_checkpoints");
-            CtlMsg ack;
-            ack.type = CtlType::kCkptAck;
-            ack.task = i;
-            ack.iteration = ctl.iteration;
-            ack.generation = gen;
-            ack.session = ctl.session;
-            ack.state_records = static_cast<int64_t>(state_map.size());
-            task_send_ctl(ctx, ack);
-            break;
-          }
-          default:
-            break;
-        }
-        continue;
-      }
-      if (msg->kind == NetMessage::Kind::kEos) {
-        ++eos_seen;
-        IMR_DEBUG << tag_ << ": reduce " << p << "/" << i << " gen " << gen
-                  << " iter " << k << " eos " << eos_seen << "/" << T_
-                  << " from " << msg->from_task;
-      } else if (!msg->control.empty()) {
-        // Aggregated frame (DESIGN.md §9): one payload carrying every
-        // partition homed on this worker, shared with the sibling mailboxes,
-        // so our ranges are copied out. The frame is flushed at the sender's
-        // iteration barrier, so it IS that map's EOS for this reduce — count
-        // it even when it carries no range for us.
-        if (!MapOutput::for_each_frame_range(*msg, i, collect)) return;
-        ++eos_seen;
-        IMR_DEBUG << tag_ << ": reduce " << p << "/" << i << " gen " << gen
-                  << " iter " << k << " agg frame eos " << eos_seen << "/"
-                  << T_ << " from " << msg->from_task;
-      } else if (!collect(msg->take_records())) {
-        return;
-      }
-    }
-
-    if (event == LoopEvent::kClosed || event == LoopEvent::kKill) {
+    const Collected c =
+        inbox.collect(ctx.vt(), gen, k, ready, on_control, on_data);
+    if (c.event == LoopEvent::kKill) {
       IMR_DEBUG << tag_ << ": reduce " << p << "/" << i << " gen " << gen
                 << " exiting at iter " << k;
       return;
     }
-    if (event == LoopEvent::kTerminate) {
+    if (c.event == LoopEvent::kTerminate) {
       if (last_phase) {
         // Dump the final state to DFS — the single output write of the whole
         // iterative run (§3.1, Fig. 1b).
@@ -1194,19 +1142,18 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
       }
       return;
     }
-    if (event == LoopEvent::kRollback || event == LoopEvent::kResume) {
-      TraceSpan rb_span(
-          event == LoopEvent::kResume ? "session_resume" : "rollback",
-          ctx.vt(), rollback_to, gen);
+    if (c.event != LoopEvent::kIterationReady) {
+      const bool resume = c.event == LoopEvent::kResume;
+      TraceSpan rb_span(resume ? "session_resume" : "rollback", ctx.vt(),
+                        c.restart_at, gen);
       IMR_DEBUG << tag_ << ": reduce " << p << "/" << i
-                << (event == LoopEvent::kResume ? " resume after "
-                                                : " rollback to ")
-                << rollback_to << " gen " << gen;
+                << (resume ? " resume after " : " rollback to ")
+                << c.restart_at << " gen " << gen;
       input.reset();
       aux_copy.reset(gen);
-      k = rollback_to + 1;
+      k = c.restart_at + 1;
       allowed = k;
-      if (event == LoopEvent::kResume) {
+      if (resume) {
         // The live state_map IS the refining epoch's baseline — no reload.
         // A reset_all epoch discards it (and ships no seeds: the maps
         // reload the initial state themselves, replaying the cold run).
@@ -1218,9 +1165,9 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
           pending_seed_ship = is_phase0;
         }
       } else {
-        if (last_phase) load_reduce_state(rollback_to);
+        if (last_phase) load_reduce_state(c.restart_at);
         pending_seed_ship =
-            is_phase0 && session_baseline_collect(rollback_to);
+            is_phase0 && session_baseline_collect(c.restart_at);
       }
       prev_end_vt = ctx.vt().now_ns();
       continue;
@@ -1271,7 +1218,6 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
     KVVec pending_batch;
     double local_distance = 0;
     int64_t changed_count = 0;
-    static const Bytes kNoPrev;
     ThreadCpuTimer cpu;
     KVVec produced;
     // Per-group body for either of ReduceInput's group passes — one body is
@@ -1283,31 +1229,20 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
       CollectEmitter group_emitter(produced);
       reducer->reduce(group_key, group_values, group_emitter);
       for (KV& kv : produced) {
-        if (workset) {
-          // Reconcile against the previous state. Only keys whose merged
-          // value differs enter the next frontier; an unchanged key ships
-          // nothing, so the paired map never revisits it.
-          auto it = state_map.find(kv.key);
-          const Bytes& prev = it == state_map.end() ? kNoPrev : it->second;
-          Bytes merged = reducer->merge(kv.key, prev, kv.value);
-          local_distance += reducer->distance(kv.key, prev, merged);
-          if (it != state_map.end() && merged == it->second) continue;
-          if (it == state_map.end()) {
-            state_map.emplace(kv.key, merged);
-          } else {
-            it->second = merged;
-          }
-          kv.value = std::move(merged);
-          ++changed_count;
-          if (ckpt_due) ckpt_workset.push_back(kv);
-          pending_batch.push_back(std::move(kv));
-          continue;
-        }
         if (last_phase) {
-          auto it = state_map.find(kv.key);
-          const Bytes& prev = it == state_map.end() ? Bytes{} : it->second;
-          local_distance += reducer->distance(kv.key, prev, kv.value);
-          state_map[kv.key] = kv.value;
+          // Reconcile against the previous state (empty for a new key). Bulk
+          // iteration is workset iteration where every key changed: workset
+          // adds only the merge and the skip of an unchanged key, which then
+          // enters no frontier, so the paired map never revisits it.
+          auto [prev, fresh] = state_map.try_emplace(kv.key);
+          if (workset) {
+            kv.value = reducer->merge(kv.key, prev->second, kv.value);
+          }
+          local_distance += reducer->distance(kv.key, prev->second, kv.value);
+          if (workset && !fresh && kv.value == prev->second) continue;
+          prev->second = kv.value;
+          ++changed_count;
+          if (workset && ckpt_due) ckpt_workset.push_back(kv);
         }
         if (aux_from_reduce) aux_copy.side(kv.key, kv.value);
         pending_batch.push_back(std::move(kv));
@@ -1325,11 +1260,7 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
     ctx.charge_compute(cpu.elapsed_ns());
     // Injection point: died mid reduce->map push — earlier batches of this
     // iteration are already out, the tail and all EOS markers are not.
-    if (cluster_.consume_fault(ctx.worker(), FaultPoint::kStatePush, k,
-                               &ctx.vt())) {
-      fail_task(ctx, i, k, gen);
-      return;
-    }
+    if (dies_at(ctx, FaultPoint::kStatePush, i, k, gen)) return;
     if (!pending_batch.empty()) ship_batch(std::move(pending_batch));
     if (next_mapping == Mapping::kOne2All) {
       for (int m = 0; m < T_; ++m) {
@@ -1384,11 +1315,7 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
     // boundary, after all of iteration k's work. Consuming the event (rather
     // than querying it) guarantees a scheduled failure trips exactly once —
     // a stale schedule can never leak into a later job on the same cluster.
-    if (cluster_.consume_fault(ctx.worker(), FaultPoint::kIterationBoundary, k,
-                               &ctx.vt())) {
-      fail_task(ctx, i, k, gen);
-      return;
-    }
+    if (dies_at(ctx, FaultPoint::kIterationBoundary, i, k, gen)) return;
 
     // Iteration completion report (§3.4.2).
     if (last_phase) {
@@ -1423,7 +1350,7 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
 
 void JobRun::run_aux_map(int j, int gen, int start_iter,
                          std::shared_ptr<Endpoint> ep) {
-  StashedInbox inbox(ep);
+  StashedInbox inbox(ep, T_);
   TaskContext ctx(cluster_, tag_ + "/aux/m" + std::to_string(j),
                   ep->home_worker(), 0);
   EpRow red_row(*this, EpKind::kAuxReduce);
@@ -1438,38 +1365,19 @@ void JobRun::run_aux_map(int j, int gen, int start_iter,
   int k = start_iter;
   while (true) {
     TraceSpan iter_span("aux_map_iter", ctx.vt(), k, gen);
-    int eos_seen = 0;
-    int rollback_to = -1;
-    LoopEvent event = LoopEvent::kIterationReady;
-    while (eos_seen < T_) {
-      auto msg = inbox.next(ctx.vt(), gen, k);
-      if (!msg) return;
-      if (msg->kind == NetMessage::Kind::kControl) {
-        CtlMsg ctl = CtlMsg::decode(msg->control);
-        if (ctl.type == CtlType::kTerminate || ctl.type == CtlType::kKill) {
-          event = LoopEvent::kTerminate;
-          break;
-        }
-        if (ctl.type == CtlType::kRollback) {
-          gen = ctl.generation;
-          rollback_to = ctl.iteration;
-          event = LoopEvent::kRollback;
-          break;
-        }
-        continue;
-      }
-      if (msg->kind == NetMessage::Kind::kEos) {
-        ++eos_seen;
-        continue;
-      }
-      ThreadCpuTimer cpu;
-      for (const KV& kv : msg->records()) {
-        mapper->map(kv.key, kv.value, kEmpty, out);
-      }
-      ctx.charge_compute(cpu.elapsed_ns());
+    const Collected c = inbox.collect(
+        ctx.vt(), gen, k, kUngated, kNoOwnControl, [&](NetMessage& msg) {
+          ThreadCpuTimer cpu;
+          for (const KV& kv : msg.records()) {
+            mapper->map(kv.key, kv.value, kEmpty, out);
+          }
+          ctx.charge_compute(cpu.elapsed_ns());
+          return true;
+        });
+    if (c.event == LoopEvent::kTerminate || c.event == LoopEvent::kKill) {
+      return;
     }
-    if (event == LoopEvent::kTerminate) return;
-    if (event == LoopEvent::kRollback) {
+    if (c.event != LoopEvent::kIterationReady) {
       // The main phase re-executes from the checkpoint and re-sends this
       // data under the new generation. Drop the partially collected
       // iteration — including whatever the eager mapper already absorbed —
@@ -1477,7 +1385,7 @@ void JobRun::run_aux_map(int j, int gen, int start_iter,
       mapper = conf_.aux->mapper();
       mapper->configure(conf_.params);
       out.reset(gen);
-      k = rollback_to + 1;
+      k = c.restart_at + 1;
       continue;
     }
     {
@@ -1493,7 +1401,7 @@ void JobRun::run_aux_map(int j, int gen, int start_iter,
 
 void JobRun::run_aux_reduce(int j, int gen, int start_iter,
                             std::shared_ptr<Endpoint> ep) {
-  StashedInbox inbox(ep);
+  StashedInbox inbox(ep, T_);  // one aux map per pair
   TaskContext ctx(cluster_, tag_ + "/aux/r" + std::to_string(j),
                   ep->home_worker(), 0);
   ctx.charge(cost_.task_init, TimeCategory::kTaskInit);
@@ -1505,40 +1413,21 @@ void JobRun::run_aux_reduce(int j, int gen, int start_iter,
   while (true) {
     TraceSpan iter_span("aux_reduce_iter", ctx.vt(), k, gen);
     KVVec records;
-    int eos_seen = 0;
-    int rollback_to = -1;
-    LoopEvent event = LoopEvent::kIterationReady;
-    while (eos_seen < T_) {  // one aux map per pair
-      auto msg = inbox.next(ctx.vt(), gen, k);
-      if (!msg) return;
-      if (msg->kind == NetMessage::Kind::kControl) {
-        CtlMsg ctl = CtlMsg::decode(msg->control);
-        if (ctl.type == CtlType::kTerminate || ctl.type == CtlType::kKill) {
-          event = LoopEvent::kTerminate;
-          break;
-        }
-        if (ctl.type == CtlType::kRollback) {
-          gen = ctl.generation;
-          rollback_to = ctl.iteration;
-          event = LoopEvent::kRollback;
-          break;
-        }
-        continue;
-      }
-      if (msg->kind == NetMessage::Kind::kEos) {
-        ++eos_seen;
-      } else {
-        KVVec batch = msg->take_records();
-        records.insert(records.end(),
-                       std::make_move_iterator(batch.begin()),
-                       std::make_move_iterator(batch.end()));
-      }
+    const Collected c = inbox.collect(
+        ctx.vt(), gen, k, kUngated, kNoOwnControl, [&](NetMessage& msg) {
+          KVVec batch = msg.take_records();
+          records.insert(records.end(),
+                         std::make_move_iterator(batch.begin()),
+                         std::make_move_iterator(batch.end()));
+          return true;
+        });
+    if (c.event == LoopEvent::kTerminate || c.event == LoopEvent::kKill) {
+      return;
     }
-    if (event == LoopEvent::kTerminate) return;
-    if (event == LoopEvent::kRollback) {
+    if (c.event != LoopEvent::kIterationReady) {
       // Partial collections are dropped; the aux maps re-send everything
       // from the rollback point under the new generation.
-      k = rollback_to + 1;
+      k = c.restart_at + 1;
       continue;
     }
 

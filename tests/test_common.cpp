@@ -221,6 +221,22 @@ TEST(Strings, ParseDoubleStrictRejectsNonNumbers) {
   EXPECT_EQ(out, -0.5);
 }
 
+TEST(Strings, ParseByteCountIsStrictAndRejectsOverflow) {
+  int64_t out = -1;
+  ASSERT_TRUE(parse_byte_count("64k", out));
+  EXPECT_EQ(out, 64 * 1024);
+  ASSERT_TRUE(parse_byte_count("1g", out));
+  EXPECT_EQ(out, int64_t{1} << 30);
+  EXPECT_FALSE(parse_byte_count("0", out));
+  EXPECT_FALSE(parse_byte_count("-1", out));
+  EXPECT_FALSE(parse_byte_count("12kb", out));
+  // Counts past int64_t fail, whether the suffix multiply or the digits
+  // overflow; neither may wrap or saturate.
+  EXPECT_FALSE(parse_byte_count("9999999999g", out));
+  EXPECT_FALSE(parse_byte_count("99999999999999999999", out));
+  EXPECT_EQ(out, int64_t{1} << 30);  // failures leave `out` alone
+}
+
 TEST(Params, SetDoubleRejectsMalformedStrings) {
   Params p;
   p.set("bad", "0,85");

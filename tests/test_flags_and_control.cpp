@@ -52,6 +52,15 @@ TEST(Flags, BadNumberThrows) {
   EXPECT_THROW(f.get_double("workers", 0), ConfigError);
 }
 
+TEST(Flags, IntegerMustBeWholeAndFitTheCallersType) {
+  Flags f = parse({"--iterations", "3abc", "--big", "4294967299", "--points",
+                   "-1", "--n", "7"});
+  EXPECT_THROW(f.get_int("iterations", 10), ConfigError);
+  EXPECT_THROW(f.get_int("big", 10), ConfigError);
+  EXPECT_THROW(f.get_int<uint32_t>("points", 10000), ConfigError);
+  EXPECT_EQ(f.get_int<uint32_t>("n", 1000), 7u);
+}
+
 TEST(CtlCodec, RoundTripsAllFields) {
   CtlMsg m;
   m.type = CtlType::kReport;

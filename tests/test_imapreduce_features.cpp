@@ -330,6 +330,11 @@ TEST(ImrLoadBalance, MigratesFromSlowWorkerAndStaysCorrect) {
   RunReport report = engine.run(conf);
   EXPECT_EQ(report.iterations_run, 10);
   EXPECT_GE(cluster->metrics().count("imr_migrations"), 1);
+  // A Kill is not a Terminate: a migrated pair's killed reduce dumps no part
+  // and sends no Done, so the Done notices come from the 16 live pairs
+  // alone, each at the final iteration.
+  EXPECT_EQ(report.final_part_iterations,
+            std::vector<int>(16, report.iterations_run));
 
   auto expected = Sssp::reference(g, 0, 10);
   expect_near_vectors(expected,

@@ -60,7 +60,6 @@
 //   --points/--dim/--clusters (kmeans), --samples/--lr (logreg),
 //   --n/--density (jacobi), --n (matpower).
 #include <algorithm>
-#include <cctype>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -118,20 +117,20 @@ struct Options {
 Options parse_options(const Flags& flags) {
   Options o;
   o.engine = flags.get("engine", "both");
-  o.workers = static_cast<int>(flags.get_int("workers", 4));
-  o.tasks = static_cast<int>(flags.get_int("tasks", 0));
-  o.iterations = static_cast<int>(flags.get_int("iterations", 10));
+  o.workers = flags.get_int("workers", 4);
+  o.tasks = flags.get_int("tasks", 0);
+  o.iterations = flags.get_int("iterations", 10);
   o.threshold = flags.get_double("threshold", -1.0);
   o.sync = flags.get_bool("sync");
   o.workset = flags.get_bool("workset");
   o.delta_threshold = flags.get_double("delta-threshold", 1e-8);
-  o.buffer = static_cast<int>(flags.get_int("buffer", 4096));
-  o.checkpoint = static_cast<int>(flags.get_int("checkpoint", 0));
+  o.buffer = flags.get_int("buffer", 4096);
+  o.checkpoint = flags.get_int("checkpoint", 0);
   o.balance = flags.get_bool("balance");
   o.combiner = flags.get_bool("combiner");
   o.ec2 = flags.get_bool("ec2");
   o.data_scale = flags.get_double("data-scale", 1.0);
-  o.seed = static_cast<uint64_t>(flags.get_int("seed", 42));
+  o.seed = flags.get_int<uint64_t>("seed", 42);
   o.report = flags.get_bool("report");
   o.partitioner = flags.get("partitioner", "hash");
   o.partition_file = flags.get("partition-file", "");
@@ -171,27 +170,6 @@ void apply_common(IterJobConf& conf, const Options& o) {
   conf.load_balancing = o.balance;
   conf.aggregated_shuffle = o.agg;
   conf.max_task_memory_bytes = o.max_memory;
-}
-
-// Parses a --max-memory byte count: a positive integer with an optional
-// k/m/g suffix (binary units). Rejects zero, negatives, and trailing junk.
-bool parse_memory_bytes(const std::string& s, int64_t& out) {
-  if (s.empty()) return false;
-  char* end = nullptr;
-  const long long v = std::strtoll(s.c_str(), &end, 10);
-  if (end == s.c_str() || v <= 0) return false;
-  int64_t mult = 1;
-  if (*end != '\0') {
-    switch (std::tolower(static_cast<unsigned char>(*end))) {
-      case 'k': mult = int64_t{1} << 10; break;
-      case 'm': mult = int64_t{1} << 20; break;
-      case 'g': mult = int64_t{1} << 30; break;
-      default: return false;
-    }
-    if (end[1] != '\0') return false;
-  }
-  out = static_cast<int64_t>(v) * mult;
-  return true;
 }
 
 // Builds the conf's partitioner from --partitioner/--partition-file (graph
@@ -331,7 +309,13 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   if (flags.positional().empty()) return usage();
   const std::string algo = flags.positional()[0];
-  Options o = parse_options(flags);
+  Options o;
+  try {
+    o = parse_options(flags);
+  } catch (const ConfigError& e) {
+    std::fprintf(stderr, "error: %s\n", e.what());
+    return 2;
+  }
   if (flags.get_bool("verbose")) set_log_level(LogLevel::kInfo);
   if (o.workset && algo != "sssp" && algo != "concomp" && algo != "pagerank") {
     std::fprintf(stderr,
@@ -373,7 +357,7 @@ int main(int argc, char** argv) {
     return 2;
   }
   if (!o.max_memory_raw.empty() &&
-      !parse_memory_bytes(o.max_memory_raw, o.max_memory)) {
+      !parse_byte_count(o.max_memory_raw, o.max_memory)) {
     std::fprintf(stderr,
                  "error: --max-memory wants a positive byte count with an "
                  "optional k/m/g suffix (e.g. 64m, 1g), got '%s'\n",
@@ -471,9 +455,9 @@ int main(int argc, char** argv) {
       }
     } else if (algo == "kmeans") {
       KMeansDataSpec spec;
-      spec.num_points = static_cast<uint32_t>(flags.get_int("points", 10000));
-      spec.dim = static_cast<int>(flags.get_int("dim", 8));
-      spec.num_clusters = static_cast<int>(flags.get_int("clusters", 10));
+      spec.num_points = flags.get_int<uint32_t>("points", 10000);
+      spec.dim = flags.get_int("dim", 8);
+      spec.num_clusters = flags.get_int("clusters", 10);
       spec.seed = o.seed;
       auto points = KMeans::generate_points(spec);
       KMeans::setup(*cluster, points, spec.num_clusters, "data");
@@ -490,7 +474,7 @@ int main(int argc, char** argv) {
       }
     } else if (algo == "jacobi") {
       JacobiSystem sys =
-          Jacobi::generate(static_cast<uint32_t>(flags.get_int("n", 1000)),
+          Jacobi::generate(flags.get_int<uint32_t>("n", 1000),
                            flags.get_double("density", 0.02), o.seed);
       Jacobi::setup(*cluster, sys, "data");
       if (run_mr) {
@@ -506,9 +490,8 @@ int main(int argc, char** argv) {
       }
     } else if (algo == "logreg") {
       LogRegDataSpec spec;
-      spec.num_samples =
-          static_cast<uint32_t>(flags.get_int("samples", 5000));
-      spec.dim = static_cast<int>(flags.get_int("dim", 6));
+      spec.num_samples = flags.get_int<uint32_t>("samples", 5000);
+      spec.dim = flags.get_int("dim", 6);
       spec.seed = o.seed;
       double lr = flags.get_double("lr", 0.5);
       auto data = LogReg::generate(spec);
@@ -529,8 +512,7 @@ int main(int argc, char** argv) {
                     LogReg::accuracy(data, LogReg::read_result(*cluster, "out")));
       }
     } else if (algo == "matpower") {
-      Matrix m = MatPower::generate(
-          static_cast<uint32_t>(flags.get_int("n", 64)), o.seed);
+      Matrix m = MatPower::generate(flags.get_int<uint32_t>("n", 64), o.seed);
       MatPower::setup(*cluster, m, "data");
       if (run_mr) {
         IterativeDriver driver(*cluster);

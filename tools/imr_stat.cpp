@@ -45,6 +45,7 @@
 #include "common/strings.h"
 
 using imr::human_bytes;
+using imr::parse_int_strict;
 using imr::strprintf;
 
 namespace {
@@ -844,8 +845,7 @@ int main(int argc, char** argv) {
       validate = true;
     } else if (arg == "--top") {
       if (i + 1 >= argc) return usage();
-      top = std::atoi(argv[++i]);
-      if (top <= 0) return usage();
+      if (!parse_int_strict(argv[++i], top) || top <= 0) return usage();
     } else if (!arg.empty() && arg[0] == '-') {
       return usage();
     } else if (path.empty()) {
