@@ -1,7 +1,6 @@
 #include "graph/partition.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <string>
@@ -10,6 +9,7 @@
 #include "common/error.h"
 #include "common/hash.h"
 #include "common/rng.h"
+#include "common/strings.h"
 
 namespace imr {
 
@@ -202,15 +202,14 @@ std::vector<uint32_t> load_partition_file(const std::string& path,
     if (hash != std::string::npos) line.erase(hash);
     const auto first = line.find_first_not_of(" \t\r");
     if (first == std::string::npos) continue;
-    char* end = nullptr;
-    const unsigned long v = std::strtoul(line.c_str() + first, &end, 10);
-    if (end == line.c_str() + first ||
-        line.find_first_not_of(" \t\r", end - line.c_str()) !=
-            std::string::npos) {
+    const auto last = line.find_last_not_of(" \t\r");
+    uint32_t v = 0;
+    if (!parse_int_strict(
+            std::string_view(line).substr(first, last - first + 1), v)) {
       throw ConfigError(path + ":" + std::to_string(lineno) +
                         ": bad partition id '" + line + "'");
     }
-    assignment.push_back(static_cast<uint32_t>(v));
+    assignment.push_back(v);
   }
   if (assignment.size() != num_vertices) {
     throw ConfigError("partition file " + path + " covers " +

@@ -11,8 +11,8 @@
 namespace imr {
 
 enum class CtlType : uint8_t {
-  kContinue = 1,   // master -> reduce: iteration `iter` accepted, proceed
-  kGo = 2,         // master -> map (sync mode): start iteration `iter`
+  kContinue = 1,   // master -> phase-0 reduce (and sync map): iteration
+                   // `iter` decided, proceed to `iter + 1`
   kTerminate = 3,  // master -> all: stop; last-phase reduces dump final state
   kRollback = 4,   // master -> all: restart from checkpoint `iter`, new gen
   kKill = 5,       // master -> a migrated/failed pair: exit immediately
@@ -29,13 +29,12 @@ enum class CtlType : uint8_t {
   kDeltaAck = 13,       // map -> master: ops applied; perturbed-key seeds in
                         // the record payload, refining verdict in workset_size
   kResume = 14,         // master -> map/reduce: start the next session epoch
-                        // at iteration `iteration + 1` (workset_size != 0
-                        // means reset_all: replay from the initial state)
+                        // at iteration `iteration + 1`
 };
 
 struct CtlMsg {
   CtlType type = CtlType::kContinue;
-  int32_t task = -1;      // sender task index (reports) or target info
+  int32_t task = -1;      // sender task index (task -> master messages)
   int32_t iteration = 0;  // iteration the message refers to
   int32_t generation = 0; // job generation (bumped on rollback)
   int32_t worker = -1;    // reporting worker (reports, failure notices)

@@ -4,7 +4,6 @@
 #include <atomic>
 #include <deque>
 #include <map>
-#include <set>
 #include <span>
 #include <thread>
 #include <unordered_map>
@@ -319,24 +318,28 @@ class JobRun {
   };
 
   // --- control helpers ---
-  void master_send(VClock& mvt, Endpoint& to, const CtlMsg& ctl) {
+  // Every control message; `records` ride in the payload (a Delta's ops, a
+  // DeltaAck's seeds).
+  static NetMessage control_message(const CtlMsg& ctl, int from_task,
+                                    KVVec records) {
     NetMessage msg;
     msg.kind = NetMessage::Kind::kControl;
-    msg.from_task = -1;
+    msg.from_task = from_task;
     msg.iteration = ctl.iteration;
     msg.generation = ctl.generation;
     msg.control = ctl.encode();
-    cluster_.fabric().send(/*sender_worker=*/-1, mvt, to, std::move(msg),
+    if (!records.empty()) msg.set_records(std::move(records));
+    return msg;
+  }
+  void master_send(Endpoint& to, const CtlMsg& ctl, KVVec records = {}) {
+    cluster_.fabric().send(/*sender_worker=*/-1, mvt_, to,
+                           control_message(ctl, -1, std::move(records)),
                            TrafficCategory::kControl);
   }
-  void task_send_ctl(TaskContext& ctx, const CtlMsg& ctl) {
-    NetMessage msg;
-    msg.kind = NetMessage::Kind::kControl;
-    msg.from_task = ctl.task;
-    msg.iteration = ctl.iteration;
-    msg.generation = ctl.generation;
-    msg.control = ctl.encode();
-    ctx.send(*master_ep_, std::move(msg), TrafficCategory::kControl);
+  void task_send_ctl(TaskContext& ctx, const CtlMsg& ctl,
+                     KVVec records = {}) {
+    ctx.send(*master_ep_, control_message(ctl, ctl.task, std::move(records)),
+             TrafficCategory::kControl);
   }
   // An injected crash: the dying task's last breath is the failure notice
   // (the in-process stand-in for the master's heartbeat timeout). The caller
@@ -378,7 +381,24 @@ class JobRun {
                    std::shared_ptr<Endpoint> ep);
   void run_aux_reduce(int j, int gen, int start_iter,
                       std::shared_ptr<Endpoint> ep);
+
+  // --- master (thread-confined) ---
+  // Dispatches the master's control messages until T Dones or a quiesce.
   void master_loop();
+  struct PendingIter;
+  // Records iteration k, whose reports are all in, and acts on its verdict:
+  // quiesce, terminate, or one Continue(k).
+  void decide(int k);
+  enum class Verdict { kContinue, kConverged, kBudgetSpent };
+  Verdict verdict(const PendingIter& it) const;
+  // A failure notice (§3.4.1): moves the worker's pairs and rolls back.
+  void recover(int worker, int iteration);
+  void maybe_migrate(const PendingIter& it);
+  // Every task stops; last-phase reduces dump the output and send Done.
+  void terminate();
+  // Respawns `pairs` on `targets` and rolls everything back to last_ckpt_.
+  void respawn_and_rollback(const std::vector<int>& pairs,
+                            const std::vector<int>& targets);
 
   // execute() split so a session can re-enter the master loop per epoch:
   // start() validates/spawns once, run_master() wraps master_loop with error
@@ -426,6 +446,52 @@ class JobRun {
         run_reduce(p, i, gen, start_iter, start_vt, worker, rep);
       });
     }
+    // Aux map i lives and moves with its pair, so map-side output hand-off
+    // is local.
+    if (conf_.aux) {
+      auto aep = aux_map_ep(i);
+      spawn([this, i, gen, start_iter, aep] {
+        run_aux_map(i, gen, start_iter, aep);
+      });
+    }
+  }
+  // Homes pair i on `worker` with fresh mailboxes: each phase's map and
+  // reduce, and its aux map. Used at start and by every respawn.
+  void home_pair(int i, int worker) {
+    set_pair_worker(i, worker);
+    const auto at = static_cast<std::size_t>(i);
+    std::lock_guard<std::mutex> lock(ep_mu_);
+    for (std::size_t p = 0; p < map_ep_.size(); ++p) {
+      map_ep_[p][at] = cluster_.fabric().create_endpoint(
+          map_ep_name(static_cast<int>(p), i), worker);
+      red_ep_[p][at] = cluster_.fabric().create_endpoint(
+          red_ep_name(static_cast<int>(p), i), worker);
+    }
+    if (conf_.aux) {
+      aux_map_ep_[at] = cluster_.fabric().create_endpoint(
+          tag_ + "/aux/m" + std::to_string(i), worker);
+    }
+    // Publish the swap to the EpRow caches.
+    ep_epoch_.fetch_add(1, std::memory_order_release);
+  }
+  void home_aux_reduce(int j, int worker) {
+    std::lock_guard<std::mutex> lock(ep_mu_);
+    aux_red_ep_[static_cast<std::size_t>(j)] =
+        cluster_.fabric().create_endpoint(tag_ + "/aux/r" + std::to_string(j),
+                                          worker);
+    ep_epoch_.fetch_add(1, std::memory_order_release);
+  }
+  // Pair i's mailboxes, in home_pair's order: the Kill and Rollback fan-out.
+  std::vector<std::shared_ptr<Endpoint>> pair_endpoints(int i) {
+    const auto at = static_cast<std::size_t>(i);
+    std::lock_guard<std::mutex> lock(ep_mu_);
+    std::vector<std::shared_ptr<Endpoint>> eps;
+    for (std::size_t p = 0; p < map_ep_.size(); ++p) {
+      eps.push_back(map_ep_[p][at]);
+      eps.push_back(red_ep_[p][at]);
+    }
+    if (conf_.aux) eps.push_back(aux_map_ep_[at]);
+    return eps;
   }
 
   // Routing for one key under the job's effective partitioner (the conf's or
@@ -556,7 +622,6 @@ class JobRun {
 
   // Master-filled results.
   RunReport report_;
-  int64_t final_vt_ = 0;
   RunReport last_report_;
   // Telemetry iteration records (master thread only); truncated beside
   // report_.iterations on rollback, joined with the ledger at finish().
@@ -582,6 +647,26 @@ class JobRun {
     int straggler_worker = -1;
     int64_t straggler_vt = -1;
     int64_t straggler_dur = 0;
+
+    void add(const CtlMsg& report, int64_t vt_ready) {
+      ++reports;
+      distance += report.distance;
+      workset += report.workset_size;
+      int64_t& dur = worker_dur[report.worker];
+      dur = std::max(dur, report.duration_ns);
+      if (!TelemetryRecorder::enabled()) return;
+      int64_t& td = task_dur[report.task];
+      td = std::max(td, report.duration_ns);
+      task_state_bytes[report.task] = report.state_bytes;
+      if (vt_ready > straggler_vt ||
+          (vt_ready == straggler_vt &&
+           (straggler_task == -1 || report.task < straggler_task))) {
+        straggler_vt = vt_ready;
+        straggler_task = report.task;
+        straggler_worker = report.worker;
+        straggler_dur = report.duration_ns;
+      }
+    }
   };
   std::map<int, PendingIter> pending_;  // iteration -> reports (current gen)
   int generation_ = 0;
@@ -589,7 +674,6 @@ class JobRun {
   int last_ckpt_ = 0;
   int aux_stop_at_ = INT32_MAX;
   int last_migration_iter_ = 0;
-  std::set<int> dead_workers_;
   bool terminating_ = false;
   int done_count_ = 0;
   double last_decided_wall_ms_ = 0;
@@ -598,7 +682,6 @@ class JobRun {
   VClock mvt_;
   bool started_ = false;
   bool closed_ = false;
-  bool close_requested_ = false;
   bool traced_ = false;
   TraceRecorder::TrackHandle prev_track_ = nullptr;
   std::optional<TraceSpan> job_span_;
@@ -607,7 +690,10 @@ class JobRun {
   bool session_mode_ = false;
   std::mutex session_mu_;
   int session_id_ = 0;    // current epoch; 0 = the initial run
-  int session_base_ = 0;  // iteration the current epoch resumed after
+  // Iteration the current epoch resumed after; also the base of the epoch's
+  // fresh max_iterations budget (0 outside sessions). Only the master
+  // writes it, so the master's own reads skip the lock.
+  int session_base_ = 0;
   bool session_reset_all_ = false;
   std::string session_baseline_dir_;
   std::vector<std::vector<StaticDeltaOp>> delta_history_;
@@ -615,9 +701,6 @@ class JobRun {
   // Quiesce/epoch bookkeeping (master thread only).
   bool quiesced_ = false;
   int ckpt_acks_ = 0;
-  // Iteration-budget base: a resume epoch gets a fresh max_iterations budget
-  // counted from its base (0 initially, so plain runs are unchanged).
-  int epoch_base_ = 0;
   std::size_t epoch_first_stat_ = 0;
   double epoch_start_ms_ = 0;
 
@@ -795,13 +878,15 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
   };
 
   int k = start_iter;
-  int go_allowed = start_iter;  // sync gating: first iteration is free
+  // Sync gate, the same as the reduce's: iteration k runs once the master's
+  // Continue(k-1) is in; the first iteration is free.
+  int allowed = start_iter;
   // The iteration's whole input, when it does not stream in as batches: a
   // one2all broadcast, or the loaded state (initial or checkpoint) a phase-0
   // map begins from. `loaded` skips the collect step for the latter.
   KVVec whole;
   bool loaded = false;
-  std::vector<NetMessage> deferred;  // sync: batches ahead of the go
+  std::vector<NetMessage> deferred;  // sync: batches ahead of the gate
   // At a refining epoch's baseline the converged state is resident in the
   // reduces: the map loads nothing and collects the seed frontier the
   // paired reduce ships.
@@ -811,10 +896,10 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
   };
   load_state(start_iter - 1);
 
-  auto ready = [&] { return !sync_gate || go_allowed >= k; };
+  auto ready = [&] { return !sync_gate || allowed >= k; };
   auto on_control = [&](const CtlMsg& ctl, NetMessage& msg) {
-    if (ctl.type == CtlType::kGo) {
-      go_allowed = std::max(go_allowed, ctl.iteration);
+    if (ctl.type == CtlType::kContinue) {
+      allowed = std::max(allowed, ctl.iteration + 1);
       return true;
     }
     if (ctl.type != CtlType::kDelta || ctl.generation != gen) return true;
@@ -848,14 +933,7 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
     ack.session = ctl.session;
     ack.workset_size = refining ? 1 : 0;
     ack.state_records = static_cast<int64_t>(ops.size());
-    NetMessage amsg;
-    amsg.kind = NetMessage::Kind::kControl;
-    amsg.from_task = i;
-    amsg.iteration = ctl.iteration;
-    amsg.generation = gen;
-    amsg.control = ack.encode();
-    amsg.set_records(std::move(seeds));
-    ctx.send(*master_ep_, std::move(amsg), TrafficCategory::kControl);
+    task_send_ctl(ctx, ack, std::move(seeds));
     return true;
   };
   auto on_data = [&](NetMessage& msg) {
@@ -863,7 +941,7 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
       KVVec batch = msg.take_records();
       whole.insert(whole.end(), std::make_move_iterator(batch.begin()),
                    std::make_move_iterator(batch.end()));
-    } else if (sync_gate && go_allowed < k) {
+    } else if (sync_gate && allowed < k) {
       deferred.push_back(std::move(msg));
     } else {
       // Asynchronous eager processing (§3.3): join+map immediately. The
@@ -904,7 +982,7 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
       out.reset(gen);
       deferred.clear();
       k = c.restart_at + 1;
-      go_allowed = k;
+      allowed = k;
       load_state(c.restart_at);
       continue;
     }
@@ -997,24 +1075,16 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
   // (§3.1.2: "the reduce tasks save the output from two consecutive
   // iterations and calculate the distance").
   std::unordered_map<Bytes, Bytes> state_map;
+  // Reads the part file of the checkpoint at `ckpt_iter`, or, at a session
+  // epoch's base, of the converged baseline the quiesce dumped. A reset_all
+  // epoch starts empty, exactly like a cold run over the mutated input.
   auto load_reduce_state = [&](int ckpt_iter) {
     state_map.clear();
-    if (ckpt_iter <= 0) return;
-    SessionView sv = session_view();
-    if (sv.active && ckpt_iter == sv.base) {
-      // Session-epoch baseline: a refining epoch reloads the converged
-      // state the quiesce dumped; a reset_all epoch starts empty, exactly
-      // like a cold run over the mutated input.
-      if (!sv.reset_all) {
-        for (KV& kv : ctx.dfs_read_all(sv.baseline_dir + "/part-" +
-                                       std::to_string(i))) {
-          state_map[std::move(kv.key)] = std::move(kv.value);
-        }
-      }
-      return;
-    }
-    for (KV& kv : ctx.dfs_read_all(ckpt_path(ckpt_iter) + "/part-" +
-                                   std::to_string(i))) {
+    const SessionView sv = session_view();
+    const bool at_base = sv.active && ckpt_iter == sv.base;
+    if (ckpt_iter <= 0 || (at_base && sv.reset_all)) return;
+    const std::string dir = at_base ? sv.baseline_dir : ckpt_path(ckpt_iter);
+    for (KV& kv : ctx.dfs_read_all(dir + "/part-" + std::to_string(i))) {
       state_map[std::move(kv.key)] = std::move(kv.value);
     }
   };
@@ -1153,22 +1223,13 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
       aux_copy.reset(gen);
       k = c.restart_at + 1;
       allowed = k;
-      if (resume) {
-        // The live state_map IS the refining epoch's baseline — no reload.
-        // A reset_all epoch discards it (and ships no seeds: the maps
-        // reload the initial state themselves, replaying the cold run).
-        SessionView sv = session_view();
-        if (sv.reset_all) {
-          state_map.clear();
-          pending_seed_ship = false;
-        } else {
-          pending_seed_ship = is_phase0;
-        }
-      } else {
-        if (last_phase) load_reduce_state(c.restart_at);
-        pending_seed_ship =
-            is_phase0 && session_baseline_collect(c.restart_at);
+      // A resume is the rollback to the epoch base. A refining epoch skips
+      // the reload: its live state is the baseline the quiesce just dumped.
+      const bool refining_base = session_baseline_collect(c.restart_at);
+      if (last_phase && !(resume && refining_base)) {
+        load_reduce_state(c.restart_at);
       }
+      pending_seed_ship = is_phase0 && refining_base;
       prev_end_vt = ctx.vt().now_ns();
       continue;
     }
@@ -1462,436 +1523,59 @@ void JobRun::run_aux_reduce(int j, int gen, int start_iter,
 // ---------------------------------------------------------------------------
 
 void JobRun::master_loop() {
-  // Protocol state lives in members (a session re-enters this loop once per
-  // epoch); the aliases keep the body identical to the single-run shape.
-  VClock& mvt = mvt_;
-  std::map<int, PendingIter>& pending = pending_;
-  int& generation = generation_;
-  int& decided = decided_;
-  int& last_ckpt = last_ckpt_;
-  int& aux_stop_at = aux_stop_at_;
-  int& last_migration_iter = last_migration_iter_;
-  std::set<int>& dead_workers = dead_workers_;
-  bool& terminating = terminating_;
-  int& done_count = done_count_;
-  Histogram& iter_hist = cluster_.metrics().histogram("iteration_wall_us");
-  double& last_decided_wall_ms = last_decided_wall_ms_;
-
-  auto broadcast_terminate = [&](int iter) {
-    terminating = true;
-    TraceRecorder::instance().instant("terminate", mvt.now_ns(), iter,
-                                      generation);
-    CtlMsg t;
-    t.type = CtlType::kTerminate;
-    t.iteration = iter;
-    t.generation = generation;
-    for (auto& ep : all_endpoints()) master_send(mvt, *ep, t);
-    cluster_.metrics().inc("imr_terminate_broadcasts");
-  };
-
-  // Respawn `pairs` on `targets` and roll everything back to `ckpt_iter`.
-  auto respawn_and_rollback = [&](const std::vector<int>& pairs,
-                                  const std::vector<int>& targets,
-                                  int ckpt_iter) {
-    ++generation;
-    const bool has_aux = conf_.aux.has_value();
-    // Aux reduces are not pair-homed; the ones stranded on a worker the
-    // master no longer trusts respawn on the recovery targets.
-    std::vector<int> moved_aux_reduces;
-    if (has_aux) {
-      for (int j = 0; j < aux_reduces_; ++j) {
-        if (!cluster_.worker_alive(aux_red_ep(j)->home_worker())) {
-          moved_aux_reduces.push_back(j);
-        }
-      }
-    }
-    // Kill the old tasks of the moved pairs (their endpoints are about to be
-    // replaced; the kill lands in the old objects). Aux maps are co-located
-    // with their pair and move with it.
-    CtlMsg kill;
-    kill.type = CtlType::kKill;
-    kill.generation = generation;
-    for (int idx : pairs) {
-      for (int p = 0; p < P_; ++p) {
-        master_send(mvt, *map_ep(p, idx), kill);
-        master_send(mvt, *red_ep(p, idx), kill);
-      }
-      if (has_aux) master_send(mvt, *aux_map_ep(idx), kill);
-    }
-    for (int j : moved_aux_reduces) master_send(mvt, *aux_red_ep(j), kill);
-    // Fresh endpoints homed on the new workers, then fresh pair threads.
-    {
-      std::lock_guard<std::mutex> lock(ep_mu_);
-      for (std::size_t n = 0; n < pairs.size(); ++n) {
-        int idx = pairs[n];
-        int target = targets[n];
-        for (int p = 0; p < P_; ++p) {
-          map_ep_[static_cast<std::size_t>(p)][static_cast<std::size_t>(idx)] =
-              cluster_.fabric().create_endpoint(map_ep_name(p, idx), target);
-          red_ep_[static_cast<std::size_t>(p)][static_cast<std::size_t>(idx)] =
-              cluster_.fabric().create_endpoint(red_ep_name(p, idx), target);
-        }
-        if (has_aux) {
-          aux_map_ep_[static_cast<std::size_t>(idx)] =
-              cluster_.fabric().create_endpoint(
-                  tag_ + "/aux/m" + std::to_string(idx), target);
-        }
-      }
-      for (int j : moved_aux_reduces) {
-        aux_red_ep_[static_cast<std::size_t>(j)] =
-            cluster_.fabric().create_endpoint(
-                tag_ + "/aux/r" + std::to_string(j),
-                targets[static_cast<std::size_t>(j) % targets.size()]);
-      }
-      // Publish the swap to the EpRow caches.
-      ep_epoch_.fetch_add(1, std::memory_order_release);
-    }
-    for (std::size_t n = 0; n < pairs.size(); ++n) {
-      set_pair_worker(pairs[n], targets[n]);
-      spawn_pair(pairs[n], generation, ckpt_iter + 1, mvt.now_ns());
-    }
-    if (has_aux) {
-      for (int idx : pairs) {
-        auto aep = aux_map_ep(idx);
-        spawn([this, idx, aep, g = generation, s = ckpt_iter + 1] {
-          run_aux_map(idx, g, s, aep);
-        });
-      }
-      for (int j : moved_aux_reduces) {
-        auto aep = aux_red_ep(j);
-        spawn([this, j, aep, g = generation, s = ckpt_iter + 1] {
-          run_aux_reduce(j, g, s, aep);
-        });
-      }
-    }
-    // Roll every other pair back to the checkpoint (§3.4.2 step 3), and the
-    // surviving aux tasks with them — an aux task left at the old generation
-    // would stash the re-sent data forever and never signal again.
-    CtlMsg rb;
-    rb.type = CtlType::kRollback;
-    rb.iteration = ckpt_iter;
-    rb.generation = generation;
-    for (int idx = 0; idx < T_; ++idx) {
-      if (std::find(pairs.begin(), pairs.end(), idx) != pairs.end()) continue;
-      for (int p = 0; p < P_; ++p) {
-        master_send(mvt, *map_ep(p, idx), rb);
-        master_send(mvt, *red_ep(p, idx), rb);
-      }
-      if (has_aux) master_send(mvt, *aux_map_ep(idx), rb);
-    }
-    for (int j = 0; j < aux_reduces_; ++j) {
-      if (std::find(moved_aux_reduces.begin(), moved_aux_reduces.end(), j) !=
-          moved_aux_reduces.end()) {
-        continue;
-      }
-      master_send(mvt, *aux_red_ep(j), rb);
-    }
-    pending.clear();
-    decided = ckpt_iter;
-    // A partially collected quiesce is void too: the epoch re-converges and
-    // re-quiesces under the new generation (stale acks are gen-filtered).
-    ckpt_acks_ = 0;
-    // A convergence verdict reached under the old generation is void: the
-    // rolled-back iterations will re-run and re-signal if still converged.
-    aux_stop_at = INT32_MAX;
-    // Iterations past the checkpoint will be re-reported under the new
-    // generation; keeping the first-run entries would leave duplicate (and
-    // non-monotonic) per-iteration stats in the report.
-    while (!report_.iterations.empty() &&
-           report_.iterations.back().iteration > ckpt_iter) {
-      report_.iterations.pop_back();
-    }
-    while (!telemetry_iters_.empty() &&
-           telemetry_iters_.back().iteration > ckpt_iter) {
-      telemetry_iters_.pop_back();
-    }
-    report_.rollback_iterations.push_back(ckpt_iter);
-  };
-
-  // close_session() re-enters the loop one last time to terminate the
-  // parked tasks and collect their Done notices.
-  if (close_requested_ && !terminating) broadcast_terminate(decided);
-
-  while (done_count < T_ && !quiesced_) {
-    auto msg = master_ep_->receive(mvt);
+  while (done_count_ < T_ && !quiesced_) {
+    auto msg = master_ep_->receive(mvt_);
     if (!msg) break;
     if (msg->kind != NetMessage::Kind::kControl) continue;
-    CtlMsg ctl = CtlMsg::decode(msg->control);
+    const CtlMsg ctl = CtlMsg::decode(msg->control);
     IMR_DEBUG << tag_ << ": master ctl type " << static_cast<int>(ctl.type)
               << " task " << ctl.task << " iter " << ctl.iteration << " gen "
-              << ctl.generation << " (decided " << decided << " gen "
-              << generation << ")";
+              << ctl.generation << " (decided " << decided_ << " gen "
+              << generation_ << ")";
 
     switch (ctl.type) {
-      case CtlType::kDone: {
-        ++done_count;
-        final_vt_ = std::max(final_vt_, mvt.now_ns());
+      case CtlType::kDone:
+        ++done_count_;
         // Output-consistency audit: the iteration each part file was dumped
         // at (the InvariantChecker asserts they all agree), plus the part's
         // record count for the state-conservation rule.
         report_.final_part_iterations.push_back(ctl.iteration);
         report_.final_state_records += ctl.state_records;
         break;
-      }
-      case CtlType::kCkptAck: {
+      case CtlType::kCkptAck:
         // Session quiesce barrier: all T_ baseline checkpoints written.
-        if (ctl.generation != generation || ctl.session != session_id_) break;
-        if (++ckpt_acks_ >= T_) quiesced_ = true;
+        if (ctl.generation == generation_ && ctl.session == session_id_ &&
+            ++ckpt_acks_ >= T_) {
+          quiesced_ = true;
+        }
         break;
-      }
       case CtlType::kAuxSignal: {
         // A signal computed from pre-rollback data must not stop the
         // re-executed run.
-        if (ctl.generation != generation) {
-          TraceRecorder::instance().instant("aux_signal_rejected",
-                                            mvt.now_ns(), ctl.iteration,
-                                            ctl.generation);
-          break;
-        }
-        TraceRecorder::instance().instant("aux_signal_accepted", mvt.now_ns(),
-                                          ctl.iteration, ctl.generation);
+        const bool current = ctl.generation == generation_;
+        TraceRecorder::instance().instant(
+            current ? "aux_signal_accepted" : "aux_signal_rejected",
+            mvt_.now_ns(), ctl.iteration, ctl.generation);
         // Terminate at the NEXT decision boundary, not immediately: the
-        // Continue for iteration `decided` is already out, so reduce tasks
-        // may legitimately be applying iteration decided+1 — stopping
+        // Continue for iteration `decided_` is already out, so reduce tasks
+        // may legitimately be applying iteration decided_+1 — stopping
         // mid-flight would leave a mixed final state. Deferring keeps every
         // part file at the same iteration.
-        if (!terminating) {
-          aux_stop_at = std::min(aux_stop_at, std::max(decided + 1,
-                                                       ctl.iteration));
+        if (current && !terminating_) {
+          aux_stop_at_ = std::min(aux_stop_at_,
+                                  std::max(decided_ + 1, ctl.iteration));
         }
         break;
       }
-      case CtlType::kFailure: {
-        if (terminating || dead_workers.count(ctl.worker)) break;
-        dead_workers.insert(ctl.worker);
-        cluster_.mark_dead(ctl.worker);
-        cluster_.metrics().inc("imr_recoveries");
-        TraceRecorder::instance().instant("worker_failure", mvt.now_ns(),
-                                          ctl.iteration, generation);
-        IMR_WARN << tag_ << ": worker " << ctl.worker
-                 << " failed at iteration " << ctl.iteration
-                 << "; rolling back to checkpoint " << last_ckpt;
-        // All pairs on the dead worker move to the least-loaded live worker.
-        std::vector<int> pairs;
-        std::vector<int> targets;
-        std::map<int, int> load;
-        for (int idx = 0; idx < T_; ++idx) {
-          int w = pair_worker(idx);
-          if (w == ctl.worker) {
-            pairs.push_back(idx);
-          } else {
-            ++load[w];
-          }
-        }
-        for (int w = 0; w < cluster_.num_workers(); ++w) {
-          if (cluster_.worker_alive(w) && !load.count(w)) load[w] = 0;
-        }
-        for (std::size_t n = 0; n < pairs.size(); ++n) {
-          auto best = std::min_element(
-              load.begin(), load.end(),
-              [](const auto& a, const auto& b) { return a.second < b.second; });
-          IMR_CHECK_MSG(best != load.end(), "no live worker for recovery");
-          targets.push_back(best->first);
-          ++best->second;
-        }
-        {
-          TraceSpan recovery_span("recovery", mvt, last_ckpt, generation);
-          respawn_and_rollback(pairs, targets, last_ckpt);
-        }
+      case CtlType::kFailure:
+        recover(ctl.worker, ctl.iteration);
         break;
-      }
       case CtlType::kReport: {
-        if (terminating || ctl.generation != generation) break;
-        PendingIter& pi = pending[ctl.iteration];
-        ++pi.reports;
-        pi.distance += ctl.distance;
-        pi.workset += ctl.workset_size;
-        int64_t& dur = pi.worker_dur[ctl.worker];
-        dur = std::max(dur, ctl.duration_ns);
-        if (TelemetryRecorder::enabled()) {
-          int64_t& td = pi.task_dur[ctl.task];
-          td = std::max(td, ctl.duration_ns);
-          pi.task_state_bytes[ctl.task] = ctl.state_bytes;
-          const int64_t vr = msg->vt_ready;
-          if (vr > pi.straggler_vt ||
-              (vr == pi.straggler_vt &&
-               (pi.straggler_task == -1 || ctl.task < pi.straggler_task))) {
-            pi.straggler_vt = vr;
-            pi.straggler_task = ctl.task;
-            pi.straggler_worker = ctl.worker;
-            pi.straggler_dur = ctl.duration_ns;
-          }
-        }
-        if (ctl.iteration != decided + 1 || pi.reports < T_) break;
-
-        // --- decision for iteration `decided + 1` ---
-        decided = ctl.iteration;
-        PendingIter done_iter = pi;
-        pending.erase(ctl.iteration);
-        if (conf_.checkpoint_every > 0 &&
-            decided % conf_.checkpoint_every == 0) {
-          last_ckpt = decided;
-        }
-        {
-          IterationStat st;
-          st.iteration = decided;
-          st.wall_ms_end = mvt.now_ms();
-          st.distance = done_iter.distance;
-          st.session = session_id_;
-          if (conf_.workset_mode) st.workset_size = done_iter.workset;
-          report_.iterations.push_back(st);
-          iter_hist.record(static_cast<int64_t>(
-              (st.wall_ms_end - last_decided_wall_ms) * 1000.0));
-          last_decided_wall_ms = st.wall_ms_end;
-        }
-        if (TelemetryRecorder::enabled()) {
-          // Master-side slice of the iteration record; the ledger's fabric
-          // buckets (bytes, msgs, queue HWM, map durations) join in at
-          // finish(), once the task threads are quiescent.
-          IterTelemetry it;
-          it.iteration = decided;
-          it.generation = generation;
-          it.session = session_id_;
-          it.vt_ms = mvt.now_ms();
-          it.distance = done_iter.distance;
-          if (conf_.workset_mode) it.workset = done_iter.workset;
-          int64_t max_dur = 0;
-          for (const auto& [t, ns] : done_iter.task_dur) {
-            it.task_ms[t] = static_cast<double>(ns) / 1e6;
-            max_dur = std::max(max_dur, ns);
-          }
-          it.reduce_ms = static_cast<double>(max_dur) / 1e6;
-          it.state_bytes = done_iter.task_state_bytes;
-          it.straggler_task = done_iter.straggler_task;
-          it.straggler_worker = done_iter.straggler_worker;
-          it.straggler_ms =
-              static_cast<double>(done_iter.straggler_dur) / 1e6;
-          telemetry_iters_.push_back(std::move(it));
-        }
-        TraceRecorder::instance().instant("iteration_decided", mvt.now_ns(),
-                                          decided, generation);
-        if (conf_.workset_mode) {
-          TraceRecorder::instance().counter("workset_size", mvt.now_ns(),
-                                            done_iter.workset);
-        }
-        cluster_.metrics().inc("imr_iterations");
-        IMR_INFO << tag_ << " iteration " << decided << " done at "
-                 << mvt.now_ms() << " ms, distance " << done_iter.distance;
-
-        // Drain termination (DESIGN.md §7): a workset run whose merged
-        // changed-record count hits zero has reached its fixpoint — nothing
-        // would be mapped next iteration, so the job stops here.
-        // Each session epoch gets a fresh max_iterations budget counted
-        // from its resume base (epoch_base_ is 0 outside sessions, so this
-        // is the plain `decided >= max_iterations` for normal runs).
-        const bool drained = conf_.workset_mode && done_iter.workset == 0;
-        const bool budget_spent =
-            decided - epoch_base_ >= conf_.max_iterations;
-        bool stop = budget_spent ||
-                    (conf_.distance_threshold >= 0 &&
-                     done_iter.distance < conf_.distance_threshold) ||
-                    drained || decided >= aux_stop_at;
-        if (stop) {
-          report_.converged =
-              drained || !budget_spent ||
-              (conf_.distance_threshold >= 0 &&
-               done_iter.distance < conf_.distance_threshold);
-          if (session_mode_) {
-            // Quiesce instead of terminate: every reduce dumps the epoch's
-            // converged-<session> baseline and acks; the acks flip
-            // quiesced_ and the loop returns with all tasks parked.
-            ckpt_acks_ = 0;
-            TraceRecorder::instance().instant("session_quiesce",
-                                              mvt.now_ns(), decided,
-                                              generation);
-            CtlMsg cc;
-            cc.type = CtlType::kConvergedCkpt;
-            cc.iteration = decided;
-            cc.generation = generation;
-            cc.session = session_id_;
-            for (int idx = 0; idx < T_; ++idx) {
-              master_send(mvt, *red_ep(0, idx), cc);
-            }
-            break;
-          }
-          broadcast_terminate(decided);
-          break;
-        }
-
-        // Allow the next iteration.
-        CtlMsg cont;
-        cont.type = CtlType::kContinue;
-        cont.iteration = decided;
-        cont.generation = generation;
-        for (int idx = 0; idx < T_; ++idx) {
-          master_send(mvt, *red_ep(0, idx), cont);
-        }
-        if (!conf_.async_maps &&
-            conf_.phases[0].mapping == Mapping::kOne2One) {
-          CtlMsg go;
-          go.type = CtlType::kGo;
-          go.iteration = decided + 1;
-          go.generation = generation;
-          for (int idx = 0; idx < T_; ++idx) {
-            master_send(mvt, *map_ep(0, idx), go);
-          }
-        }
-
-        // --- load balancing (§3.4.2) ---
-        // Noise gate for the deviation test: the slowest worker must also
-        // exceed the trimmed average by this much absolute virtual time.
-        // Iteration spans carry measured thread-CPU time, so on a loaded
-        // machine a homogeneous cluster can show large *relative* deviation
-        // on microsecond-scale iterations; a migration (which costs a
-        // rollback) is only worth it when the gap is material.
-        constexpr double kMigrationMinGapMs = 25.0;
-        if (conf_.load_balancing && last_ckpt > 0 &&
-            decided - last_migration_iter >= 2 &&
-            done_iter.worker_dur.size() >= 3) {
-          std::vector<std::pair<int, int64_t>> durs(
-              done_iter.worker_dur.begin(), done_iter.worker_dur.end());
-          std::sort(durs.begin(), durs.end(), [](const auto& a, const auto& b) {
-            return a.second < b.second;
-          });
-          // Average excluding the longest and shortest, per the paper.
-          double sum = 0;
-          for (std::size_t n = 1; n + 1 < durs.size(); ++n) {
-            sum += static_cast<double>(durs[n].second);
-          }
-          double avg = sum / static_cast<double>(durs.size() - 2);
-          int slowest = durs.back().first;
-          int fastest = durs.front().first;
-          double gap_ms =
-              (static_cast<double>(durs.back().second) - avg) / 1e6;
-          double dev = (static_cast<double>(durs.back().second) - avg) / avg;
-          IMR_DEBUG << tag_ << ": lb iter " << decided << " avg "
-                    << avg / 1e6 << " ms, max "
-                    << static_cast<double>(durs.back().second) / 1e6
-                    << " ms (worker " << slowest << "), dev " << dev;
-          if (avg > 0 && dev > conf_.migration_threshold &&
-              gap_ms > kMigrationMinGapMs &&
-              cluster_.worker_alive(fastest) && slowest != fastest) {
-            // Migrate the slowest pair on the slowest worker.
-            int victim = -1;
-            for (int idx = 0; idx < T_; ++idx) {
-              if (pair_worker(idx) == slowest) {
-                victim = idx;
-                break;
-              }
-            }
-            if (victim >= 0) {
-              IMR_INFO << tag_ << ": migrating pair " << victim
-                       << " from worker " << slowest << " to " << fastest
-                       << " (deviation " << dev << ")";
-              cluster_.metrics().inc("imr_migrations");
-              last_migration_iter = decided;
-              {
-                TraceSpan mig_span("migration", mvt, last_ckpt, generation);
-                respawn_and_rollback({victim}, {fastest}, last_ckpt);
-              }
-              ++report_.migration_rollbacks;
-            }
-          }
+        if (terminating_ || ctl.generation != generation_) break;
+        PendingIter& pi = pending_[ctl.iteration];
+        pi.add(ctl, msg->vt_ready);
+        if (ctl.iteration == decided_ + 1 && pi.reports >= T_) {
+          decide(ctl.iteration);
         }
         break;
       }
@@ -1899,6 +1583,285 @@ void JobRun::master_loop() {
         break;
     }
   }
+}
+
+void JobRun::decide(int k) {
+  decided_ = k;
+  const PendingIter it = std::move(pending_[k]);
+  pending_.erase(k);
+  if (conf_.checkpoint_every > 0 && k % conf_.checkpoint_every == 0) {
+    last_ckpt_ = k;
+  }
+  IterationStat st;
+  st.iteration = k;
+  st.wall_ms_end = mvt_.now_ms();
+  st.distance = it.distance;
+  st.session = session_id_;
+  if (conf_.workset_mode) st.workset_size = it.workset;
+  report_.iterations.push_back(st);
+  cluster_.metrics().histogram("iteration_wall_us").record(
+      static_cast<int64_t>((st.wall_ms_end - last_decided_wall_ms_) * 1000.0));
+  last_decided_wall_ms_ = st.wall_ms_end;
+  if (TelemetryRecorder::enabled()) {
+    // Master-side slice of the iteration record; the ledger's fabric
+    // buckets (bytes, msgs, queue HWM, map durations) join in at finish(),
+    // once the task threads are quiescent.
+    IterTelemetry tel;
+    tel.iteration = k;
+    tel.generation = generation_;
+    tel.session = session_id_;
+    tel.vt_ms = mvt_.now_ms();
+    tel.distance = it.distance;
+    if (conf_.workset_mode) tel.workset = it.workset;
+    int64_t max_dur = 0;
+    for (const auto& [t, ns] : it.task_dur) {
+      tel.task_ms[t] = static_cast<double>(ns) / 1e6;
+      max_dur = std::max(max_dur, ns);
+    }
+    tel.reduce_ms = static_cast<double>(max_dur) / 1e6;
+    tel.state_bytes = it.task_state_bytes;
+    tel.straggler_task = it.straggler_task;
+    tel.straggler_worker = it.straggler_worker;
+    tel.straggler_ms = static_cast<double>(it.straggler_dur) / 1e6;
+    telemetry_iters_.push_back(std::move(tel));
+  }
+  TraceRecorder::instance().instant("iteration_decided", mvt_.now_ns(), k,
+                                    generation_);
+  if (conf_.workset_mode) {
+    TraceRecorder::instance().counter("workset_size", mvt_.now_ns(),
+                                      it.workset);
+  }
+  cluster_.metrics().inc("imr_iterations");
+  IMR_INFO << tag_ << " iteration " << k << " done at " << mvt_.now_ms()
+           << " ms, distance " << it.distance;
+
+  const Verdict v = verdict(it);
+  if (v == Verdict::kContinue) {
+    // Open iteration k+1: the phase-0 reduces' gate and, in sync mode, the
+    // phase-0 maps'.
+    CtlMsg cont;
+    cont.type = CtlType::kContinue;
+    cont.iteration = k;
+    cont.generation = generation_;
+    for (int idx = 0; idx < T_; ++idx) master_send(*red_ep(0, idx), cont);
+    if (!conf_.async_maps && conf_.phases[0].mapping == Mapping::kOne2One) {
+      for (int idx = 0; idx < T_; ++idx) master_send(*map_ep(0, idx), cont);
+    }
+    maybe_migrate(it);
+    return;
+  }
+  report_.converged = v == Verdict::kConverged;
+  if (!session_mode_) {
+    terminate();
+    return;
+  }
+  // Quiesce instead of terminate: every reduce dumps the epoch's
+  // converged-<session> baseline and acks; the acks flip quiesced_ and the
+  // loop returns with all tasks parked.
+  ckpt_acks_ = 0;
+  TraceRecorder::instance().instant("session_quiesce", mvt_.now_ns(), k,
+                                    generation_);
+  CtlMsg cc;
+  cc.type = CtlType::kConvergedCkpt;
+  cc.iteration = k;
+  cc.generation = generation_;
+  cc.session = session_id_;
+  for (int idx = 0; idx < T_; ++idx) master_send(*red_ep(0, idx), cc);
+}
+
+// The termination policy (§3.1.2, DESIGN.md §7, §5.3), in precedence order:
+// a met threshold or a drained workset on the last budgeted iteration is
+// convergence; an aux signal on that iteration is not.
+JobRun::Verdict JobRun::verdict(const PendingIter& it) const {
+  // Drain: a workset run whose merged changed-record count hits zero has
+  // reached its fixpoint — nothing would be mapped next iteration.
+  if (conf_.workset_mode && it.workset == 0) return Verdict::kConverged;
+  if (conf_.distance_threshold >= 0 &&
+      it.distance < conf_.distance_threshold) {
+    return Verdict::kConverged;
+  }
+  // Each session epoch gets a fresh budget counted from its resume base.
+  if (decided_ - session_base_ >= conf_.max_iterations) {
+    return Verdict::kBudgetSpent;
+  }
+  if (decided_ >= aux_stop_at_) return Verdict::kConverged;
+  return Verdict::kContinue;
+}
+
+void JobRun::recover(int worker, int iteration) {
+  // One recovery per failure: marking the worker dead filters the notices
+  // of its other tasks.
+  if (terminating_ || !cluster_.worker_alive(worker)) return;
+  cluster_.mark_dead(worker);
+  cluster_.metrics().inc("imr_recoveries");
+  TraceRecorder::instance().instant("worker_failure", mvt_.now_ns(), iteration,
+                                    generation_);
+  IMR_WARN << tag_ << ": worker " << worker << " failed at iteration "
+           << iteration << "; rolling back to checkpoint " << last_ckpt_;
+  // All pairs on the dead worker move to the least-loaded live worker.
+  std::vector<int> pairs;
+  std::vector<int> targets;
+  std::map<int, int> load;
+  for (int idx = 0; idx < T_; ++idx) {
+    int w = pair_worker(idx);
+    if (w == worker) {
+      pairs.push_back(idx);
+    } else {
+      ++load[w];
+    }
+  }
+  for (int w = 0; w < cluster_.num_workers(); ++w) {
+    if (cluster_.worker_alive(w) && !load.count(w)) load[w] = 0;
+  }
+  for (std::size_t n = 0; n < pairs.size(); ++n) {
+    auto best = std::min_element(
+        load.begin(), load.end(),
+        [](const auto& a, const auto& b) { return a.second < b.second; });
+    IMR_CHECK_MSG(best != load.end(), "no live worker for recovery");
+    targets.push_back(best->first);
+    ++best->second;
+  }
+  TraceSpan recovery_span("recovery", mvt_, last_ckpt_, generation_);
+  respawn_and_rollback(pairs, targets);
+}
+
+// Load balancing (§3.4.2): migrates the slowest worker's first pair to the
+// fastest worker when iteration `it`'s durations deviate enough.
+void JobRun::maybe_migrate(const PendingIter& it) {
+  // Noise gate for the deviation test: the slowest worker must also exceed
+  // the trimmed average by this much absolute virtual time. Iteration spans
+  // carry measured thread-CPU time, so on a loaded machine a homogeneous
+  // cluster can show large *relative* deviation on microsecond-scale
+  // iterations; a migration (which costs a rollback) is only worth it when
+  // the gap is material.
+  constexpr double kMigrationMinGapMs = 25.0;
+  if (!conf_.load_balancing || last_ckpt_ <= 0 ||
+      decided_ - last_migration_iter_ < 2 || it.worker_dur.size() < 3) {
+    return;
+  }
+  std::vector<std::pair<int, int64_t>> durs(it.worker_dur.begin(),
+                                            it.worker_dur.end());
+  std::sort(durs.begin(), durs.end(), [](const auto& a, const auto& b) {
+    return a.second < b.second;
+  });
+  // Average excluding the longest and shortest, per the paper.
+  double sum = 0;
+  for (std::size_t n = 1; n + 1 < durs.size(); ++n) {
+    sum += static_cast<double>(durs[n].second);
+  }
+  double avg = sum / static_cast<double>(durs.size() - 2);
+  int slowest = durs.back().first;
+  int fastest = durs.front().first;
+  double gap_ms = (static_cast<double>(durs.back().second) - avg) / 1e6;
+  double dev = (static_cast<double>(durs.back().second) - avg) / avg;
+  IMR_DEBUG << tag_ << ": lb iter " << decided_ << " avg " << avg / 1e6
+            << " ms, max " << static_cast<double>(durs.back().second) / 1e6
+            << " ms (worker " << slowest << "), dev " << dev;
+  if (!(avg > 0 && dev > conf_.migration_threshold &&
+        gap_ms > kMigrationMinGapMs && cluster_.worker_alive(fastest) &&
+        slowest != fastest)) {
+    return;
+  }
+  int victim = -1;
+  for (int idx = 0; idx < T_ && victim < 0; ++idx) {
+    if (pair_worker(idx) == slowest) victim = idx;
+  }
+  if (victim < 0) return;
+  IMR_INFO << tag_ << ": migrating pair " << victim << " from worker "
+           << slowest << " to " << fastest << " (deviation " << dev << ")";
+  cluster_.metrics().inc("imr_migrations");
+  last_migration_iter_ = decided_;
+  {
+    TraceSpan mig_span("migration", mvt_, last_ckpt_, generation_);
+    respawn_and_rollback({victim}, {fastest});
+  }
+  ++report_.migration_rollbacks;
+}
+
+void JobRun::terminate() {
+  terminating_ = true;
+  TraceRecorder::instance().instant("terminate", mvt_.now_ns(), decided_,
+                                    generation_);
+  CtlMsg t;
+  t.type = CtlType::kTerminate;
+  t.iteration = decided_;
+  t.generation = generation_;
+  for (auto& ep : all_endpoints()) master_send(*ep, t);
+  cluster_.metrics().inc("imr_terminate_broadcasts");
+}
+
+void JobRun::respawn_and_rollback(const std::vector<int>& pairs,
+                                  const std::vector<int>& targets) {
+  ++generation_;
+  const int ckpt = last_ckpt_;
+  auto contains = [](const std::vector<int>& v, int x) {
+    return std::find(v.begin(), v.end(), x) != v.end();
+  };
+  // Aux reduces are not pair-homed; the ones stranded on a worker the master
+  // no longer trusts respawn on the recovery targets.
+  std::vector<int> moved_aux_reduces;
+  for (int j = 0; j < aux_reduces_; ++j) {
+    if (!cluster_.worker_alive(aux_red_ep(j)->home_worker())) {
+      moved_aux_reduces.push_back(j);
+    }
+  }
+  // Kill the old tasks of the moved pairs, aux maps included (their
+  // endpoints are about to be replaced; the kill lands in the old objects).
+  CtlMsg kill;
+  kill.type = CtlType::kKill;
+  kill.generation = generation_;
+  for (int idx : pairs) {
+    for (const auto& ep : pair_endpoints(idx)) master_send(*ep, kill);
+  }
+  for (int j : moved_aux_reduces) master_send(*aux_red_ep(j), kill);
+  // Fresh endpoints homed on the new workers, then fresh threads.
+  for (std::size_t n = 0; n < pairs.size(); ++n) {
+    home_pair(pairs[n], targets[n]);
+  }
+  for (int j : moved_aux_reduces) {
+    home_aux_reduce(j, targets[static_cast<std::size_t>(j) % targets.size()]);
+  }
+  for (int idx : pairs) spawn_pair(idx, generation_, ckpt + 1, mvt_.now_ns());
+  for (int j : moved_aux_reduces) {
+    auto aep = aux_red_ep(j);
+    spawn([this, j, aep, g = generation_, s = ckpt + 1] {
+      run_aux_reduce(j, g, s, aep);
+    });
+  }
+  // Roll every other pair back to the checkpoint (§3.4.2 step 3), and the
+  // surviving aux tasks with them — an aux task left at the old generation
+  // would stash the re-sent data forever and never signal again.
+  CtlMsg rb;
+  rb.type = CtlType::kRollback;
+  rb.iteration = ckpt;
+  rb.generation = generation_;
+  for (int idx = 0; idx < T_; ++idx) {
+    if (contains(pairs, idx)) continue;
+    for (const auto& ep : pair_endpoints(idx)) master_send(*ep, rb);
+  }
+  for (int j = 0; j < aux_reduces_; ++j) {
+    if (!contains(moved_aux_reduces, j)) master_send(*aux_red_ep(j), rb);
+  }
+  pending_.clear();
+  decided_ = ckpt;
+  // A partially collected quiesce is void too: the epoch re-converges and
+  // re-quiesces under the new generation (stale acks are gen-filtered).
+  ckpt_acks_ = 0;
+  // A convergence verdict reached under the old generation is void: the
+  // rolled-back iterations will re-run and re-signal if still converged.
+  aux_stop_at_ = INT32_MAX;
+  // Iterations past the checkpoint will be re-reported under the new
+  // generation; keeping the first-run entries would leave duplicate (and
+  // non-monotonic) per-iteration stats in the report.
+  while (!report_.iterations.empty() &&
+         report_.iterations.back().iteration > ckpt) {
+    report_.iterations.pop_back();
+  }
+  while (!telemetry_iters_.empty() &&
+         telemetry_iters_.back().iteration > ckpt) {
+    telemetry_iters_.pop_back();
+  }
+  report_.rollback_iterations.push_back(ckpt);
 }
 
 // ---------------------------------------------------------------------------
@@ -1938,34 +1901,25 @@ void JobRun::start() {
         "partitioner has %u partitions but the job runs %d task pairs",
         conf_.partitioner->num_partitions(), T_));
   }
-  pair_worker_ = plan_placement(
+  const std::vector<int> placement = plan_placement(
       T_, cluster_.num_workers(),
       conf_.partitioner ? conf_.partitioner->affinity()
                         : std::vector<int64_t>{},
       cost_);
 
   master_ep_ = cluster_.fabric().create_endpoint(tag_ + "/master", -1);
-  map_ep_.resize(static_cast<std::size_t>(P_));
-  red_ep_.resize(static_cast<std::size_t>(P_));
-  for (int p = 0; p < P_; ++p) {
-    for (int i = 0; i < T_; ++i) {
-      map_ep_[static_cast<std::size_t>(p)].push_back(
-          cluster_.fabric().create_endpoint(map_ep_name(p, i),
-                                            pair_worker_[static_cast<std::size_t>(i)]));
-      red_ep_[static_cast<std::size_t>(p)].push_back(
-          cluster_.fabric().create_endpoint(red_ep_name(p, i),
-                                            pair_worker_[static_cast<std::size_t>(i)]));
-    }
-  }
-  for (int a = 0; a < aux_maps; ++a) {
-    // Aux map a lives with pair a, so map-side output hand-off is local.
-    aux_map_ep_.push_back(cluster_.fabric().create_endpoint(
-        tag_ + "/aux/m" + std::to_string(a),
-        pair_worker_[static_cast<std::size_t>(a)]));
+  const auto tasks = static_cast<std::size_t>(T_);
+  const std::vector<std::shared_ptr<Endpoint>> row(tasks);
+  pair_worker_.resize(tasks);
+  map_ep_.assign(static_cast<std::size_t>(P_), row);
+  red_ep_.assign(static_cast<std::size_t>(P_), row);
+  aux_map_ep_.resize(static_cast<std::size_t>(aux_maps));
+  aux_red_ep_.resize(static_cast<std::size_t>(aux_reduces_));
+  for (int i = 0; i < T_; ++i) {
+    home_pair(i, placement[static_cast<std::size_t>(i)]);
   }
   for (int j = 0; j < aux_reduces_; ++j) {
-    aux_red_ep_.push_back(cluster_.fabric().create_endpoint(
-        tag_ + "/aux/r" + std::to_string(j), j % cluster_.num_workers()));
+    home_aux_reduce(j, j % cluster_.num_workers());
   }
 
   // One-time job initialization (§3.1).
@@ -1984,10 +1938,6 @@ void JobRun::start() {
   const int64_t base_vt = mvt_.now_ns();
 
   for (int i = 0; i < T_; ++i) spawn_pair(i, /*gen=*/0, /*start_iter=*/1, base_vt);
-  for (int a = 0; a < aux_maps; ++a) {
-    auto aep = aux_map_ep(a);
-    spawn([this, a, aep] { run_aux_map(a, /*gen=*/0, /*start_iter=*/1, aep); });
-  }
   for (int j = 0; j < aux_reduces_; ++j) {
     auto aep = aux_red_ep(j);
     spawn([this, j, aep] {
@@ -2054,8 +2004,7 @@ RunReport JobRun::finish() {
   }
 
   report_.label = conf_.name + "/imapreduce";
-  report_.total_wall_ms =
-      static_cast<double>(std::max(final_vt_, mvt_.now_ns())) / 1e6;
+  report_.total_wall_ms = mvt_.now_ms();
   report_.init_wall_ms =
       sim_to_ms(cost_.job_init) + sim_to_ms(cost_.task_init);
   report_.iterations_run =
@@ -2111,7 +2060,7 @@ RunReport JobRun::epoch_report(const std::string& label) {
       report_.iterations.begin() + static_cast<std::ptrdiff_t>(first),
       report_.iterations.end());
   r.iterations_run =
-      r.iterations.empty() ? 0 : r.iterations.back().iteration - epoch_base_;
+      r.iterations.empty() ? 0 : r.iterations.back().iteration - session_base_;
   // Delta against the epoch-start snapshot: the cluster's registry is
   // cumulative, so the subtraction scopes the byte/time totals to this
   // epoch. The same snapshot that ends this window becomes the next
@@ -2168,22 +2117,14 @@ RunReport JobRun::apply_update(const StaticDelta& delta) {
   }
   // Every map gets its slice — possibly empty; the ack doubles as the
   // barrier — applies it, and answers with seeds + a refining verdict.
+  CtlMsg d;
+  d.type = CtlType::kDelta;
+  d.iteration = decided_;
+  d.generation = generation_;
+  d.session = new_session;
   for (int idx = 0; idx < T_; ++idx) {
-    CtlMsg d;
-    d.type = CtlType::kDelta;
-    d.task = idx;
-    d.iteration = decided_;
-    d.generation = generation_;
-    d.session = new_session;
-    NetMessage msg;
-    msg.kind = NetMessage::Kind::kControl;
-    msg.from_task = -1;
-    msg.iteration = decided_;
-    msg.generation = generation_;
-    msg.control = d.encode();
-    msg.set_records(std::move(routed[static_cast<std::size_t>(idx)]));
-    cluster_.fabric().send(/*sender_worker=*/-1, mvt_, *map_ep(0, idx),
-                           std::move(msg), TrafficCategory::kControl);
+    master_send(*map_ep(0, idx), d,
+                std::move(routed[static_cast<std::size_t>(idx)]));
   }
   // Collect the T_ acks. Every task is parked, so no data, reports, or
   // failure notices race this loop; stale-session acks are filtered.
@@ -2239,7 +2180,6 @@ RunReport JobRun::apply_update(const StaticDelta& delta) {
     epoch_seeds_ = std::move(seeds_by_part);
   }
   decided_ = base;
-  epoch_base_ = base;
   last_ckpt_ = base;
   pending_.clear();
   aux_stop_at_ = INT32_MAX;
@@ -2257,11 +2197,9 @@ RunReport JobRun::apply_update(const StaticDelta& delta) {
   rs.iteration = base;
   rs.generation = generation_;
   rs.session = new_session;
-  rs.workset_size = reset_all ? 1 : 0;
   for (int idx = 0; idx < T_; ++idx) {
-    rs.task = idx;
-    master_send(mvt_, *red_ep(0, idx), rs);
-    master_send(mvt_, *map_ep(0, idx), rs);
+    master_send(*red_ep(0, idx), rs);
+    master_send(*map_ep(0, idx), rs);
   }
   run_master();
   if (!quiesced_) {
@@ -2279,8 +2217,8 @@ RunReport JobRun::close_session() {
     closed_ = true;
     return report_;
   }
-  close_requested_ = true;
   quiesced_ = false;
+  terminate();
   run_master();
   return finish();
 }

@@ -95,9 +95,11 @@ TEST(CtlCodec, EmptyBufferThrows) {
 }
 
 TEST(CtlCodec, AllTypesRoundTrip) {
-  for (CtlType t : {CtlType::kContinue, CtlType::kGo, CtlType::kTerminate,
-                    CtlType::kRollback, CtlType::kKill, CtlType::kReport,
-                    CtlType::kFailure, CtlType::kDone, CtlType::kAuxSignal}) {
+  for (CtlType t :
+       {CtlType::kContinue, CtlType::kTerminate, CtlType::kRollback,
+        CtlType::kKill, CtlType::kReport, CtlType::kFailure, CtlType::kDone,
+        CtlType::kAuxSignal, CtlType::kConvergedCkpt, CtlType::kCkptAck,
+        CtlType::kDelta, CtlType::kDeltaAck, CtlType::kResume}) {
     CtlMsg m;
     m.type = t;
     EXPECT_EQ(CtlMsg::decode(m.encode()).type, t);

@@ -145,6 +145,63 @@ TEST(ImrCore, ThresholdTerminationStopsEarly) {
                       1e-12);
 }
 
+// The termination verdict's precedence: when the threshold is met on the
+// last budgeted iteration, the run converged — the spent budget does not
+// override it. One iteration less is a budget stop.
+TEST(ImrCore, ThresholdMetOnLastBudgetedIterationConverges) {
+  auto cluster = testutil::free_cluster();
+  LogNormalGraphSpec gspec;
+  gspec.num_nodes = 150;
+  gspec.seed = 2;
+  Graph g = generate_lognormal_graph(gspec);
+  Sssp::setup(*cluster, g, 0, "sssp");
+  IterativeEngine engine(*cluster);
+  auto run = [&](int budget) {
+    return engine.run(Sssp::imapreduce(
+        "sssp", "out" + std::to_string(budget), budget, 0.5));
+  };
+
+  const RunReport free_run = run(50);
+  ASSERT_TRUE(free_run.converged);
+  const int x = free_run.iterations_run;
+  ASSERT_GT(x, 1);
+
+  const RunReport exact = run(x);
+  EXPECT_TRUE(exact.converged);
+  EXPECT_EQ(exact.iterations_run, x);
+
+  const RunReport short_of_it = run(x - 1);
+  EXPECT_FALSE(short_of_it.converged);
+  EXPECT_EQ(short_of_it.iterations_run, x - 1);
+}
+
+// Same precedence for the workset drain: a frontier that drains on the last
+// budgeted iteration is convergence.
+TEST(ImrCore, DrainOnLastBudgetedIterationConverges) {
+  auto cluster = testutil::free_cluster();
+  LogNormalGraphSpec gspec;
+  gspec.num_nodes = 150;
+  gspec.seed = 2;
+  Graph g = generate_lognormal_graph(gspec);
+  Sssp::setup(*cluster, g, 0, "sssp");
+  IterativeEngine engine(*cluster);
+
+  // No distance check: the drain is the only way the run can converge.
+  IterJobConf conf = Sssp::imapreduce("sssp", "out_free", 50, -1.0);
+  conf.workset_mode = true;
+  const RunReport free_run = engine.run(conf);
+  ASSERT_TRUE(free_run.converged);
+  const int d = free_run.iterations_run;
+  ASSERT_LT(d, 50);
+
+  conf.max_iterations = d;
+  conf.output_path = "out_exact";
+  const RunReport exact = engine.run(conf);
+  EXPECT_TRUE(exact.converged);
+  EXPECT_EQ(exact.iterations_run, d);
+  EXPECT_EQ(exact.iterations.back().workset_size, 0);
+}
+
 TEST(ImrCore, MaxIterTerminationReportsNotConverged) {
   auto cluster = testutil::free_cluster();
   Graph g = make_pagerank_graph("google", 0.0002, 3);

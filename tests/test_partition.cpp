@@ -167,6 +167,18 @@ TEST(FilePartitioner, RejectsBadFiles) {
   EXPECT_THROW(make_file_partitioner(assignment, g, 6), ConfigError);
   // And a count that disagrees with the graph.
   EXPECT_THROW(make_file_partitioner({0, 1}, g, 6), ConfigError);
+
+  // Ids that only wrap into range: a negated or a 33-bit value must not load
+  // as partition 1.
+  for (const char* id : {"-4294967295", "4294967297"}) {
+    {
+      std::FILE* f = std::fopen(path.c_str(), "w");
+      ASSERT_NE(f, nullptr);
+      std::fprintf(f, "0\n%s\n2\n", id);
+      std::fclose(f);
+    }
+    EXPECT_THROW(load_partition_file(path, 3), ConfigError) << id;
+  }
   std::remove(path.c_str());
 }
 

@@ -221,12 +221,11 @@ std::vector<EditBatch> parse_update_script(const std::string& path) {
 }
 
 uint32_t parse_node(const std::string& s, uint32_t num_nodes) {
-  char* end = nullptr;
-  const unsigned long v = std::strtoul(s.c_str(), &end, 10);
-  if (end == s.c_str() || *end != '\0' || v >= num_nodes) {
+  uint32_t v = 0;
+  if (!parse_int_strict(s, v) || v >= num_nodes) {
     throw Error("update batch: bad node id '" + s + "'");
   }
-  return static_cast<uint32_t>(v);
+  return v;
 }
 
 // Applies one batch of edits to a copy of `g` and returns the mutated graph.

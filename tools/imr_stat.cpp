@@ -134,8 +134,17 @@ class JsonParser {
   JValue parse_value() {
     skip_ws();
     switch (peek()) {
-      case '{': return parse_object();
-      case '[': return parse_array();
+      case '{':
+      case '[': {
+        // The exporter nests three levels at most; the cap keeps a hostile
+        // line from recursing the parser off the stack.
+        if (++depth_ > kMaxDepth) {
+          fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
+        JValue v = peek() == '{' ? parse_object() : parse_array();
+        --depth_;
+        return v;
+      }
       case '"': return parse_string();
       case 't': case 'f': return parse_bool();
       case 'n': return parse_null();
@@ -252,8 +261,10 @@ class JsonParser {
     return v;
   }
 
+  static constexpr int kMaxDepth = 64;
   const std::string& s_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
 // ---------------------------------------------------------------------------
