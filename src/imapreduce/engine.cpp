@@ -7,6 +7,7 @@
 #include <span>
 #include <thread>
 #include <unordered_map>
+#include <utility>
 
 #include "cluster/placement.h"
 #include "cluster/task_context.h"
@@ -54,8 +55,10 @@ struct Collected {
   int restart_at = 0;  // kRollback/kResume: the iteration to resume after
 };
 
-// Handlers of a task with no gate and no control of its own.
-constexpr auto kUngated = [] { return true; };
+// The static value a map joins a key that has none with.
+const Bytes kNoStatic;
+
+// The control handler of a task with no control of its own.
 constexpr auto kNoOwnControl = [](const CtlMsg&, NetMessage&) { return true; };
 
 // Iteration-aware mailbox wrapper. In asynchronous execution a fast upstream
@@ -67,25 +70,31 @@ constexpr auto kNoOwnControl = [](const CtlMsg&, NetMessage&) { return true; };
 class StashedInbox {
  public:
   // `senders`: the upstream tasks whose EOS completes an iteration's input.
-  StashedInbox(std::shared_ptr<Endpoint> ep, int senders)
-      : ep_(std::move(ep)), senders_(senders) {}
+  // A `gated` task may only *process* iteration k once the master accepted
+  // k-1 with Continue(k-1) (deterministic termination, §3.1.2); data may be
+  // fully collected before the Continue arrives.
+  StashedInbox(std::shared_ptr<Endpoint> ep, int senders, bool gated = false)
+      : ep_(std::move(ep)), senders_(senders), gated_(gated) {}
 
   // The per-iteration protocol of every persistent task (§3.1.2, §3.4):
-  // gathers iteration k's input until each sender's EOS is in and ready()
-  // (the master's gate) holds. Data goes to on_data(msg), and control other
-  // than Terminate, Kill, Rollback and Resume to on_control(ctl, msg); a
-  // handler returns false when the task died inside it. A Rollback or
-  // Resume adopts its generation into `gen`.
-  template <typename Ready, typename OnControl, typename OnData>
-  Collected collect(VClock& vt, int& gen, int k, Ready ready,
-                    OnControl on_control, OnData on_data) {
+  // gathers iteration k's input until each sender's EOS is in and the gate
+  // is open. Data goes to on_data(msg), and control other than Continue,
+  // Terminate, Kill, Rollback and Resume to on_control(ctl, msg); a handler
+  // returns false when the task died inside it. A Rollback or Resume adopts
+  // its generation into `gen`.
+  template <typename OnControl, typename OnData>
+  Collected collect(VClock& vt, int& gen, int k, OnControl on_control,
+                    OnData on_data) {
     int eos_seen = 0;
-    while (eos_seen < senders_ || !ready()) {
+    while (eos_seen < senders_ || !open(k)) {
       std::optional<NetMessage> msg = next(vt, gen, k);
       if (!msg) return {LoopEvent::kKill};
       if (msg->kind == NetMessage::Kind::kControl) {
         const CtlMsg ctl = CtlMsg::decode(msg->control);
         switch (ctl.type) {
+          case CtlType::kContinue:
+            allowed_ = std::max(allowed_, ctl.iteration + 1);
+            continue;
           case CtlType::kTerminate:
             return {LoopEvent::kTerminate};
           case CtlType::kKill:
@@ -116,6 +125,11 @@ class StashedInbox {
     }
     return {};
   }
+
+  // Whether the gate lets iteration k be processed.
+  bool open(int k) const { return !gated_ || allowed_ >= k; }
+  // Opens the gate up to iteration k: the task's first, or a restart's.
+  void open_to(int k) { allowed_ = k; }
 
  private:
   // Returns the next message that is either a control message or a data/EOS
@@ -156,6 +170,8 @@ class StashedInbox {
 
   std::shared_ptr<Endpoint> ep_;
   int senders_;
+  bool gated_;
+  int allowed_ = 0;
   std::map<std::pair<int, int>, std::deque<NetMessage>> stash_;
 };
 
@@ -227,6 +243,19 @@ class JobRun {
   // prefix removal garbage-collects it with the periodic checkpoints.
   std::string converged_path(int session) const {
     return "ckpt/" + tag_ + "/converged-" + std::to_string(session);
+  }
+  // Whether iteration k writes a checkpoint (§3.4.1).
+  bool checkpoints(int k) const {
+    return conf_.checkpoint_every > 0 && k % conf_.checkpoint_every == 0;
+  }
+  // Task i's files in a state directory (a checkpoint, a converged
+  // baseline, the output): its part of the state and, for a workset
+  // checkpoint, the frontier that iteration produced.
+  static std::string part_path(const std::string& dir, int i) {
+    return dir + "/part-" + std::to_string(i);
+  }
+  static std::string workset_path(const std::string& dir, int i) {
+    return dir + "/workset-" + std::to_string(i);
   }
 
   // --- endpoint registry (swapped under lock on respawn) ---
@@ -341,46 +370,28 @@ class JobRun {
     ctx.send(*master_ep_, control_message(ctl, ctl.task, std::move(records)),
              TrafficCategory::kControl);
   }
-  // An injected crash: the dying task's last breath is the failure notice
-  // (the in-process stand-in for the master's heartbeat timeout). The caller
-  // must return immediately after.
-  void fail_task(TaskContext& ctx, int task, int iteration, int gen) {
-    IMR_DEBUG << tag_ << ": task " << task << " (worker " << ctx.worker()
-              << ") injected failure at iter " << iteration << " gen " << gen;
-    CtlMsg fail;
-    fail.type = CtlType::kFailure;
-    fail.task = task;
-    fail.iteration = iteration;
-    fail.generation = gen;
-    fail.worker = ctx.worker();
-    task_send_ctl(ctx, fail);
-  }
-  // True when an injected crash at `point` killed the task, which has then
-  // sent its failure notice; the caller must return immediately.
-  bool dies_at(TaskContext& ctx, FaultPoint point, int task, int iteration,
-               int gen) {
-    if (!cluster_.consume_fault(ctx.worker(), point, iteration, &ctx.vt())) {
-      return false;
-    }
-    fail_task(ctx, task, iteration, gen);
-    return true;
-  }
 
   // --- task bodies ---
-  // `worker` and `ep` are captured by the spawning thread (see spawn_pair),
-  // not read here: a task thread may be scheduled arbitrarily late.
-  void run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
-               int worker, std::shared_ptr<Endpoint> ep);
-  void run_reduce(int p, int i, int gen, int start_iter, int64_t start_vt,
-                  int worker, std::shared_ptr<Endpoint> ep);
+  // Where and when a task starts. The spawning thread resolves the mailbox
+  // (see spawn_pair); the task never looks it up, since a task thread may be
+  // scheduled arbitrarily late. A task runs on its mailbox's worker.
+  struct TaskStart {
+    int p = 0;
+    int i = 0;
+    int gen = 0;
+    int iteration = 1;
+    int64_t vt = 0;
+    std::shared_ptr<Endpoint> ep;
+  };
+  class PairTask;
+  class MapTask;
+  class ReduceTask;
   // Aux tasks are generation-aware like main tasks: after a rollback the
   // main phase re-sends aux data under the bumped generation, so an aux task
   // stuck at generation 0 would stash that data forever and convergence
   // detection would silently stop firing.
-  void run_aux_map(int j, int gen, int start_iter,
-                   std::shared_ptr<Endpoint> ep);
-  void run_aux_reduce(int j, int gen, int start_iter,
-                      std::shared_ptr<Endpoint> ep);
+  void run_aux_map(const TaskStart& at);
+  void run_aux_reduce(const TaskStart& at);
 
   // --- master (thread-confined) ---
   // Dispatches the master's control messages until T Dones or a quiesce.
@@ -426,34 +437,11 @@ class JobRun {
       }
     });
   }
-  void spawn_pair(int i, int gen, int start_iter, int64_t start_vt) {
-    // Resolve the pair's home worker and inbox endpoints HERE, in the
-    // spawning thread. A new thread can begin running arbitrarily late —
-    // after a subsequent recovery has re-homed this pair and replaced its
-    // endpoints. A task that resolved its own inbox only once scheduled
-    // would then grab the *replacement* mailbox: its Kill would sit unread
-    // in the abandoned one while it silently stole (and stashed, by
-    // generation) the replacement task's messages — a deadlock that only
-    // shows up when thread start-up is delayed by machine load.
-    int worker = pair_worker(i);
-    for (int p = 0; p < P_; ++p) {
-      auto mep = map_ep(p, i);
-      auto rep = red_ep(p, i);
-      spawn([this, p, i, gen, start_iter, start_vt, worker, mep] {
-        run_map(p, i, gen, start_iter, start_vt, worker, mep);
-      });
-      spawn([this, p, i, gen, start_iter, start_vt, worker, rep] {
-        run_reduce(p, i, gen, start_iter, start_vt, worker, rep);
-      });
-    }
-    // Aux map i lives and moves with its pair, so map-side output hand-off
-    // is local.
-    if (conf_.aux) {
-      auto aep = aux_map_ep(i);
-      spawn([this, i, gen, start_iter, aep] {
-        run_aux_map(i, gen, start_iter, aep);
-      });
-    }
+  // Spawns pair i's tasks in every phase, and its aux map.
+  void spawn_pair(int i, int gen, int start_iter, int64_t start_vt);
+  void spawn_aux_reduce(int j, int gen, int start_iter) {
+    const TaskStart at{0, j, gen, start_iter, 0, aux_red_ep(j)};
+    spawn([this, at] { run_aux_reduce(at); });
   }
   // Homes pair i on `worker` with fresh mailboxes: each phase's map and
   // reduce, and its aux map. Used at start and by every respawn.
@@ -504,38 +492,15 @@ class JobRun {
                ? conf_.partitioner->partition(key)
                : partition_of(key, static_cast<uint32_t>(T_));
   }
+  // Whether phase p's maps take the whole state, broadcast by every reduce
+  // (one2all, §5.1).
+  bool maps_all(int p) const {
+    return conf_.phases[static_cast<std::size_t>(p)].mapping ==
+           Mapping::kOne2All;
+  }
   // The same routing as a MiniDfs::PartitionFn for partition loads.
   MiniDfs::PartitionFn partition_fn() const {
     return [this](BytesView key) { return key_partition(key); };
-  }
-
-  // Loads the phase-0 map state input for iteration `ckpt_iter + 1`.
-  KVVec load_map_state(TaskContext& ctx, int i, int ckpt_iter, bool one2all) {
-    // A reset_all epoch's baseline is the ORIGINAL initial state: the epoch
-    // replays the whole iteration (over the mutated static data) in place,
-    // which is what makes a non-refining delta's reconvergence byte-identical
-    // to a cold run.
-    if (ckpt_iter > 0) {
-      SessionView sv = session_view();
-      if (sv.active && ckpt_iter == sv.base && sv.reset_all) ckpt_iter = 0;
-    }
-    if (ckpt_iter <= 0) {
-      if (one2all) return ctx.dfs_read_all(conf_.state_path);
-      return cluster_.dfs().read_partition(conf_.state_path,
-                                           static_cast<uint32_t>(i),
-                                           partition_fn(), ctx.worker(),
-                                           &ctx.vt());
-    }
-    // Workset mode restores the exact FRONTIER the checkpoint iteration
-    // produced, not the full state: replaying the full state would revisit
-    // every key (re-applying updates an accumulative reducer already
-    // absorbed) and make the recovered run diverge from the fault-free one.
-    if (conf_.workset_mode) {
-      return ctx.dfs_read_all(ckpt_path(ckpt_iter) + "/workset-" +
-                              std::to_string(i));
-    }
-    return ctx.dfs_read_all(ckpt_path(ckpt_iter) + "/part-" +
-                            std::to_string(i));
   }
 
   // --- session-state views for task threads. The master writes the fields
@@ -547,6 +512,13 @@ class JobRun {
     int base = 0;          // iteration the epoch resumed after
     bool reset_all = false;
     std::string baseline_dir;  // converged ckpt backing a refining epoch
+    bool at_base(int ckpt_iter) const { return active && ckpt_iter == base; }
+    // At a refining epoch's base the converged state lives on in the
+    // reduces, so a map restarts with NO pending input and waits for its
+    // paired reduce's seed frontier.
+    bool refining_base(int ckpt_iter) const {
+      return at_base(ckpt_iter) && !reset_all;
+    }
   };
   SessionView session_view() {
     std::lock_guard<std::mutex> lock(session_mu_);
@@ -556,14 +528,6 @@ class JobRun {
     sv.reset_all = session_reset_all_;
     sv.baseline_dir = session_baseline_dir_;
     return sv;
-  }
-  // True when `ckpt_iter` is the current epoch's baseline and the epoch is
-  // refining: the converged state lives on in the reduces, so a map restarts
-  // with NO pending input and waits for its paired reduce's seed frontier.
-  bool session_baseline_collect(int ckpt_iter) {
-    std::lock_guard<std::mutex> lock(session_mu_);
-    return session_mode_ && session_id_ > 0 && !session_reset_all_ &&
-           ckpt_iter == session_base_;
   }
   // Copy of reduce task i's seed frontier for the current epoch. Reduces read
   // seeds from here (not from the resume message) so a task respawned
@@ -715,199 +679,251 @@ class JobRun {
 };
 
 // ---------------------------------------------------------------------------
+// Pair tasks
+// ---------------------------------------------------------------------------
+
+// What the map and the reduce of a pair share: identity, mailbox, clock and
+// the failure protocol. A task is named after its mailbox, and so are its
+// log lines.
+class JobRun::PairTask {
+ public:
+  PairTask(const PairTask&) = delete;
+  PairTask& operator=(const PairTask&) = delete;
+
+ protected:
+  PairTask(JobRun& run, const TaskStart& at, int senders, bool gated)
+      : run_(run),
+        p_(at.p),
+        i_(at.i),
+        gen_(at.gen),
+        k_(at.iteration),
+        inbox_(at.ep, senders, gated),
+        ctx_(run.cluster_, at.ep->name(), at.ep->home_worker(), at.vt) {
+    inbox_.open_to(k_);
+    ctx_.charge(run.cost_.task_init, TimeCategory::kTaskInit);
+    IMR_DEBUG << "gen " << gen_ << " starting at iter " << k_ << " on worker "
+              << ctx_.worker();
+  }
+  // Restarts after c.restart_at: a rollback to the checkpoint (§3.4) or a
+  // session resume. The returned span covers the caller's reload.
+  TraceSpan begin_restart(const Collected& c) {
+    const bool resume = c.event == LoopEvent::kResume;
+    IMR_DEBUG << (resume ? "resume after " : "rollback to ") << c.restart_at
+              << " gen " << gen_;
+    k_ = c.restart_at + 1;
+    inbox_.open_to(k_);
+    return TraceSpan(resume ? "session_resume" : "rollback", ctx_.vt(),
+                     c.restart_at, gen_);
+  }
+  // A control message from this task about `iteration`.
+  CtlMsg message(CtlType type, int iteration) const {
+    CtlMsg ctl;
+    ctl.type = type;
+    ctl.task = i_;
+    ctl.iteration = iteration;
+    ctl.generation = gen_;
+    return ctl;
+  }
+  // An injected crash: the dying task's last breath is the failure notice
+  // (the in-process stand-in for the master's heartbeat timeout). The
+  // caller must return immediately after.
+  void fail(int iteration) {
+    IMR_DEBUG << "injected failure at iter " << iteration << " gen " << gen_
+              << " on worker " << ctx_.worker();
+    CtlMsg notice = message(CtlType::kFailure, iteration);
+    notice.worker = ctx_.worker();
+    run_.task_send_ctl(ctx_, notice);
+  }
+  // True when an injected crash at `point` killed the task in iteration k,
+  // which has then sent its failure notice; the caller must return
+  // immediately.
+  bool dies_at(FaultPoint point) {
+    const bool dies =
+        run_.cluster_.consume_fault(ctx_.worker(), point, k_, &ctx_.vt());
+    if (dies) fail(k_);
+    return dies;
+  }
+
+  JobRun& run_;
+  const int p_;
+  const int i_;
+  int gen_;
+  int k_;
+  StashedInbox inbox_;
+  TaskContext ctx_;
+};
+
+// ---------------------------------------------------------------------------
 // Map task
 // ---------------------------------------------------------------------------
 
-void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
-                     int worker, std::shared_ptr<Endpoint> ep) {
-  const PhaseConf& ph = conf_.phases[static_cast<std::size_t>(p)];
-  const bool one2all = ph.mapping == Mapping::kOne2All;
-  const bool is_phase0 = (p == 0);
-  // Workset mode (DESIGN.md §7): the paired reduce ships only CHANGED
-  // records, so the batches arriving here are the active frontier, not the
-  // full state. The map body is unchanged — it joins and maps whatever
-  // arrives — but the iteration span is named distinctly so traces show
-  // frontier iterations at a glance.
-  const bool workset = conf_.workset_mode;
-  const bool sync_gate = is_phase0 && !conf_.async_maps && !one2all;
-  const bool feeds_aux =
-      conf_.aux && is_phase0 &&
-      conf_.aux->source == AuxConf::Source::kMapSideOutput;
+// A persistent map task (§3.1): it loads and indexes its static partition
+// once; each iteration it collects, joins and maps its input and ships the
+// output.
+class JobRun::MapTask : public PairTask {
+ public:
+  MapTask(JobRun& run, const TaskStart& at)
+      : PairTask(run, at, run.maps_all(at.p) ? run.T_ : 1,
+                 at.p == 0 && !run.conf_.async_maps && !run.maps_all(at.p)) {
+    run.cluster_.metrics().inc("imr_persistent_map_tasks");
+    mapper_->configure(run.conf_.params);
+    if (combiner_) combiner_->configure(run.conf_.params);
+  }
 
-  StashedInbox inbox(ep, one2all ? T_ : 1);
-  TaskContext ctx(cluster_, map_ep_name(p, i), worker, start_vt);
-  EpRow red_row(*this, EpKind::kReduce, p);
-  EpRow aux_row(*this, EpKind::kAuxMap);
-  ctx.charge(cost_.task_init, TimeCategory::kTaskInit);
-  cluster_.metrics().inc("imr_persistent_map_tasks");
-  IMR_DEBUG << tag_ << ": map " << p << "/" << i << " gen " << gen
-            << " starting at iter " << start_iter << " on worker "
-            << ctx.worker();
+  void run() {
+    load_static();
+    load_state(k_ - 1);
+    while (true) {
+      // Workset mode (DESIGN.md §7) maps the frontier the paired reduce
+      // shipped; its iteration span is named apart so traces show frontier
+      // iterations at a glance.
+      TraceSpan iter_span(
+          run_.conf_.workset_mode ? "map_iter_frontier" : "map_iter", ctx_.vt(),
+          k_, gen_);
+      const int64_t iter_start_vt_ns = ctx_.vt().now_ns();
+      // Injection point: died while working on iteration k, before its shuffle
+      // output exists.
+      if (dies_at(FaultPoint::kMidMap)) return;
+      const Collected c = loaded_ ? Collected{} : collect();
+      if (c.event == LoopEvent::kTerminate || c.event == LoopEvent::kKill) {
+        IMR_DEBUG << "gen " << gen_ << " exiting at iter " << k_;
+        return;
+      }
+      if (c.event != LoopEvent::kIterationReady) {
+        restart(c);
+        continue;
+      }
+      if (!process()) return;
+      if (profiled_) {
+        run_.cluster_.telemetry().record_map_iter(
+            i_, gen_, k_, ctx_.vt().now_ns() - iter_start_vt_ns);
+      }
+      IMR_DEBUG << "finished iter " << k_ << " gen " << gen_;
+      ++k_;
+    }
+  }
 
+ private:
+  // Routing, streaming, the barrier flush and the task's memory budget
+  // (DESIGN.md §9, §10). Telemetry profiles phase 0's shuffle output.
+  MapOutput::Options output_options() {
+    const IterJobConf& conf = run_.conf_;
+    const bool feeds_aux = conf.aux && p_ == 0 &&
+                           conf.aux->source == AuxConf::Source::kMapSideOutput;
+    CombineFn combine;
+    if (combiner_) {
+      combine = [&combiner = *combiner_](const Bytes& key,
+                                         const std::vector<Bytes>& values,
+                                         KVVec& out) {
+        CollectEmitter emitter(out);
+        combiner.reduce(key, values, emitter);
+      };
+    }
+    return {.task = i_,
+            .generation = gen_,
+            .reduces = red_row_.row_fn(),
+            .aux = feeds_aux ? aux_row_.row_fn() : MapOutput::Row(),
+            .partitioner = conf.partitioner.get(),
+            .combine = std::move(combine),
+            .buffer_records = conf.buffer_records,
+            .aggregated = conf.aggregated_shuffle,
+            .budget_bytes = conf.max_task_memory_bytes,
+            .profiled = profiled_};
+  }
   // One-time static load (§3.2: loaded to local FS once). The partition is
   // sorted (for in-order map_all scans) and hash-indexed (StaticStore) here,
   // once per persistent task — every per-record join of every iteration then
   // costs one hash probe instead of a lower_bound's log n string compares.
-  StaticStore static_store;
-  if (!ph.static_path.empty()) {
-    KVVec static_data = cluster_.dfs().read_partition(
-        ph.static_path, static_cast<uint32_t>(i), partition_fn(),
-        ctx.worker(), &ctx.vt());
-    if (TelemetryRecorder::enabled()) {
-      cluster_.telemetry().record_static_bytes(
-          i, static_cast<int64_t>(wire_size(static_data)));
+  void load_static() {
+    if (ph_.static_path.empty()) return;
+    {
+      KVVec static_data = run_.cluster_.dfs().read_partition(
+          ph_.static_path, static_cast<uint32_t>(i_), run_.partition_fn(),
+          ctx_.worker(), &ctx_.vt());
+      if (TelemetryRecorder::enabled()) {
+        run_.cluster_.telemetry().record_static_bytes(
+            i_, static_cast<int64_t>(wire_size(static_data)));
+      }
+      TraceSpan index_span("join_index_build", ctx_.vt(), k_, gen_);
+      ThreadCpuTimer index_cpu;
+      sort_records(static_data, /*sort_values=*/false);
+      static_store_.build(std::move(static_data));
+      ctx_.charge_compute(index_cpu.elapsed_ns(), TimeCategory::kSort);
     }
-    TraceSpan index_span("join_index_build", ctx.vt(), start_iter, gen);
-    ThreadCpuTimer index_cpu;
-    sort_records(static_data, /*sort_values=*/false);
-    static_store.build(std::move(static_data));
-    ctx.charge_compute(index_cpu.elapsed_ns(), TimeCategory::kSort);
-  }
-  if (session_mode_ && !ph.static_path.empty()) {
+    if (!run_.session_mode_) return;
     // A task respawned mid-session rebuilt its store from the ORIGINAL
     // static input above; catch up by replaying every delta batch the
     // session has applied so far. Fresh gen-0 tasks see an empty history.
-    for (const auto& ops : session_history_for(i)) {
+    for (const auto& ops : run_.session_history_for(i_)) {
       if (ops.empty()) continue;
       ThreadCpuTimer replay_cpu;
-      static_store.apply_delta(ops);
-      ctx.charge_compute(replay_cpu.elapsed_ns());
-      cluster_.metrics().inc("imr_delta_ops_replayed",
-                             static_cast<int64_t>(ops.size()));
+      static_store_.apply_delta(ops);
+      ctx_.charge_compute(replay_cpu.elapsed_ns());
+      run_.cluster_.metrics().inc("imr_delta_ops_replayed",
+                                  static_cast<int64_t>(ops.size()));
     }
   }
-
-  std::unique_ptr<IterMapper> mapper = ph.mapper();
-  mapper->configure(conf_.params);
-  std::unique_ptr<IterReducer> combiner = ph.combiner ? ph.combiner() : nullptr;
-  if (combiner) combiner->configure(conf_.params);
-  CombineFn combine_body;
-  if (combiner) {
-    combine_body = [&combiner = *combiner](const Bytes& key,
-                                           const std::vector<Bytes>& values,
-                                           KVVec& out) {
-      CollectEmitter emitter(out);
-      combiner.reduce(key, values, emitter);
-    };
+  // Loads the phase-0 state input for iteration `ckpt_iter + 1`. At a
+  // refining epoch's base the converged state is resident in the reduces:
+  // the map loads nothing and collects the seed frontier the paired reduce
+  // ships.
+  void load_state(int ckpt_iter) {
+    const SessionView sv = run_.session_view();
+    loaded_ = p_ == 0 && !sv.refining_base(ckpt_iter);
+    whole_ = KVVec{};
+    if (!loaded_) return;
+    // A reset_all epoch's baseline is the ORIGINAL initial state: the epoch
+    // replays the whole iteration (over the mutated static data) in place,
+    // which is what makes a non-refining delta's reconvergence byte-identical
+    // to a cold run.
+    if (sv.at_base(ckpt_iter) && sv.reset_all) ckpt_iter = 0;
+    const IterJobConf& conf = run_.conf_;
+    if (ckpt_iter <= 0) {
+      whole_ = one2all_ ? ctx_.dfs_read_all(conf.state_path)
+                        : run_.cluster_.dfs().read_partition(
+                              conf.state_path, static_cast<uint32_t>(i_),
+                              run_.partition_fn(), ctx_.worker(), &ctx_.vt());
+      return;
+    }
+    // Workset mode restores the exact FRONTIER the checkpoint iteration
+    // produced, not the full state: replaying the full state would revisit
+    // every key (re-applying updates an accumulative reducer already
+    // absorbed) and make the recovered run diverge from the fault-free one.
+    const std::string dir = run_.ckpt_path(ckpt_iter);
+    whole_ = ctx_.dfs_read_all(conf.workset_mode ? workset_path(dir, i_)
+                                                 : part_path(dir, i_));
   }
 
-  // Routing, streaming, the barrier flush and the task's memory budget
-  // (DESIGN.md §9, §10). Telemetry profiles phase 0's shuffle output.
-  const bool profiled = is_phase0 && TelemetryRecorder::enabled();
-  MapOutput out(ctx, {.task = i,
-                      .generation = gen,
-                      .reduces = red_row.row_fn(),
-                      .aux = feeds_aux ? aux_row.row_fn() : MapOutput::Row(),
-                      .partitioner = conf_.partitioner.get(),
-                      .combine = std::move(combine_body),
-                      .buffer_records = conf_.buffer_records,
-                      .aggregated = conf_.aggregated_shuffle,
-                      .budget_bytes = conf_.max_task_memory_bytes,
-                      .profiled = profiled});
-
-  static const Bytes kEmpty;
-
-  // Per-iteration mapped-record count. The workset A/B benches read the
-  // total to show the frontier shrinking (bulk maps every key, every
-  // iteration); per-iteration frontier sizes come from the master's
-  // workset_size series.
-  int64_t iter_input_records = 0;
-
-  // Every one2one input — a slice of the loaded state, a batch the sync
-  // gate deferred, a live batch — is one batch: a hash join against the
-  // static index (§3.2.2, one probe per record), then the output stage's
-  // chance to ship.
-  auto map_batch = [&](std::span<const KV> batch, int iter) {
-    {
-      ThreadCpuTimer cpu;
-      iter_input_records += static_cast<int64_t>(batch.size());
-      // The probe scope pins the store for the duration of the join:
-      // find()'s pointers die on any mutation, and the debug assertion
-      // inside apply_delta/build fires if a delta ever lands mid-join.
-      StaticStore::ProbeScope probes(static_store);
-      for (const KV& kv : batch) {
-        const Bytes* sv = static_store.find(kv.key);
-        mapper->map(kv.key, kv.value, sv ? *sv : kEmpty, out);
-      }
-      ctx.charge_compute(cpu.elapsed_ns());
-    }
-    out.after_batch(iter);
-  };
-  auto process_one2all = [&](KVVec& states) {
-    ThreadCpuTimer cpu;
-    iter_input_records += static_cast<int64_t>(static_store.records().size());
-    // Deterministic order regardless of broadcast arrival interleaving.
-    // Reduce pushes already arrive key-sorted per sender, so steady-state
-    // iterations (single sender, or luckily ordered interleavings) skip the
-    // sort; a stable key-only sort of an already key-sorted buffer is the
-    // identity, so the guard never changes the outcome.
-    if (!std::is_sorted(
-            states.begin(), states.end(),
-            [](const KV& a, const KV& b) { return a.key < b.key; })) {
-      sort_records(states, /*sort_values=*/false);
-    }
-    for (const KV& kv : static_store.records()) {
-      mapper->map_all(kv.key, kv.value, states, out);
-    }
-    ctx.charge_compute(cpu.elapsed_ns());
-  };
-
-  // Returns true when an injected crash killed the task mid-shuffle.
-  auto finish_iteration = [&](int iter) -> bool {
-    {
-      ThreadCpuTimer cpu;
-      mapper->flush(out);
-      ctx.charge_compute(cpu.elapsed_ns());
-    }
-    if (iter_input_records > 0) {
-      cluster_.metrics().inc("imr_map_input_records", iter_input_records);
-      iter_input_records = 0;
-    }
-    TraceSpan flush_span("shuffle_flush", ctx.vt(), iter, gen);
-    out.flush(iter);
-    // Injection point: died after flushing shuffle data but before the EOS
-    // hand-offs (under the aggregated exchange, remote frames — EOS
-    // included — are out, local reduces got nothing) — downstream reduces
-    // hold a partial iteration that only the rollback's generation bump can
-    // clear.
-    if (dies_at(ctx, FaultPoint::kMidShuffle, i, iter, gen)) return true;
-    out.close_iteration(iter);
-    IMR_DEBUG << tag_ << ": map " << p << "/" << i << " shipped eos iter "
-              << iter << " gen " << gen;
-    return false;
-  };
-
-  int k = start_iter;
-  // Sync gate, the same as the reduce's: iteration k runs once the master's
-  // Continue(k-1) is in; the first iteration is free.
-  int allowed = start_iter;
-  // The iteration's whole input, when it does not stream in as batches: a
-  // one2all broadcast, or the loaded state (initial or checkpoint) a phase-0
-  // map begins from. `loaded` skips the collect step for the latter.
-  KVVec whole;
-  bool loaded = false;
-  std::vector<NetMessage> deferred;  // sync: batches ahead of the gate
-  // At a refining epoch's baseline the converged state is resident in the
-  // reduces: the map loads nothing and collects the seed frontier the
-  // paired reduce ships.
-  auto load_state = [&](int ckpt_iter) {
-    loaded = is_phase0 && !session_baseline_collect(ckpt_iter);
-    whole = loaded ? load_map_state(ctx, i, ckpt_iter, one2all) : KVVec{};
-  };
-  load_state(start_iter - 1);
-
-  auto ready = [&] { return !sync_gate || allowed >= k; };
-  auto on_control = [&](const CtlMsg& ctl, NetMessage& msg) {
-    if (ctl.type == CtlType::kContinue) {
-      allowed = std::max(allowed, ctl.iteration + 1);
-      return true;
-    }
-    if (ctl.type != CtlType::kDelta || ctl.generation != gen) return true;
-    // Session update batch for this partition (master is blocked in its ack
-    // barrier; every task is parked). The hooks observe the PRE-batch
-    // store, then the batch is applied in one pass — exactly how a
-    // respawned task replays it from the history.
-    KVVec op_records = msg.take_records();
+  Collected collect() {
+    return inbox_.collect(
+        ctx_.vt(), gen_, k_,
+        [this](const CtlMsg& ctl, NetMessage& msg) {
+          if (ctl.type == CtlType::kDelta && ctl.generation == gen_) {
+            apply_delta(ctl, msg.take_records());
+          }
+          return true;
+        },
+        [this](NetMessage& msg) {
+          if (one2all_) {
+            KVVec batch = msg.take_records();
+            whole_.insert(whole_.end(), std::make_move_iterator(batch.begin()),
+                          std::make_move_iterator(batch.end()));
+          } else if (!inbox_.open(k_)) {
+            deferred_.push_back(std::move(msg));
+          } else {
+            // Asynchronous eager processing (§3.3): join+map immediately.
+            // The records are only read, so the (possibly shared) payload is
+            // used in place.
+            map_batch(msg.records());
+          }
+          return true;
+        });
+  }
+  // Session update batch for this partition (master is blocked in its ack
+  // barrier; every task is parked). The hooks observe the PRE-batch store,
+  // then the batch is applied in one pass — exactly how a respawned task
+  // replays it from the history.
+  void apply_delta(const CtlMsg& ctl, KVVec op_records) {
     std::vector<StaticDeltaOp> ops;
     ops.reserve(op_records.size());
     for (const KV& kv : op_records) ops.push_back(delta_op_from_kv(kv));
@@ -915,493 +931,505 @@ void JobRun::run_map(int p, int i, int gen, int start_iter, int64_t start_vt,
     bool refining = true;
     ThreadCpuTimer delta_cpu;
     for (const StaticDeltaOp& op : ops) {
-      const Bytes* old_value = static_store.find(op.key);
+      const Bytes* old_value = static_store_.find(op.key);
       // Hook first: the verdict must be computed for every op so the seed
       // list is deterministic regardless of op order.
-      bool op_refines = mapper->perturbed_keys(op, old_value, seeds);
+      bool op_refines = mapper_->perturbed_keys(op, old_value, seeds);
       refining = op_refines && refining;
     }
-    static_store.apply_delta(ops);
-    ctx.charge_compute(delta_cpu.elapsed_ns());
-    cluster_.metrics().inc("imr_delta_ops_applied",
-                           static_cast<int64_t>(ops.size()));
-    CtlMsg ack;
-    ack.type = CtlType::kDeltaAck;
-    ack.task = i;
-    ack.iteration = ctl.iteration;
-    ack.generation = gen;
+    static_store_.apply_delta(ops);
+    ctx_.charge_compute(delta_cpu.elapsed_ns());
+    run_.cluster_.metrics().inc("imr_delta_ops_applied",
+                                static_cast<int64_t>(ops.size()));
+    CtlMsg ack = message(CtlType::kDeltaAck, ctl.iteration);
     ack.session = ctl.session;
     ack.workset_size = refining ? 1 : 0;
     ack.state_records = static_cast<int64_t>(ops.size());
-    task_send_ctl(ctx, ack, std::move(seeds));
-    return true;
-  };
-  auto on_data = [&](NetMessage& msg) {
-    if (one2all) {
-      KVVec batch = msg.take_records();
-      whole.insert(whole.end(), std::make_move_iterator(batch.begin()),
-                   std::make_move_iterator(batch.end()));
-    } else if (sync_gate && allowed < k) {
-      deferred.push_back(std::move(msg));
-    } else {
-      // Asynchronous eager processing (§3.3): join+map immediately. The
-      // records are only read, so the (possibly shared) payload is used in
-      // place.
-      map_batch(msg.records(), k);
-    }
-    return true;
-  };
-
-  while (true) {
-    TraceSpan iter_span(workset ? "map_iter_frontier" : "map_iter", ctx.vt(),
-                        k, gen);
-    const int64_t iter_start_vt_ns = ctx.vt().now_ns();
-    // Injection point: died while working on iteration k, before its shuffle
-    // output exists.
-    if (dies_at(ctx, FaultPoint::kMidMap, i, k, gen)) return;
-    const Collected c =
-        loaded ? Collected{}
-               : inbox.collect(ctx.vt(), gen, k, ready, on_control, on_data);
-    if (c.event == LoopEvent::kTerminate || c.event == LoopEvent::kKill) {
-      IMR_DEBUG << tag_ << ": map " << p << "/" << i << " gen " << gen
-                << " exiting at iter " << k;
-      return;
-    }
-    if (c.event != LoopEvent::kIterationReady) {
-      // Restart from the checkpoint (§3.4) or the session resume point: stale
-      // queue contents are filtered by generation (rollback) or stale
-      // iteration (resume); reload whatever input the restart point needs.
-      // The static store is NOT touched — session mutations are loop-
-      // invariant within an epoch and survive rollbacks.
-      const bool resume = c.event == LoopEvent::kResume;
-      TraceSpan rb_span(resume ? "session_resume" : "rollback", ctx.vt(),
-                        c.restart_at, gen);
-      IMR_DEBUG << tag_ << ": map " << p << "/" << i
-                << (resume ? " resume after " : " rollback to ")
-                << c.restart_at << " gen " << gen;
-      out.reset(gen);
-      deferred.clear();
-      k = c.restart_at + 1;
-      allowed = k;
-      load_state(c.restart_at);
-      continue;
-    }
-
-    loaded = false;
-    if (!one2all) {
-      const std::span<const KV> state(whole);
-      const auto slice = static_cast<std::size_t>(conf_.buffer_records);
-      for (std::size_t off = 0; off < state.size(); off += slice) {
-        map_batch(state.subspan(off, std::min(slice, state.size() - off)), k);
+    run_.task_send_ctl(ctx_, ack, std::move(seeds));
+  }
+  // Stale queue contents are filtered by generation (rollback) or stale
+  // iteration (resume); reload whatever input the restart point needs. The
+  // static store is NOT touched — session mutations are loop-invariant
+  // within an epoch and survive rollbacks.
+  void restart(const Collected& c) {
+    const TraceSpan span = begin_restart(c);
+    out_.reset(gen_);
+    deferred_.clear();
+    load_state(c.restart_at);
+  }
+  // Every one2one input — a slice of the loaded state, a batch the sync
+  // gate deferred, a live batch — is one batch: a hash join against the
+  // static index (§3.2.2, one probe per record), then the output stage's
+  // chance to ship.
+  void map_batch(std::span<const KV> batch) {
+    {
+      ThreadCpuTimer cpu;
+      input_records_ += static_cast<int64_t>(batch.size());
+      // The probe scope pins the store for the duration of the join:
+      // find()'s pointers die on any mutation, and the debug assertion
+      // inside apply_delta/build fires if a delta ever lands mid-join.
+      StaticStore::ProbeScope probes(static_store_);
+      for (const KV& kv : batch) {
+        const Bytes* sv = static_store_.find(kv.key);
+        mapper_->map(kv.key, kv.value, sv ? *sv : kNoStatic, out_);
       }
-    } else if (!whole.empty()) {
+      ctx_.charge_compute(cpu.elapsed_ns());
+    }
+    out_.after_batch(k_);
+  }
+  // One2all (§5.1): map_all scans the static partition against the whole
+  // broadcast state.
+  void map_all() {
+    ThreadCpuTimer cpu;
+    input_records_ += static_cast<int64_t>(static_store_.records().size());
+    // Deterministic order regardless of broadcast arrival interleaving.
+    // Reduce pushes already arrive key-sorted per sender, so steady-state
+    // iterations (single sender, or luckily ordered interleavings) skip the
+    // sort; a stable key-only sort of an already key-sorted buffer is the
+    // identity, so the guard never changes the outcome.
+    if (!std::is_sorted(
+            whole_.begin(), whole_.end(),
+            [](const KV& a, const KV& b) { return a.key < b.key; })) {
+      sort_records(whole_, /*sort_values=*/false);
+    }
+    for (const KV& kv : static_store_.records()) {
+      mapper_->map_all(kv.key, kv.value, whole_, out_);
+    }
+    ctx_.charge_compute(cpu.elapsed_ns());
+  }
+  // Maps iteration k's input and ships the output. False when an injected
+  // crash killed the task mid-shuffle.
+  bool process() {
+    loaded_ = false;
+    if (!one2all_) {
+      const std::span<const KV> state(whole_);
+      const auto slice = static_cast<std::size_t>(run_.conf_.buffer_records);
+      for (std::size_t off = 0; off < state.size(); off += slice) {
+        map_batch(state.subspan(off, std::min(slice, state.size() - off)));
+      }
+    } else if (!whole_.empty()) {
       // An empty broadcast maps nothing: map_all UDFs such as K-means'
       // nearest() need state to map against.
-      process_one2all(whole);
+      map_all();
     }
-    whole = KVVec{};
-    for (const NetMessage& batch : deferred) map_batch(batch.records(), k);
-    deferred.clear();
-    if (finish_iteration(k)) return;
-    if (profiled) {
-      cluster_.telemetry().record_map_iter(
-          i, gen, k, ctx.vt().now_ns() - iter_start_vt_ns);
+    whole_ = KVVec{};
+    for (const NetMessage& batch : deferred_) map_batch(batch.records());
+    deferred_.clear();
+    {
+      ThreadCpuTimer cpu;
+      mapper_->flush(out_);
+      ctx_.charge_compute(cpu.elapsed_ns());
     }
-    IMR_DEBUG << tag_ << ": map " << p << "/" << i << " finished iter " << k
-              << " gen " << gen;
-    ++k;
+    if (input_records_ > 0) {
+      run_.cluster_.metrics().inc("imr_map_input_records", input_records_);
+      input_records_ = 0;
+    }
+    TraceSpan flush_span("shuffle_flush", ctx_.vt(), k_, gen_);
+    out_.flush(k_);
+    // Injection point: died after flushing shuffle data but before the EOS
+    // hand-offs (under the aggregated exchange, remote frames — EOS
+    // included — are out, local reduces got nothing) — downstream reduces
+    // hold a partial iteration that only the rollback's generation bump can
+    // clear.
+    if (dies_at(FaultPoint::kMidShuffle)) return false;
+    out_.close_iteration(k_);
+    IMR_DEBUG << "shipped eos iter " << k_ << " gen " << gen_;
+    return true;
   }
-}
+
+  const PhaseConf& ph_ = run_.conf_.phases[static_cast<std::size_t>(p_)];
+  const bool one2all_ = run_.maps_all(p_);
+  const bool profiled_ = p_ == 0 && TelemetryRecorder::enabled();
+  EpRow red_row_{run_, EpKind::kReduce, p_};
+  EpRow aux_row_{run_, EpKind::kAuxMap};
+  StaticStore static_store_;
+  std::unique_ptr<IterMapper> mapper_ = ph_.mapper();
+  std::unique_ptr<IterReducer> combiner_ =
+      ph_.combiner ? ph_.combiner() : nullptr;
+  MapOutput out_{ctx_, output_options()};
+  // Per-iteration mapped-record count. The workset A/B benches read the
+  // total to show the frontier shrinking (bulk maps every key, every
+  // iteration); per-iteration frontier sizes come from the master's
+  // workset_size series.
+  int64_t input_records_ = 0;
+  // The iteration's whole input, when it does not stream in as batches: a
+  // one2all broadcast, or the loaded state (initial or checkpoint) a phase-0
+  // map begins from. `loaded_` skips the collect step for the latter.
+  KVVec whole_;
+  bool loaded_ = false;
+  std::vector<NetMessage> deferred_;  // sync: batches ahead of the gate
+};
 
 // ---------------------------------------------------------------------------
 // Reduce task
 // ---------------------------------------------------------------------------
 
-void JobRun::run_reduce(int p, int i, int gen, int start_iter,
-                        int64_t start_vt, int worker,
-                        std::shared_ptr<Endpoint> ep) {
-  const PhaseConf& ph = conf_.phases[static_cast<std::size_t>(p)];
-  const bool last_phase = (p == P_ - 1);
-  const bool is_phase0 = (p == 0);
-  // Workset mode (DESIGN.md §7): this reduce reconciles each produced value
-  // against the key's previous state via IterReducer::merge and ships ONLY
-  // the keys whose state changed — the shipped set IS the next iteration's
-  // frontier. conf validation guarantees single-phase one2one here.
-  const bool workset = conf_.workset_mode;
-  const int next_p = (p + 1) % P_;
-  const Mapping next_mapping =
-      conf_.phases[static_cast<std::size_t>(next_p)].mapping;
-  const bool aux_from_reduce =
-      conf_.aux && last_phase &&
-      conf_.aux->source == AuxConf::Source::kReduceOutput;
-
-  StashedInbox inbox(ep, T_);
-  TaskContext ctx(cluster_, red_ep_name(p, i), worker, start_vt);
-  EpRow next_maps(*this, EpKind::kMap, next_p);
-  EpRow aux_row(*this, EpKind::kAuxMap);
-  ctx.charge(cost_.task_init, TimeCategory::kTaskInit);
-  cluster_.metrics().inc("imr_persistent_reduce_tasks");
-  IMR_DEBUG << tag_ << ": reduce " << p << "/" << i << " gen " << gen
-            << " starting at iter " << start_iter << " on worker "
-            << ctx.worker();
-
-  // Injection point: a respawned task (gen > 0 means it was just migrated or
-  // recovered) dies on startup — a failure during recovery itself, the
-  // cascading case of §3.4.2.
-  if (gen > 0 && dies_at(ctx, FaultPoint::kMigration, i, start_iter, gen)) {
-    return;
+// A persistent reduce task (§3.1): each iteration it collects the shuffle,
+// reduces it, and streams the output to the next phase's maps (§3.2.1); the
+// last phase also reconciles, checkpoints and reports.
+class JobRun::ReduceTask : public PairTask {
+ public:
+  ReduceTask(JobRun& run, const TaskStart& at)
+      : PairTask(run, at, run.T_, /*gated=*/at.p == 0) {
+    run.cluster_.metrics().inc("imr_persistent_reduce_tasks");
+    reducer_->configure(run.conf_.params);
   }
 
-  std::unique_ptr<IterReducer> reducer = ph.reducer();
-  reducer->configure(conf_.params);
-
-  // Memory governance (DESIGN.md §10): collected shuffle input is charged
-  // against the budget as it arrives and spills as sorted runs once the
-  // budget is crossed; iteration processing then merges the runs with the
-  // in-memory tail — byte-identical output either way.
-  ReduceInput input(
-      ctx, strprintf("%s/r%d-t%d-g%d", tag_.c_str(), p, i, gen),
-      conf_.max_task_memory_bytes, [&](int iter) {
-        return cluster_.consume_fault(ctx.worker(), FaultPoint::kSpillWrite,
-                                      iter, &ctx.vt());
-      });
-  // Buffers the output for a reduce-sourced auxiliary phase (§5.3).
-  MapOutput aux_copy(ctx, {.task = i,
-                           .generation = gen,
-                           .aux = aux_from_reduce ? aux_row.row_fn()
-                                                  : MapOutput::Row()});
-
-  // Previous-iteration state for distance + checkpoints + final dump
-  // (§3.1.2: "the reduce tasks save the output from two consecutive
-  // iterations and calculate the distance").
-  std::unordered_map<Bytes, Bytes> state_map;
-  // Reads the part file of the checkpoint at `ckpt_iter`, or, at a session
-  // epoch's base, of the converged baseline the quiesce dumped. A reset_all
-  // epoch starts empty, exactly like a cold run over the mutated input.
-  auto load_reduce_state = [&](int ckpt_iter) {
-    state_map.clear();
-    const SessionView sv = session_view();
-    const bool at_base = sv.active && ckpt_iter == sv.base;
-    if (ckpt_iter <= 0 || (at_base && sv.reset_all)) return;
-    const std::string dir = at_base ? sv.baseline_dir : ckpt_path(ckpt_iter);
-    for (KV& kv : ctx.dfs_read_all(dir + "/part-" + std::to_string(i))) {
-      state_map[std::move(kv.key)] = std::move(kv.value);
+  void run() {
+    // Injection point: a respawned task (gen > 0 means it was just migrated or
+    // recovered) dies on startup — a failure during recovery itself, the
+    // cascading case of §3.4.2.
+    if (gen_ > 0 && dies_at(FaultPoint::kMigration)) return;
+    load_state(k_ - 1, /*resume=*/false);
+    while (true) {
+      TraceSpan iter_span("reduce_iter", ctx_.vt(), k_, gen_);
+      if (std::exchange(seed_ship_, false)) ship_seeds();
+      const Collected c = collect();
+      if (c.event == LoopEvent::kKill) {
+        IMR_DEBUG << "gen " << gen_ << " exiting at iter " << k_;
+        return;
+      }
+      if (c.event == LoopEvent::kTerminate) {
+        if (last_phase_) dump_output();
+        return;
+      }
+      if (c.event != LoopEvent::kIterationReady) {
+        restart(c);
+        continue;
+      }
+      if (!process()) return;
+      ++k_;
     }
-  };
-  if (last_phase && start_iter > 1) load_reduce_state(start_iter - 1);
-  // Set when the next iteration must open by shipping the session epoch's
-  // seed frontier to the paired map (refining epochs only): at resume, and
-  // again whenever a rollback lands exactly on the epoch baseline.
-  bool pending_seed_ship =
-      is_phase0 && session_baseline_collect(start_iter - 1);
+  }
 
-  // Writes the state as this task's part file under `path`. A torn dump
+ private:
+  // The state a (re)start after `ckpt_iter` resumes from: the part file of
+  // that checkpoint or, at a session epoch's base, of the converged baseline
+  // the quiesce dumped. A reset_all epoch starts empty, exactly like a cold
+  // run over the mutated input. A resume is the rollback to the epoch base;
+  // a refining epoch skips the reload, since its live state is the baseline
+  // the quiesce just dumped, and opens by shipping its seeds.
+  void load_state(int ckpt_iter, bool resume) {
+    const SessionView sv = run_.session_view();
+    seed_ship_ = p_ == 0 && sv.refining_base(ckpt_iter);
+    if (!last_phase_ || (resume && sv.refining_base(ckpt_iter))) return;
+    state_.clear();
+    const bool at_base = sv.at_base(ckpt_iter);
+    if (ckpt_iter <= 0 || (at_base && sv.reset_all)) return;
+    const std::string dir =
+        at_base ? sv.baseline_dir : run_.ckpt_path(ckpt_iter);
+    for (KV& kv : ctx_.dfs_read_all(part_path(dir, i_))) {
+      state_[std::move(kv.key)] = std::move(kv.value);
+    }
+  }
+  // Writes the state as this task's part file under `dir`. A torn dump
   // (fault injection) writes only the first half of the entries.
-  auto dump_state = [&](const std::string& path, VClock* clock,
-                        TrafficCategory cat, bool torn = false) {
-    const std::size_t n = torn ? state_map.size() / 2 : state_map.size();
+  void dump_state(const std::string& dir, VClock& clock, TrafficCategory cat,
+                  bool torn = false) {
+    const std::size_t n = torn ? state_.size() / 2 : state_.size();
     KVVec sorted;
     sorted.reserve(n);
-    for (const auto& [key, value] : state_map) {
+    for (const auto& [key, value] : state_) {
       if (sorted.size() >= n) break;
       sorted.emplace_back(key, value);
     }
     sort_records(sorted, /*sort_values=*/false);
-    cluster_.dfs().write_file(path + "/part-" + std::to_string(i),
-                              std::move(sorted), ctx.worker(), clock, cat);
-    if (torn) cluster_.metrics().inc("imr_torn_checkpoints");
-  };
+    run_.cluster_.dfs().write_file(part_path(dir, i_), std::move(sorted),
+                                   ctx_.worker(), &clock, cat);
+  }
+  // Dumps a checkpoint, periodic or a session's converged baseline. True
+  // when an injected crash tore it: half the state landed, and the task has
+  // sent its failure notice and must return.
+  bool dump_dies(const std::string& dir, VClock& clock, int iteration) {
+    const bool torn = run_.cluster_.consume_fault(
+        ctx_.worker(), FaultPoint::kCheckpointWrite, iteration, &ctx_.vt());
+    dump_state(dir, clock, TrafficCategory::kCheckpoint, torn);
+    if (!torn) return false;
+    run_.cluster_.metrics().inc("imr_torn_checkpoints");
+    fail(iteration);
+    return true;
+  }
 
-  int k = start_iter;
-  int allowed = start_iter;  // master Continue gate (phase-0 reduces)
-  int64_t prev_end_vt = ctx.vt().now_ns();
-
-  // The gate: iteration k may only be *processed* after the master accepted
-  // iteration k-1 (deterministic termination, §3.1.2). Data may be fully
-  // collected before the Continue arrives.
-  auto ready = [&] { return !is_phase0 || allowed >= k; };
-  auto on_control = [&](const CtlMsg& ctl, NetMessage&) {
-    if (ctl.type == CtlType::kContinue) {
-      allowed = std::max(allowed, ctl.iteration + 1);
-      return true;
-    }
-    if (ctl.type != CtlType::kConvergedCkpt || ctl.generation != gen) {
-      return true;
-    }
-    // Session quiesce: dump the epoch baseline checkpoint and ack, then keep
-    // collecting (parked). Written on the task clock — the quiesce IS a
-    // barrier, unlike periodic checkpoints.
-    if (cluster_.consume_fault(ctx.worker(), FaultPoint::kCheckpointWrite,
-                               ctl.iteration, &ctx.vt())) {
-      // Torn baseline: half the state lands, then the task dies. Recovery
-      // rolls the epoch back and re-quiesces; the retry overwrites the torn
-      // part file.
-      dump_state(converged_path(ctl.session), &ctx.vt(),
-                 TrafficCategory::kCheckpoint, /*torn=*/true);
-      fail_task(ctx, i, ctl.iteration, gen);
+  Collected collect() {
+    return inbox_.collect(
+        ctx_.vt(), gen_, k_,
+        [this](const CtlMsg& ctl, NetMessage&) {
+          return ctl.type != CtlType::kConvergedCkpt ||
+                 ctl.generation != gen_ || quiesce(ctl);
+        },
+        [this](NetMessage& msg) {
+          // An aggregated frame (DESIGN.md §9) carries every partition homed
+          // on this worker and is shared with the sibling mailboxes, so our
+          // ranges are copied out.
+          auto add = [this](KVVec batch) {
+            if (input_.add(std::move(batch), k_, gen_)) return true;
+            // Died mid-spill; the torn half-run is registered, so the
+            // unwind drops it.
+            fail(k_);
+            return false;
+          };
+          return msg.control.empty()
+                     ? add(msg.take_records())
+                     : MapOutput::for_each_frame_range(msg, i_, add);
+        });
+  }
+  // Session quiesce: dump the epoch baseline checkpoint and ack, then keep
+  // collecting (parked). Written on the task clock — the quiesce IS a
+  // barrier, unlike periodic checkpoints. A torn baseline rolls the epoch
+  // back, and it re-quiesces. False when the dump killed the task.
+  bool quiesce(const CtlMsg& ctl) {
+    if (dump_dies(run_.converged_path(ctl.session), ctx_.vt(),
+                  ctl.iteration)) {
       return false;
     }
-    dump_state(converged_path(ctl.session), &ctx.vt(),
-               TrafficCategory::kCheckpoint);
-    cluster_.metrics().inc("imr_converged_checkpoints");
-    CtlMsg ack;
-    ack.type = CtlType::kCkptAck;
-    ack.task = i;
-    ack.iteration = ctl.iteration;
-    ack.generation = gen;
+    run_.cluster_.metrics().inc("imr_converged_checkpoints");
+    CtlMsg ack = message(CtlType::kCkptAck, ctl.iteration);
     ack.session = ctl.session;
-    ack.state_records = static_cast<int64_t>(state_map.size());
-    task_send_ctl(ctx, ack);
+    ack.state_records = static_cast<int64_t>(state_.size());
+    run_.task_send_ctl(ctx_, ack);
     return true;
-  };
-  // Adds shuffled input; false when an injected crash killed the task
-  // mid-spill (the torn half-run is registered, so the unwind drops it).
-  auto add = [&](KVVec batch) {
-    if (input.add(std::move(batch), k, gen)) return true;
-    fail_task(ctx, i, k, gen);
-    return false;
-  };
-  auto on_data = [&](NetMessage& msg) {
-    // An aggregated frame (DESIGN.md §9) carries every partition homed on
-    // this worker and is shared with the sibling mailboxes, so our ranges
-    // are copied out.
-    return msg.control.empty() ? add(msg.take_records())
-                               : MapOutput::for_each_frame_range(msg, i, add);
-  };
+  }
 
-  while (true) {
-    TraceSpan iter_span("reduce_iter", ctx.vt(), k, gen);
-    if (pending_seed_ship) {
-      // Open the epoch: ship the seed frontier to the paired map, resolving
-      // each seed against the converged state (the hook's fallback value
-      // covers keys that have none yet). EOS follows immediately — the
-      // seeds ARE the paired map's whole iteration-k input.
-      pending_seed_ship = false;
-      KVVec seeds = session_seeds_for(i);
-      for (KV& kv : seeds) {
-        auto it = state_map.find(kv.key);
-        if (it != state_map.end()) kv.value = it->second;
-      }
-      cluster_.metrics().inc("imr_session_seed_records",
-                             static_cast<int64_t>(seeds.size()));
-      if (!seeds.empty()) {
-        ctx.send_records(next_maps.at(i), std::move(seeds), i, k, gen,
-                         TrafficCategory::kReduceToMap);
-      }
-      ctx.send_eos(next_maps.at(i), i, k, gen, TrafficCategory::kReduceToMap);
+  void restart(const Collected& c) {
+    const TraceSpan span = begin_restart(c);
+    input_.reset();
+    aux_copy_.reset(gen_);
+    load_state(c.restart_at, c.event == LoopEvent::kResume);
+  }
+  // The one path to the next phase's maps (§3.2.1): a batch goes to the
+  // paired map, or under one2all as one shared payload to all T maps — the
+  // fabric enqueues T handles to one records buffer (each charged its full
+  // wire size) instead of T deep copies.
+  void ship(KVVec batch, int iteration) {
+    if (batch.empty()) return;
+    NetMessage msg;
+    msg.kind = NetMessage::Kind::kData;
+    msg.from_task = i_;
+    msg.iteration = iteration;
+    msg.generation = gen_;
+    msg.set_records(std::move(batch));
+    if (broadcast_) {
+      ctx_.broadcast(next_maps_.row(), msg, TrafficCategory::kBroadcast);
+    } else {
+      ctx_.send(next_maps_.at(i_), std::move(msg),
+                TrafficCategory::kReduceToMap);
     }
-    const Collected c =
-        inbox.collect(ctx.vt(), gen, k, ready, on_control, on_data);
-    if (c.event == LoopEvent::kKill) {
-      IMR_DEBUG << tag_ << ": reduce " << p << "/" << i << " gen " << gen
-                << " exiting at iter " << k;
+  }
+  // Ends `iteration`'s stream at every map ship() reaches.
+  void close(int iteration) {
+    if (!broadcast_) {
+      ctx_.send_eos(next_maps_.at(i_), i_, iteration, gen_,
+                    TrafficCategory::kReduceToMap);
       return;
     }
-    if (c.event == LoopEvent::kTerminate) {
-      if (last_phase) {
-        // Dump the final state to DFS — the single output write of the whole
-        // iterative run (§3.1, Fig. 1b).
-        dump_state(conf_.output_path, &ctx.vt(), TrafficCategory::kDfsWrite);
-        CtlMsg done_msg;
-        done_msg.type = CtlType::kDone;
-        done_msg.task = i;
-        done_msg.iteration = k - 1;
-        done_msg.generation = gen;
-        done_msg.state_records = static_cast<int64_t>(state_map.size());
-        task_send_ctl(ctx, done_msg);
-      }
-      return;
+    for (const auto& map : next_maps_.row()) {
+      ctx_.send_eos(*map, i_, iteration, gen_, TrafficCategory::kBroadcast);
     }
-    if (c.event != LoopEvent::kIterationReady) {
-      const bool resume = c.event == LoopEvent::kResume;
-      TraceSpan rb_span(resume ? "session_resume" : "rollback", ctx.vt(),
-                        c.restart_at, gen);
-      IMR_DEBUG << tag_ << ": reduce " << p << "/" << i
-                << (resume ? " resume after " : " rollback to ")
-                << c.restart_at << " gen " << gen;
-      input.reset();
-      aux_copy.reset(gen);
-      k = c.restart_at + 1;
-      allowed = k;
-      // A resume is the rollback to the epoch base. A refining epoch skips
-      // the reload: its live state is the baseline the quiesce just dumped.
-      const bool refining_base = session_baseline_collect(c.restart_at);
-      if (last_phase && !(resume && refining_base)) {
-        load_reduce_state(c.restart_at);
-      }
-      pending_seed_ship = is_phase0 && refining_base;
-      prev_end_vt = ctx.vt().now_ns();
-      continue;
+  }
+  // Opens a refining session epoch: the seed frontier, each seed resolved
+  // against the converged state (the hook's fallback value covers keys that
+  // have none yet), is the paired map's whole iteration-k input.
+  void ship_seeds() {
+    KVVec seeds = run_.session_seeds_for(i_);
+    for (KV& kv : seeds) {
+      auto it = state_.find(kv.key);
+      if (it != state_.end()) kv.value = it->second;
     }
-
-    // --- process iteration k ---
-    // Report the task's own processing span (§3.4.2's "processing time for
-    // that iteration"): from all-inputs-ready to completion. Wall duration
+    run_.cluster_.metrics().inc("imr_session_seed_records",
+                                static_cast<int64_t>(seeds.size()));
+    ship(std::move(seeds), k_);
+    close(k_);
+  }
+  // Reconciles one produced record against its key's previous state (empty
+  // for a new key). Bulk iteration is workset iteration where every key
+  // changed: workset (DESIGN.md §7) adds only the merge and the skip of an
+  // unchanged key, which then enters no frontier, so the paired map never
+  // revisits it. False for such a key.
+  bool reconcile(KV& kv) {
+    auto [prev, fresh] = state_.try_emplace(kv.key);
+    if (workset_) kv.value = reducer_->merge(kv.key, prev->second, kv.value);
+    distance_ += reducer_->distance(kv.key, prev->second, kv.value);
+    if (workset_ && !fresh && kv.value == prev->second) return false;
+    prev->second = kv.value;
+    ++changed_;
+    if (workset_ && ckpt_due_) ckpt_workset_.push_back(kv);
+    return true;
+  }
+  // The body of either of ReduceInput's group passes — one body is what
+  // keeps budgeted output byte-identical to the unlimited run (same groups,
+  // same order, same batching thresholds). Output STREAMS to the next
+  // phase's maps in buffer-sized batches as it is produced (§3.3: "as the
+  // buffer size grows larger than a threshold, the data are sent to the
+  // corresponding map task"), so in asynchronous mode the paired map joins
+  // early batches while this reduce works on later keys.
+  void reduce_group(const Bytes& key, const std::vector<Bytes>& values) {
+    produced_.clear();
+    CollectEmitter emitter(produced_);
+    reducer_->reduce(key, values, emitter);
+    for (KV& kv : produced_) {
+      if (last_phase_ && !reconcile(kv)) continue;
+      if (aux_from_reduce_) aux_copy_.side(kv.key, kv.value);
+      batch_.push_back(std::move(kv));
+    }
+    if (batch_.size() >= static_cast<std::size_t>(run_.conf_.buffer_records)) {
+      // Charge the compute consumed so far, then ship — the batch's
+      // availability time reflects the work done to produce it.
+      ctx_.charge_compute(cpu_.elapsed_ns());
+      cpu_.reset();
+      ship(std::exchange(batch_, KVVec{}), out_iter_);
+    }
+  }
+  // Reduces iteration k, ships it, and on the last phase checkpoints and
+  // reports it. False when an injected crash killed the task.
+  bool process() {
+    // The task's own processing span (§3.4.2's "processing time for that
+    // iteration") runs from all-inputs-ready to completion. Wall duration
     // would be useless for balancing — every reduce waits on the globally
     // slowest map, so wall times are nearly identical across workers.
-    prev_end_vt = ctx.vt().now_ns();
-    input.sort(k, gen);
-
-    // Run the reduce function over the key groups, STREAMING the output to
-    // the next phase's maps in buffer-sized batches as it is produced
-    // (§3.3: "as the buffer size grows larger than a threshold, the data are
-    // sent to the corresponding map task"). In asynchronous mode the paired
-    // map joins and processes these early batches while this reduce is still
-    // working on later keys — the genuine pipelining the async curves
-    // measure. Distance and state bookkeeping happen inline.
-    const int out_iter = next_p == 0 ? k + 1 : k;
-    const TrafficCategory cat = next_mapping == Mapping::kOne2All
-                                    ? TrafficCategory::kBroadcast
-                                    : TrafficCategory::kReduceToMap;
-    auto ship_batch = [&](KVVec batch) {
-      if (next_mapping == Mapping::kOne2All) {
-        // One shared payload for all T map tasks: the fabric enqueues T
-        // handles to one records buffer (each charged its full wire size)
-        // instead of T deep copies.
-        NetMessage msg;
-        msg.kind = NetMessage::Kind::kData;
-        msg.from_task = i;
-        msg.iteration = out_iter;
-        msg.generation = gen;
-        msg.set_records(std::move(batch));
-        ctx.broadcast(next_maps.row(), msg, cat);
-      } else {
-        ctx.send_records(next_maps.at(i), std::move(batch), i, out_iter, gen,
-                         cat);
-      }
-    };
-
-    // Whether iteration k checkpoints — decided up front so the workset
-    // changed-set can be collected inline while the groups stream through.
-    const bool ckpt_due = last_phase && conf_.checkpoint_every > 0 &&
-                          k % conf_.checkpoint_every == 0;
-    KVVec ckpt_workset;  // changed records of a checkpoint iteration
-    KVVec pending_batch;
-    double local_distance = 0;
-    int64_t changed_count = 0;
-    ThreadCpuTimer cpu;
-    KVVec produced;
-    // Per-group body for either of ReduceInput's group passes — one body is
-    // what keeps budgeted output byte-identical to the unlimited run (same
-    // groups, same order, same batching thresholds).
-    input.group([&](const Bytes& group_key,
-                    const std::vector<Bytes>& group_values) {
-      produced.clear();
-      CollectEmitter group_emitter(produced);
-      reducer->reduce(group_key, group_values, group_emitter);
-      for (KV& kv : produced) {
-        if (last_phase) {
-          // Reconcile against the previous state (empty for a new key). Bulk
-          // iteration is workset iteration where every key changed: workset
-          // adds only the merge and the skip of an unchanged key, which then
-          // enters no frontier, so the paired map never revisits it.
-          auto [prev, fresh] = state_map.try_emplace(kv.key);
-          if (workset) {
-            kv.value = reducer->merge(kv.key, prev->second, kv.value);
-          }
-          local_distance += reducer->distance(kv.key, prev->second, kv.value);
-          if (workset && !fresh && kv.value == prev->second) continue;
-          prev->second = kv.value;
-          ++changed_count;
-          if (workset && ckpt_due) ckpt_workset.push_back(kv);
-        }
-        if (aux_from_reduce) aux_copy.side(kv.key, kv.value);
-        pending_batch.push_back(std::move(kv));
-      }
-      if (pending_batch.size() >=
-          static_cast<std::size_t>(conf_.buffer_records)) {
-        // Charge the compute consumed so far, then ship — the batch's
-        // availability time reflects the work done to produce it.
-        ctx.charge_compute(cpu.elapsed_ns());
-        cpu.reset();
-        ship_batch(std::move(pending_batch));
-        pending_batch = KVVec{};
-      }
+    const int64_t busy_from = ctx_.vt().now_ns();
+    input_.sort(k_, gen_);
+    // The last phase feeds the next iteration's phase-0 maps.
+    out_iter_ = next_p_ == 0 ? k_ + 1 : k_;
+    ckpt_due_ = last_phase_ && run_.checkpoints(k_);
+    ckpt_workset_.clear();
+    distance_ = 0;
+    changed_ = 0;
+    cpu_.reset();
+    input_.group([this](const Bytes& key, const std::vector<Bytes>& values) {
+      reduce_group(key, values);
     });
-    ctx.charge_compute(cpu.elapsed_ns());
+    ctx_.charge_compute(cpu_.elapsed_ns());
     // Injection point: died mid reduce->map push — earlier batches of this
     // iteration are already out, the tail and all EOS markers are not.
-    if (dies_at(ctx, FaultPoint::kStatePush, i, k, gen)) return;
-    if (!pending_batch.empty()) ship_batch(std::move(pending_batch));
-    if (next_mapping == Mapping::kOne2All) {
-      for (int m = 0; m < T_; ++m) {
-        ctx.send_eos(next_maps.at(m), i, out_iter, gen, cat);
-      }
-    } else {
-      ctx.send_eos(next_maps.at(i), i, out_iter, gen, cat);
-    }
-
-    // Checkpoint (§3.4.1) — written in parallel with the iteration, so it is
-    // charged on a detached clock and does not delay the pipeline.
-    if (ckpt_due) {
-      VClock parallel_clock(ctx.vt().now_ns());
-      // Injection point: died DURING the checkpoint dump, leaving a torn
-      // (truncated) part file behind. Because the Report for iteration k is
-      // only sent after the dump, the master never collects all of k's
-      // reports and so never advances last_ckpt to k — recovery always
-      // restores the previous complete checkpoint, never this torn one
-      // (§3.4.1 write-then-report ordering; pinned by a regression test).
-      if (cluster_.consume_fault(ctx.worker(), FaultPoint::kCheckpointWrite, k,
-                                 &ctx.vt())) {
-        dump_state(ckpt_path(k), &parallel_clock, TrafficCategory::kCheckpoint,
-                   /*torn=*/true);
-        fail_task(ctx, i, k, gen);
-        return;
-      }
-      {
-        // The span lives on the detached parallel clock, so its end ts can
-        // overrun the enclosing iteration span — nesting is by event order.
-        TraceSpan ckpt_span("checkpoint", parallel_clock, k, gen);
-        dump_state(ckpt_path(k), &parallel_clock,
-                   TrafficCategory::kCheckpoint);
-        if (workset) {
-          // The changed-set rides along with the full state: recovery
-          // restores the exact frontier of iteration k, so the replay is
-          // record-identical to the fault-free run (replaying the full
-          // state would double-apply updates for accumulative reducers).
-          sort_records(ckpt_workset, /*sort_values=*/false);
-          cluster_.dfs().write_file(
-              ckpt_path(k) + "/workset-" + std::to_string(i),
-              std::move(ckpt_workset), ctx.worker(), &parallel_clock,
-              TrafficCategory::kCheckpoint);
-        }
-      }
-      cluster_.metrics().inc("imr_checkpoints");
-    }
-
-    // Copy to a reduce-sourced auxiliary phase (§5.3).
-    if (aux_from_reduce) aux_copy.close_iteration(k);
-
+    if (dies_at(FaultPoint::kStatePush)) return false;
+    ship(std::exchange(batch_, KVVec{}), out_iter_);
+    close(out_iter_);
+    if (ckpt_due_ && !checkpoint()) return false;
+    if (aux_from_reduce_) aux_copy_.close_iteration(k_);
     // Injection point (§3.4.1, the classic one): died at the iteration
     // boundary, after all of iteration k's work. Consuming the event (rather
     // than querying it) guarantees a scheduled failure trips exactly once —
     // a stale schedule can never leak into a later job on the same cluster.
-    if (dies_at(ctx, FaultPoint::kIterationBoundary, i, k, gen)) return;
-
-    // Iteration completion report (§3.4.2).
-    if (last_phase) {
-      IMR_DEBUG << tag_ << ": reduce " << p << "/" << i << " reporting iter "
-                << k << " gen " << gen;
-      CtlMsg report;
-      report.type = CtlType::kReport;
-      report.task = i;
-      report.iteration = k;
-      report.generation = gen;
-      report.worker = ctx.worker();
-      report.distance = local_distance;
-      report.duration_ns = ctx.vt().now_ns() - prev_end_vt;
-      report.workset_size = workset ? changed_count : 0;
-      if (TelemetryRecorder::enabled()) {
-        int64_t sb = 0;
-        for (const auto& [key, value] : state_map) {
-          sb += static_cast<int64_t>(key.size() + value.size());
-        }
-        report.state_bytes = sb;
-      }
-      task_send_ctl(ctx, report);
+    if (dies_at(FaultPoint::kIterationBoundary)) return false;
+    if (last_phase_) report(ctx_.vt().now_ns() - busy_from);
+    return true;
+  }
+  // Checkpoint (§3.4.1) — written in parallel with the iteration, so it is
+  // charged on a detached clock and does not delay the pipeline. Because
+  // the Report for iteration k is only sent after the dump, a torn dump
+  // never becomes the master's last checkpoint (write-then-report
+  // ordering; pinned by a regression test). False when the dump killed the
+  // task.
+  bool checkpoint() {
+    VClock parallel_clock(ctx_.vt().now_ns());
+    // The span lives on the detached parallel clock, so its end ts can
+    // overrun the enclosing iteration span — nesting is by event order.
+    TraceSpan ckpt_span("checkpoint", parallel_clock, k_, gen_);
+    const std::string dir = run_.ckpt_path(k_);
+    if (dump_dies(dir, parallel_clock, k_)) return false;
+    if (workset_) {
+      // The changed-set rides along with the full state: recovery restores
+      // the exact frontier of iteration k, so the replay is record-identical
+      // to the fault-free run (replaying the full state would double-apply
+      // updates for accumulative reducers).
+      sort_records(ckpt_workset_, /*sort_values=*/false);
+      run_.cluster_.dfs().write_file(
+          workset_path(dir, i_), std::move(ckpt_workset_), ctx_.worker(),
+          &parallel_clock, TrafficCategory::kCheckpoint);
     }
-    prev_end_vt = ctx.vt().now_ns();
-    ++k;
+    run_.cluster_.metrics().inc("imr_checkpoints");
+    return true;
+  }
+  // Iteration completion report (§3.4.2).
+  void report(int64_t duration_ns) {
+    IMR_DEBUG << "reporting iter " << k_ << " gen " << gen_;
+    CtlMsg report = message(CtlType::kReport, k_);
+    report.worker = ctx_.worker();
+    report.distance = distance_;
+    report.duration_ns = duration_ns;
+    report.workset_size = workset_ ? changed_ : 0;
+    if (TelemetryRecorder::enabled()) {
+      for (const auto& [key, value] : state_) {
+        report.state_bytes += static_cast<int64_t>(key.size() + value.size());
+      }
+    }
+    run_.task_send_ctl(ctx_, report);
+  }
+  // Dumps the final state to DFS — the single output write of the whole
+  // iterative run (§3.1, Fig. 1b) — and reports Done.
+  void dump_output() {
+    dump_state(run_.conf_.output_path, ctx_.vt(), TrafficCategory::kDfsWrite);
+    CtlMsg done = message(CtlType::kDone, k_ - 1);
+    done.state_records = static_cast<int64_t>(state_.size());
+    run_.task_send_ctl(ctx_, done);
+  }
+
+  const bool last_phase_ = p_ == run_.P_ - 1;
+  const bool workset_ = run_.conf_.workset_mode;
+  const int next_p_ = (p_ + 1) % run_.P_;
+  const bool broadcast_ = run_.maps_all(next_p_);
+  const bool aux_from_reduce_ =
+      run_.conf_.aux && last_phase_ &&
+      run_.conf_.aux->source == AuxConf::Source::kReduceOutput;
+  // Set when the next iteration must open by shipping the session epoch's
+  // seed frontier to the paired map: at a refining epoch's resume, and
+  // again whenever a rollback lands exactly on its baseline.
+  bool seed_ship_ = false;
+  EpRow next_maps_{run_, EpKind::kMap, next_p_};
+  EpRow aux_row_{run_, EpKind::kAuxMap};
+  std::unique_ptr<IterReducer> reducer_ =
+      run_.conf_.phases[static_cast<std::size_t>(p_)].reducer();
+  // Memory governance (DESIGN.md §10): collected shuffle input is charged
+  // against the budget as it arrives and spills as sorted runs once the
+  // budget is crossed; iteration processing then merges the runs with the
+  // in-memory tail — byte-identical output either way.
+  ReduceInput input_{
+      ctx_, strprintf("%s/r%d-t%d-g%d", run_.tag_.c_str(), p_, i_, gen_),
+      run_.conf_.max_task_memory_bytes, [this](int iter) {
+        return run_.cluster_.consume_fault(ctx_.worker(),
+                                           FaultPoint::kSpillWrite, iter,
+                                           &ctx_.vt());
+      }};
+  // Buffers the output for a reduce-sourced auxiliary phase (§5.3).
+  MapOutput aux_copy_{
+      ctx_, {.task = i_,
+             .generation = gen_,
+             .aux = aux_from_reduce_ ? aux_row_.row_fn() : MapOutput::Row()}};
+  // Previous-iteration state for distance + checkpoints + final dump
+  // (§3.1.2: "the reduce tasks save the output from two consecutive
+  // iterations and calculate the distance").
+  std::unordered_map<Bytes, Bytes> state_;
+  // Iteration k's output stage, reset by process().
+  int out_iter_ = 0;
+  bool ckpt_due_ = false;  // decided up front: the changed-set is inline
+  KVVec produced_;         // one group's reduce output
+  KVVec batch_;            // output not yet shipped
+  KVVec ckpt_workset_;     // changed records of a checkpoint iteration
+  double distance_ = 0;
+  int64_t changed_ = 0;
+  ThreadCpuTimer cpu_;
+};
+
+void JobRun::spawn_pair(int i, int gen, int start_iter, int64_t start_vt) {
+  // Resolve the pair's inbox endpoints, and so its home worker, HERE, in
+  // the spawning thread. A new thread can begin running arbitrarily late —
+  // after a subsequent recovery has re-homed this pair and replaced its
+  // endpoints. A task that resolved its own inbox only once scheduled
+  // would then grab the *replacement* mailbox: its Kill would sit unread
+  // in the abandoned one while it silently stole (and stashed, by
+  // generation) the replacement task's messages — a deadlock that only
+  // shows up when thread start-up is delayed by machine load.
+  for (int p = 0; p < P_; ++p) {
+    const TaskStart map{p, i, gen, start_iter, start_vt, map_ep(p, i)};
+    const TaskStart reduce{p, i, gen, start_iter, start_vt, red_ep(p, i)};
+    spawn([this, map] { MapTask(*this, map).run(); });
+    spawn([this, reduce] { ReduceTask(*this, reduce).run(); });
+  }
+  // Aux map i lives and moves with its pair, so map-side output hand-off
+  // is local.
+  if (conf_.aux) {
+    const TaskStart aux{0, i, gen, start_iter, 0, aux_map_ep(i)};
+    spawn([this, aux] { run_aux_map(aux); });
   }
 }
 
@@ -1409,28 +1437,26 @@ void JobRun::run_reduce(int p, int i, int gen, int start_iter,
 // Auxiliary phase tasks (§5.3)
 // ---------------------------------------------------------------------------
 
-void JobRun::run_aux_map(int j, int gen, int start_iter,
-                         std::shared_ptr<Endpoint> ep) {
-  StashedInbox inbox(ep, T_);
-  TaskContext ctx(cluster_, tag_ + "/aux/m" + std::to_string(j),
-                  ep->home_worker(), 0);
+void JobRun::run_aux_map(const TaskStart& at) {
+  StashedInbox inbox(at.ep, T_);
+  TaskContext ctx(cluster_, at.ep->name(), at.ep->home_worker(), at.vt);
   EpRow red_row(*this, EpKind::kAuxReduce);
   ctx.charge(cost_.task_init, TimeCategory::kTaskInit);
 
+  int gen = at.gen;
   std::unique_ptr<IterMapper> mapper = conf_.aux->mapper();
   mapper->configure(conf_.params);
   MapOutput out(ctx,
-                {.task = j, .generation = gen, .reduces = red_row.row_fn()});
-  static const Bytes kEmpty;
+                {.task = at.i, .generation = gen, .reduces = red_row.row_fn()});
 
-  int k = start_iter;
+  int k = at.iteration;
   while (true) {
     TraceSpan iter_span("aux_map_iter", ctx.vt(), k, gen);
     const Collected c = inbox.collect(
-        ctx.vt(), gen, k, kUngated, kNoOwnControl, [&](NetMessage& msg) {
+        ctx.vt(), gen, k, kNoOwnControl, [&](NetMessage& msg) {
           ThreadCpuTimer cpu;
           for (const KV& kv : msg.records()) {
-            mapper->map(kv.key, kv.value, kEmpty, out);
+            mapper->map(kv.key, kv.value, kNoStatic, out);
           }
           ctx.charge_compute(cpu.elapsed_ns());
           return true;
@@ -1460,26 +1486,24 @@ void JobRun::run_aux_map(int j, int gen, int start_iter,
   }
 }
 
-void JobRun::run_aux_reduce(int j, int gen, int start_iter,
-                            std::shared_ptr<Endpoint> ep) {
-  StashedInbox inbox(ep, T_);  // one aux map per pair
-  TaskContext ctx(cluster_, tag_ + "/aux/r" + std::to_string(j),
-                  ep->home_worker(), 0);
+void JobRun::run_aux_reduce(const TaskStart& at) {
+  StashedInbox inbox(at.ep, T_);  // one aux map per pair
+  TaskContext ctx(cluster_, at.ep->name(), at.ep->home_worker(), at.vt);
   ctx.charge(cost_.task_init, TimeCategory::kTaskInit);
 
+  int gen = at.gen;
   std::unique_ptr<IterReducer> reducer = conf_.aux->reducer();
   reducer->configure(conf_.params);
+  // Aux tasks run without a memory budget.
+  ReduceInput input(ctx, strprintf("%s/aux/r%d-g%d", tag_.c_str(), at.i, gen),
+                    /*budget_bytes=*/0);
 
-  int k = start_iter;
+  int k = at.iteration;
   while (true) {
     TraceSpan iter_span("aux_reduce_iter", ctx.vt(), k, gen);
-    KVVec records;
     const Collected c = inbox.collect(
-        ctx.vt(), gen, k, kUngated, kNoOwnControl, [&](NetMessage& msg) {
-          KVVec batch = msg.take_records();
-          records.insert(records.end(),
-                         std::make_move_iterator(batch.begin()),
-                         std::make_move_iterator(batch.end()));
+        ctx.vt(), gen, k, kNoOwnControl, [&](NetMessage& msg) {
+          input.add(msg.take_records());
           return true;
         });
     if (c.event == LoopEvent::kTerminate || c.event == LoopEvent::kKill) {
@@ -1488,26 +1512,25 @@ void JobRun::run_aux_reduce(int j, int gen, int start_iter,
     if (c.event != LoopEvent::kIterationReady) {
       // Partial collections are dropped; the aux maps re-send everything
       // from the rollback point under the new generation.
+      input.reset();
       k = c.restart_at + 1;
       continue;
     }
 
+    input.sort(k, gen);
     ThreadCpuTimer cpu;
-    sort_records(records, /*sort_values=*/true);
     KVVec output;
     CollectEmitter out(output);
-    GroupCursor groups(records);
-    GroupValues group_vals;
-    while (groups.next()) {
-      reducer->reduce(groups.key(), group_vals.take(records, groups), out);
-    }
+    input.group([&](const Bytes& key, const std::vector<Bytes>& values) {
+      reducer->reduce(key, values, out);
+    });
     ctx.charge_compute(cpu.elapsed_ns());
 
     for (const KV& kv : output) {
       if (kv.key == kTerminateSignalKey) {
         CtlMsg sig;
         sig.type = CtlType::kAuxSignal;
-        sig.task = j;
+        sig.task = at.i;
         sig.iteration = k;
         sig.generation = gen;
         task_send_ctl(ctx, sig);
@@ -1589,9 +1612,7 @@ void JobRun::decide(int k) {
   decided_ = k;
   const PendingIter it = std::move(pending_[k]);
   pending_.erase(k);
-  if (conf_.checkpoint_every > 0 && k % conf_.checkpoint_every == 0) {
-    last_ckpt_ = k;
-  }
+  if (checkpoints(k)) last_ckpt_ = k;
   IterationStat st;
   st.iteration = k;
   st.wall_ms_end = mvt_.now_ms();
@@ -1644,7 +1665,7 @@ void JobRun::decide(int k) {
     cont.iteration = k;
     cont.generation = generation_;
     for (int idx = 0; idx < T_; ++idx) master_send(*red_ep(0, idx), cont);
-    if (!conf_.async_maps && conf_.phases[0].mapping == Mapping::kOne2One) {
+    if (!conf_.async_maps && !maps_all(0)) {
       for (int idx = 0; idx < T_; ++idx) master_send(*map_ep(0, idx), cont);
     }
     maybe_migrate(it);
@@ -1822,12 +1843,7 @@ void JobRun::respawn_and_rollback(const std::vector<int>& pairs,
     home_aux_reduce(j, targets[static_cast<std::size_t>(j) % targets.size()]);
   }
   for (int idx : pairs) spawn_pair(idx, generation_, ckpt + 1, mvt_.now_ns());
-  for (int j : moved_aux_reduces) {
-    auto aep = aux_red_ep(j);
-    spawn([this, j, aep, g = generation_, s = ckpt + 1] {
-      run_aux_reduce(j, g, s, aep);
-    });
-  }
+  for (int j : moved_aux_reduces) spawn_aux_reduce(j, generation_, ckpt + 1);
   // Roll every other pair back to the checkpoint (§3.4.2 step 3), and the
   // surviving aux tasks with them — an aux task left at the old generation
   // would stash the re-sent data forever and never signal again.
@@ -1938,12 +1954,7 @@ void JobRun::start() {
   const int64_t base_vt = mvt_.now_ns();
 
   for (int i = 0; i < T_; ++i) spawn_pair(i, /*gen=*/0, /*start_iter=*/1, base_vt);
-  for (int j = 0; j < aux_reduces_; ++j) {
-    auto aep = aux_red_ep(j);
-    spawn([this, j, aep] {
-      run_aux_reduce(j, /*gen=*/0, /*start_iter=*/1, aep);
-    });
-  }
+  for (int j = 0; j < aux_reduces_; ++j) spawn_aux_reduce(j, 0, 1);
   started_ = true;
 }
 

@@ -193,17 +193,6 @@ void merge_sorted_runs(const std::vector<RecordSource*>& sources,
   while (merge.next(kv)) out.push_back(std::move(kv));
 }
 
-void for_each_group(
-    const KVVec& sorted,
-    const std::function<void(const Bytes& key,
-                             const std::vector<Bytes>& values)>& fn) {
-  GroupCursor groups(sorted);
-  GroupValues vals;
-  while (groups.next()) {
-    fn(groups.key(), vals.view(groups));
-  }
-}
-
 std::size_t combine_sorted(KVVec& sorted, const CombineFn& fn) {
   KVVec combined;
   combined.reserve(sorted.size() / 2 + 1);

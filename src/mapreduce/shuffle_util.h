@@ -139,15 +139,6 @@ class GroupValues {
   std::vector<Bytes> vals_;
 };
 
-// Compatibility entry: iterates sorted records as (key, values) groups,
-// copying values. Records MUST already be sorted by key. Engine hot loops
-// use GroupCursor/GroupValues directly; this remains for call sites that
-// cannot donate their buffer.
-void for_each_group(
-    const KVVec& sorted,
-    const std::function<void(const Bytes& key,
-                             const std::vector<Bytes>& values)>& fn);
-
 // One combiner invocation: reduce `values` for `key`, appending the
 // combined records to `out`. Both engines bind their combiner (classic
 // Reducer or IterReducer) through this shape, so the grouping/aggregation

@@ -7,6 +7,7 @@
 #include <memory>
 #include <stdexcept>
 
+#include "algorithms/jacobi.h"
 #include "algorithms/pagerank.h"
 #include "algorithms/sssp.h"
 #include "graph/generator.h"
@@ -226,6 +227,69 @@ TEST(ImrCore, DistancesDecreaseForPageRank) {
   for (std::size_t i = 2; i < report.iterations.size(); ++i) {
     EXPECT_LT(report.iterations[i].distance, report.iterations[i - 1].distance);
   }
+}
+
+// The reduce's output framing (§3.3): a batch leaves after the group that
+// brings it to `buffer_records`, and EOS goes to the paired map, or to all T
+// maps under one2all. At a buffer of 1 every record is one transfer; at a
+// buffer of at least N each reduce sends one batch and one EOS per map.
+TEST(ImrCore, ReduceOutputFramingTransferCounts) {
+  auto transfers = [](Cluster& cluster, const IterJobConf& conf,
+                      TrafficCategory cat) {
+    IterativeEngine(cluster).run(conf);
+    return cluster.metrics().traffic_transfers(cat);
+  };
+
+  const Graph pr = make_pagerank_graph("google", 0.0005, 21);
+  const int64_t pr_n = pr.num_nodes();
+  ASSERT_EQ(pr_n, 458);
+  const JacobiSystem jac = Jacobi::generate(120, 0.05, 7);
+  for (const bool whole : {false, true}) {
+    SCOPED_TRACE(whole ? "buffer >= N" : "buffer 1");
+    {
+      // PageRank, one2one: T = 5, K = 5.
+      auto cluster = testutil::free_cluster(3, 4, 4);
+      PageRank::setup(*cluster, pr, "pr");
+      IterJobConf conf = PageRank::imapreduce("pr", "out", pr.num_nodes(), 5);
+      conf.num_tasks = 5;
+      conf.buffer_records = whole ? static_cast<int>(pr_n) : 1;
+      EXPECT_EQ(transfers(*cluster, conf, TrafficCategory::kReduceToMap),
+                whole ? 5 * 2 * 5 : 5 * (pr_n + 5));
+    }
+    {
+      // Jacobi, one2all: T = 3, K = 4; a broadcast is T transfers.
+      auto cluster = testutil::free_cluster(3, 4, 4);
+      Jacobi::setup(*cluster, jac, "jac");
+      IterJobConf conf = Jacobi::imapreduce("jac", "out", 4);
+      conf.num_tasks = 3;
+      conf.buffer_records = whole ? 120 : 1;
+      EXPECT_EQ(transfers(*cluster, conf, TrafficCategory::kBroadcast),
+                whole ? 4 * 3 * 2 * 3 : 4 * 3 * (120 + 3));
+    }
+  }
+
+  // Workset SSSP: the shipped records are the frontier the master records.
+  LogNormalGraphSpec gspec;
+  gspec.num_nodes = 300;
+  gspec.seed = 11;
+  const Graph g = generate_lognormal_graph(gspec);
+  auto cluster = testutil::free_cluster(3, 4, 4);
+  Sssp::setup(*cluster, g, 0, "sssp");
+  IterJobConf conf = Sssp::imapreduce("sssp", "out", 50);
+  conf.workset_mode = true;
+  conf.num_tasks = 4;
+  conf.buffer_records = 1;
+  IterativeEngine engine(*cluster);
+  const RunReport report = engine.run(conf);
+  ASSERT_TRUE(report.converged);
+  int64_t frontier = 0;
+  for (const IterationStat& st : report.iterations) {
+    frontier += st.workset_size;
+  }
+  const int64_t sent =
+      cluster->metrics().traffic_transfers(TrafficCategory::kReduceToMap);
+  EXPECT_EQ(sent, frontier + 4 * static_cast<int64_t>(report.iterations_run));
+  EXPECT_EQ(sent, 984 + 12 * 4);
 }
 
 TEST(ImrCore, StaticDataNeverShuffledOne2One) {

@@ -188,20 +188,6 @@ TEST(RecordPathGroup, CursorTakeMatchesReference) {
   EXPECT_EQ(expected, actual);
 }
 
-TEST(RecordPathGroup, CompatEntryStillCopies) {
-  KVVec sorted = nasty_corpus(23, 500);
-  sort_records(sorted, true);
-  KVVec before = sorted;
-  GroupList expected = reference_groups(sorted);
-  GroupList actual;
-  for_each_group(sorted,
-                 [&](const Bytes& key, const std::vector<Bytes>& values) {
-                   actual.emplace_back(key, values);
-                 });
-  EXPECT_EQ(expected, actual);
-  expect_identical(before, sorted);  // buffer untouched
-}
-
 // --- Static join index ------------------------------------------------------
 
 TEST(RecordPathJoin, IndexMatchesLowerBound) {
