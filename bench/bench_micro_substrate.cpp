@@ -130,6 +130,165 @@ void BM_SortRecordsStd(benchmark::State& state) {
 }
 BENCHMARK(BM_SortRecordsStd)->Arg(1024)->Arg(16384);
 
+// --- Radix order A/B on the shapes the workloads sort -----------------------
+// The series above sort unique random keys with one constant value, which
+// never reaches a tie. These use the buffers the engines actually sort:
+//   - a PageRank reduce input: u32 keys with ~5 f64 values each, in arrival
+//     order (every late comparison ties on the key prefix);
+//   - a K-means map-side combine buffer: 10 u32 keys, 130-byte partials
+//     whose first 3 bytes nearly always agree (the path the value bytes in
+//     the sort entry cannot shortcut).
+// Each is timed with the shipping arena sort_records and with the kernel it
+// replaced, kept verbatim below; BM_SortOrderPageRank times sort_order
+// alone, which is all an in-memory reduce computes before grouping.
+
+// Reference: sort_records' arena overload before the radix order — a
+// comparison sort of (prefix, index) pairs whose comparator reads both
+// records on every prefix tie, then the in-place cycle apply. Verbatim but
+// for its small-buffer fallback, which was sort_records_reference above.
+constexpr std::size_t kPrefixSortThreshold = 64;
+
+struct PrefixEntry {
+  uint64_t prefix;
+  uint32_t index;
+};
+
+void sort_records_prefix(KVVec& records, bool sort_values, RecordArena& arena) {
+  const std::size_t n = records.size();
+  if (n < kPrefixSortThreshold || n > UINT32_MAX) {
+    sort_records_reference(records, sort_values);
+    return;
+  }
+
+  arena.reset();
+  PrefixEntry* order = arena.alloc_array<PrefixEntry>(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    order[i] = PrefixEntry{key_prefix_u64(records[i].key),
+                           static_cast<uint32_t>(i)};
+  }
+  std::sort(order, order + n,
+            [&records, sort_values](const PrefixEntry& a,
+                                    const PrefixEntry& b) {
+              if (a.prefix != b.prefix) return a.prefix < b.prefix;
+              const KV& x = records[a.index];
+              const KV& y = records[b.index];
+              int c = x.key.compare(y.key);
+              if (c != 0) return c < 0;
+              if (sort_values) {
+                c = x.value.compare(y.value);
+                if (c != 0) return c < 0;
+              }
+              return a.index < b.index;
+            });
+  // Apply the permutation in place, cycle by cycle: position i must receive
+  // records[order[i].index]. Each cycle rotates through one saved tmp; a
+  // placed slot is marked by pointing its index at itself, so every record
+  // moves exactly once and no scratch KVVec is needed.
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t src = order[i].index;
+    if (src == i) continue;
+    KV tmp = std::move(records[i]);
+    std::size_t dst = i;
+    while (src != i) {
+      records[dst] = std::move(records[src]);
+      order[dst].index = static_cast<uint32_t>(dst);
+      dst = src;
+      src = order[dst].index;
+    }
+    records[dst] = std::move(tmp);
+    order[dst].index = static_cast<uint32_t>(dst);
+  }
+}
+
+// n records over n/5 node ids drawn the way a hash partition draws them
+// (one id in each run of 8), each carrying a rank share.
+KVVec pagerank_reduce_shape(std::size_t n) {
+  Rng rng(5);
+  const std::size_t nodes = n / 5;
+  std::vector<Bytes> ids;
+  ids.reserve(nodes);
+  for (std::size_t v = 0; v < nodes; ++v) {
+    ids.push_back(u32_key(static_cast<uint32_t>(v * 8 + rng.uniform(8))));
+  }
+  KVVec out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    out.emplace_back(ids[rng.uniform(nodes)],
+                     f64_value(rng.uniform_real(0.0, 1.0) / nodes));
+  }
+  return out;
+}
+
+// n partials of 16-dimensional points over 10 centroids: varint count 1,
+// varint length 16, 16 f64s (130 bytes, the K-means combiner's input).
+KVVec kmeans_combine_shape(std::size_t n) {
+  Rng rng(6);
+  KVVec out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    std::vector<double> point(16);
+    for (double& x : point) x = rng.uniform_real(0.0, 100.0);
+    Bytes partial;
+    encode_varint(1, partial);
+    encode_f64_vec(point, partial);
+    out.emplace_back(u32_key(static_cast<uint32_t>(rng.uniform(10))),
+                     std::move(partial));
+  }
+  return out;
+}
+
+template <typename Sort>
+void time_arena_sort(benchmark::State& state, const KVVec& base, Sort sort) {
+  RecordArena arena;
+  for (auto _ : state) {
+    state.PauseTiming();
+    KVVec copy = base;
+    state.ResumeTiming();
+    sort(copy, arena);
+    benchmark::DoNotOptimize(copy.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(base.size()));
+}
+
+void BM_SortRecordsPageRank(benchmark::State& state) {
+  time_arena_sort(state,
+                  pagerank_reduce_shape(static_cast<std::size_t>(state.range(0))),
+                  [](KVVec& b, RecordArena& a) { sort_records(b, true, a); });
+}
+BENCHMARK(BM_SortRecordsPageRank)->Arg(16384)->Arg(262144);
+
+void BM_SortRecordsPageRankPrefix(benchmark::State& state) {
+  time_arena_sort(
+      state, pagerank_reduce_shape(static_cast<std::size_t>(state.range(0))),
+      [](KVVec& b, RecordArena& a) { sort_records_prefix(b, true, a); });
+}
+BENCHMARK(BM_SortRecordsPageRankPrefix)->Arg(16384)->Arg(262144);
+
+void BM_SortOrderPageRank(benchmark::State& state) {
+  time_arena_sort(state,
+                  pagerank_reduce_shape(static_cast<std::size_t>(state.range(0))),
+                  [](KVVec& b, RecordArena& a) {
+                    benchmark::DoNotOptimize(sort_order(b, true, a).data());
+                  });
+}
+BENCHMARK(BM_SortOrderPageRank)->Arg(16384)->Arg(262144);
+
+void BM_SortRecordsKMeans(benchmark::State& state) {
+  time_arena_sort(state,
+                  kmeans_combine_shape(static_cast<std::size_t>(state.range(0))),
+                  [](KVVec& b, RecordArena& a) { sort_records(b, true, a); });
+}
+BENCHMARK(BM_SortRecordsKMeans)->Arg(75000);
+
+void BM_SortRecordsKMeansPrefix(benchmark::State& state) {
+  time_arena_sort(
+      state, kmeans_combine_shape(static_cast<std::size_t>(state.range(0))),
+      [](KVVec& b, RecordArena& a) { sort_records_prefix(b, true, a); });
+}
+BENCHMARK(BM_SortRecordsKMeansPrefix)->Arg(75000);
+
 // Static-data join: the per-record state->static lookup of iterative map
 // (§3.2.2). 16k static records, probed with every key once per iteration, in
 // shuffled (arrival-like) order.

@@ -7,6 +7,8 @@ Usage: scripts/check_bench_regression.py bench_out.json \
            [--reference BENCH_substrate.json] [--tolerance 2.0]
        scripts/check_bench_regression.py --spill oom_spill.json \
            [--reference BENCH_substrate.json] [--tolerance 2.0]
+       scripts/check_bench_regression.py --sort sort_out.json \
+           [--reference BENCH_substrate.json] [--tolerance 2.0]
 
 `bench_out.json` is google-benchmark's --benchmark_out JSON for a run of
 bench_micro_substrate covering the BM_FabricSendMT* series. The reference
@@ -30,6 +32,14 @@ slowdown must stay within the same factor of the reference. Run counts and
 high-water marks are NOT gated here — batch arrival order shifts them a few
 percent between runs, and the binary already hard-gates byte identity,
 ledger balance, and the arena ceiling before emitting JSON at all.
+
+--sort gates the radix sort kernel's in-run speedup: sort_out.json is a
+--benchmark_out file of bench_micro_substrate covering
+BM_SortRecordsPageRankPrefix/262144 (the comparison-sort kernel the radix
+order replaced, kept verbatim in the binary) and BM_SortRecordsPageRank/262144
+(the shipping sort_records). Both times come from one run, so runner speed
+cancels; their ratio must stay at or above the sort_records_radix reference
+speedup divided by --tolerance.
 
 --placement instead gates bench_placement_ab's remote-byte measurements:
 virtual-traffic byte counts are fully deterministic (no machine drift), so
@@ -178,6 +188,50 @@ def check_spill(run_path: str, reference: dict, tolerance: float) -> int:
     return 0
 
 
+SORT_SHAPE = "262144"  # the PageRank reduce shape the gate times
+
+
+def check_sort(run_path: str, reference: dict, tolerance: float) -> int:
+    """Gate the radix kernel's speedup over the kernel it replaced."""
+    run = load_run(run_path)
+    series = reference.get("sort_records_radix", {}).get("pagerank_reduce", {})
+    failures = []
+    old = run.get(f"BM_SortRecordsPageRankPrefix/{SORT_SHAPE}")
+    new = run.get(f"BM_SortRecordsPageRank/{SORT_SHAPE}")
+    ref = series.get("speedup", {}).get(f"n_{SORT_SHAPE}")
+    if old is None or new is None:
+        failures.append(
+            f"sort_records_radix/n_{SORT_SHAPE}: series missing from the "
+            f"benchmark run (need BM_SortRecordsPageRankPrefix and "
+            f"BM_SortRecordsPageRank at {SORT_SHAPE})"
+        )
+    elif ref is None:
+        failures.append(
+            f"sort_records_radix/n_{SORT_SHAPE}: no reference speedup"
+        )
+    else:
+        ratio = old / new
+        limit = float(ref) / tolerance
+        verdict = "ok" if ratio >= limit else "REGRESSION"
+        print(
+            f"sort_records_radix/n_{SORT_SHAPE}: prefix {old / 1e6:.1f}ms / "
+            f"radix {new / 1e6:.1f}ms = {ratio:.2f}x "
+            f"(reference {float(ref):.2f}x, floor {limit:.2f}x) {verdict}"
+        )
+        if ratio < limit:
+            failures.append(
+                f"sort_records_radix/n_{SORT_SHAPE}: speedup {ratio:.2f}x "
+                f"fell below {limit:.2f}x"
+            )
+    if failures:
+        print("\nFAIL:")
+        for f_ in failures:
+            print(f"  {f_}")
+        return 1
+    print("\nradix sort speedup at or above its floor")
+    return 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
@@ -195,14 +249,20 @@ def main() -> int:
         help="bench_oom_spill_ab --json output to gate instead of the "
         "probe-overhead series",
     )
+    ap.add_argument(
+        "--sort",
+        help="bench_micro_substrate --benchmark_out JSON of the PageRank "
+        "sort series to gate instead of the probe-overhead series",
+    )
     ap.add_argument("--reference", default="BENCH_substrate.json")
     ap.add_argument(
         "--tolerance",
         type=float,
         default=2.0,
         help="armed/disarmed ratio may exceed the reference ratio by "
-        "at most this factor (default 2.0); in --placement mode the "
-        "measured drop may fall below the reference by the same factor",
+        "at most this factor (default 2.0); in --placement and --sort "
+        "modes the measured ratio may fall below the reference by the same "
+        "factor",
     )
     args = ap.parse_args()
 
@@ -212,8 +272,10 @@ def main() -> int:
         return check_placement(args.placement, reference, args.tolerance)
     if args.spill:
         return check_spill(args.spill, reference, args.tolerance)
+    if args.sort:
+        return check_sort(args.sort, reference, args.tolerance)
     if not args.bench_out:
-        ap.error("either bench_out, --placement, or --spill is required")
+        ap.error("either bench_out, --placement, --spill, or --sort is required")
     run = load_run(args.bench_out)
 
     failures = []

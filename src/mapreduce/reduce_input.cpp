@@ -3,9 +3,9 @@
 #include <iterator>
 #include <utility>
 
+#include "common/error.h"
 #include "common/record_source.h"
 #include "common/sim_time.h"
-#include "mapreduce/shuffle_util.h"
 #include "metrics/trace.h"
 
 namespace imr {
@@ -64,17 +64,20 @@ bool ReduceInput::spill(int iteration, int generation) {
 void ReduceInput::sort(int iteration, int generation) {
   TraceSpan sort_span("sort", ctx_.vt(), iteration, generation);
   ThreadCpuTimer sort_cpu;
-  sort_records(records_, /*sort_values=*/true, arena_);
+  if (spills_.has_runs(0)) {
+    sort_records(records_, /*sort_values=*/true, arena_);
+  } else {
+    order_ = sort_order(records_, /*sort_values=*/true, arena_);
+  }
   ctx_.charge_compute(sort_cpu.elapsed_ns(), TimeCategory::kSort);
 }
 
 void ReduceInput::group(const GroupFn& fn) {
   if (!spills_.has_runs(0)) {
-    // In-place pass: values are MOVED out of the consumed buffer. It costs
-    // about half as much per record as a merge over zero runs.
-    GroupCursor groups(records_);
-    GroupValues values;
-    while (groups.next()) fn(groups.key(), values.take(records_, groups));
+    // Values are MOVED out of the consumed buffer, in the order sort()
+    // computed; no record moves.
+    IMR_CHECK_MSG(order_.size() == records_.size(), "group() before sort()");
+    take_groups(records_, order_, fn);
   } else {
     // Streams the merge, holding one group plus one read-ahead chunk per
     // run.
@@ -103,12 +106,14 @@ void ReduceInput::group(const GroupFn& fn) {
     ctx_.cluster().metrics().inc("imr_reduce_merges");
   }
   records_ = KVVec{};
+  order_ = {};
   budget_.release(std::exchange(held_, 0));
 }
 
 void ReduceInput::reset() {
   spills_.abandon();
   records_ = KVVec{};
+  order_ = {};
   budget_.release(std::exchange(held_, 0));
 }
 

@@ -1,26 +1,28 @@
 // ReduceInput — one reduce task's input stage, shared by both engines
 // (DESIGN.md §10). It owns the task's MemoryBudget, the RecordArena its
 // sorts draw scratch from, the SpillSet of over-budget runs, and the
-// collected in-memory records. Like its parts, it is per-task and NOT
-// thread-safe.
+// collected in-memory records. When nothing spilled, sort() computes only
+// the records' sort order (sort_order), which lives in the arena until the
+// next sort or spill, and group() walks the records through it; spill runs
+// and the merge tail are sorted in place. Like its parts, it is per-task
+// and NOT thread-safe.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <string>
-#include <vector>
 
 #include "cluster/task_context.h"
 #include "common/arena.h"
 #include "common/bytes.h"
 #include "dfs/spill.h"
+#include "mapreduce/shuffle_util.h"
 
 namespace imr {
 
 class ReduceInput {
  public:
-  using GroupFn =
-      std::function<void(const Bytes& key, const std::vector<Bytes>& values)>;
   // Consulted before each spill write with the iteration being collected;
   // true means the task dies there (fault injection).
   using SpillFaultHook = std::function<bool(int iteration)>;
@@ -43,13 +45,16 @@ class ReduceInput {
   // `iteration`/`generation` label the trace spans.
   bool add(KVVec batch, int iteration = 0, int generation = 0);
 
-  // Sorts the in-memory records under the "sort" span, charged as kSort.
+  // Orders the in-memory records under the "sort" span, charged as kSort:
+  // computes their sort order when nothing spilled, and sorts them in place
+  // as the merge tail otherwise.
   void sort(int iteration = 0, int generation = 0);
 
   // After sort(): calls fn once per key group, in key order, consuming the
-  // input and releasing its budget charge. Both passes — in place over the
-  // sorted records when nothing spilled, a k-way merge of the runs and the
-  // tail otherwise (counted in imr_reduce_merges) — feed fn the same groups.
+  // input and releasing its budget charge. Both passes — a walk of the
+  // records in their sort order when nothing spilled (take_groups), a k-way
+  // merge of the runs and the tail otherwise (counted in imr_reduce_merges)
+  // — feed fn the same groups.
   void group(const GroupFn& fn);
 
   // Drops the collected records and every spilled run (rollback).
@@ -64,7 +69,8 @@ class ReduceInput {
   SpillSet spills_;
   SpillFaultHook spill_fault_;
   KVVec records_;
-  int64_t held_ = 0;  // budget charge for records_
+  std::span<const uint32_t> order_;  // records_' sort order, in arena_
+  int64_t held_ = 0;                 // budget charge for records_
 };
 
 }  // namespace imr

@@ -2,117 +2,221 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
+#include <utility>
 
+#include "common/error.h"
 #include "common/hash.h"
 
 namespace imr {
 
 namespace {
 
-// Below this size the indirection of the prefix pass costs more than the
-// string compares it saves; fall back to a direct comparison sort.
-constexpr std::size_t kPrefixSortThreshold = 64;
-
-void sort_records_direct(KVVec& records, bool sort_values) {
-  if (sort_values) {
-    std::sort(records.begin(), records.end());
-  } else {
-    std::stable_sort(records.begin(), records.end(),
-                     [](const KV& a, const KV& b) { return a.key < b.key; });
-  }
-}
-
-struct PrefixEntry {
+// One record's 16-byte sort entry. `prefix` is key_prefix_u64(key); `tie`
+// holds min(key length, 9) in its top byte and, in sort_values mode, the
+// value's first 3 bytes (zero-padded) below it. Each field orders like the
+// bytes it summarizes: a pad byte only ties with a real 0x00, and of two
+// keys with one prefix, a key that ends within it is a prefix of the other.
+struct SortEntry {
   uint64_t prefix;
   uint32_t index;
+  uint32_t tie;
 };
+static_assert(sizeof(SortEntry) == 16, "the arena charge assumes 16 bytes");
 
-}  // namespace
-
-void sort_records(KVVec& records, bool sort_values) {
-  const std::size_t n = records.size();
-  if (n < kPrefixSortThreshold || n > UINT32_MAX) {
-    sort_records_direct(records, sort_values);
-    return;
+SortEntry make_entry(const KV& kv, uint32_t index, bool sort_values) {
+  const std::size_t klen = std::min<std::size_t>(kv.key.size(), 9);
+  uint32_t tie = static_cast<uint32_t>(klen) << 24;
+  if (sort_values) {
+    const std::size_t vlen = std::min<std::size_t>(kv.value.size(), 3);
+    for (std::size_t i = 0; i < vlen; ++i) {
+      tie |= static_cast<uint32_t>(static_cast<unsigned char>(kv.value[i]))
+             << (16 - 8 * i);
+    }
   }
-
-  std::vector<PrefixEntry> order(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    order[i] = PrefixEntry{key_prefix_u64(records[i].key),
-                           static_cast<uint32_t>(i)};
-  }
-  // Prefix inequality decides without touching the strings; ties (keys
-  // sharing their first 8 bytes, or short keys colliding with pad bytes)
-  // fall back to the full compare. The index tiebreak makes the key-only
-  // mode stable and the full mode a deterministic permutation even among
-  // bitwise-equal records.
-  std::sort(order.begin(), order.end(),
-            [&records, sort_values](const PrefixEntry& a,
-                                    const PrefixEntry& b) {
-              if (a.prefix != b.prefix) return a.prefix < b.prefix;
-              const KV& x = records[a.index];
-              const KV& y = records[b.index];
-              int c = x.key.compare(y.key);
-              if (c != 0) return c < 0;
-              if (sort_values) {
-                c = x.value.compare(y.value);
-                if (c != 0) return c < 0;
-              }
-              return a.index < b.index;
-            });
-  KVVec sorted;
-  sorted.reserve(n);
-  for (const PrefixEntry& e : order) {
-    sorted.push_back(std::move(records[e.index]));
-  }
-  records = std::move(sorted);
+  return SortEntry{key_prefix_u64(kv.key), index, tie};
 }
 
-void sort_records(KVVec& records, bool sort_values, RecordArena& arena) {
-  const std::size_t n = records.size();
-  if (n < kPrefixSortThreshold || n > UINT32_MAX) {
-    sort_records_direct(records, sort_values);
-    return;
+// (key, [value,] arrival index) over entries. A record is read only when
+// both keys are longer than the prefix, or two values tie on their first
+// 3 bytes.
+class EntryLess {
+ public:
+  EntryLess(const KV* records, bool sort_values)
+      : records_(records), sort_values_(sort_values) {}
+
+  bool operator()(const SortEntry& a, const SortEntry& b) const {
+    if (a.prefix != b.prefix) return a.prefix < b.prefix;
+    const uint32_t alen = a.tie >> 24;
+    if (alen != b.tie >> 24) return alen < b.tie >> 24;
+    const KV& x = records_[a.index];
+    const KV& y = records_[b.index];
+    if (alen > 8) {
+      const int c = x.key.compare(y.key);
+      if (c != 0) return c < 0;
+    }
+    if (sort_values_) {
+      if (a.tie != b.tie) return a.tie < b.tie;
+      const int c = x.value.compare(y.value);
+      if (c != 0) return c < 0;
+    }
+    return a.index < b.index;
   }
 
-  arena.reset();
-  PrefixEntry* order = arena.alloc_array<PrefixEntry>(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    order[i] = PrefixEntry{key_prefix_u64(records[i].key),
-                           static_cast<uint32_t>(i)};
+ private:
+  const KV* records_;
+  bool sort_values_;
+};
+
+// Buckets this small are finished by insertion sort: a 256-way histogram
+// costs more than the comparisons it would save.
+constexpr std::size_t kRadixCutoff = 32;
+
+void insertion_sort(SortEntry* e, std::size_t n, const EntryLess& less) {
+  for (std::size_t i = 1; i < n; ++i) {
+    const SortEntry x = e[i];
+    std::size_t j = i;
+    for (; j > 0 && less(x, e[j - 1]); --j) e[j] = e[j - 1];
+    e[j] = x;
   }
-  std::sort(order, order + n,
-            [&records, sort_values](const PrefixEntry& a,
-                                    const PrefixEntry& b) {
-              if (a.prefix != b.prefix) return a.prefix < b.prefix;
-              const KV& x = records[a.index];
-              const KV& y = records[b.index];
-              int c = x.key.compare(y.key);
-              if (c != 0) return c < 0;
-              if (sort_values) {
-                c = x.value.compare(y.value);
-                if (c != 0) return c < 0;
-              }
-              return a.index < b.index;
-            });
-  // Apply the permutation in place, cycle by cycle: position i must receive
-  // records[order[i].index]. Each cycle rotates through one saved tmp; a
-  // placed slot is marked by pointing its index at itself, so every record
-  // moves exactly once and no scratch KVVec is needed (this is where the
-  // arena overload beats the plain one even before allocator reuse).
+}
+
+// In-place MSD radix sort (American flag sort) of e[0, n) on prefix bytes
+// `byte`..7, most significant first. A byte that is constant within the
+// bucket is skipped without moving anything. Small buckets, and buckets
+// that tie on the whole prefix, are finished with the comparator; its index
+// tiebreak makes the result unique, so the radix pass need not be stable.
+void radix_sort(SortEntry* e, std::size_t n, int byte, const EntryLess& less) {
+  for (; byte < 8 && n > kRadixCutoff; ++byte) {
+    const int shift = 56 - 8 * byte;
+    auto digit = [shift](const SortEntry& x) {
+      return static_cast<unsigned>(x.prefix >> shift) & 0xffu;
+    };
+    uint32_t count[256] = {};
+    for (std::size_t i = 0; i < n; ++i) ++count[digit(e[i])];
+    if (count[digit(e[0])] == n) continue;
+
+    uint32_t head[256];
+    uint32_t end[256];
+    uint32_t sum = 0;
+    for (unsigned b = 0; b < 256; ++b) {
+      head[b] = sum;
+      sum += count[b];
+      end[b] = sum;
+    }
+    // Each entry is swapped straight into the next free slot of its bucket.
+    for (unsigned b = 0; b < 256; ++b) {
+      while (head[b] < end[b]) {
+        SortEntry x = e[head[b]];
+        for (unsigned d = digit(x); d != b; d = digit(x)) {
+          std::swap(x, e[head[d]++]);
+        }
+        e[head[b]++] = x;
+      }
+    }
+    std::size_t from = 0;
+    for (unsigned b = 0; b < 256; ++b) {
+      if (count[b] > 1) radix_sort(e + from, count[b], byte + 1, less);
+      from += count[b];
+    }
+    return;
+  }
+  if (n <= kRadixCutoff) {
+    insertion_sort(e, n, less);
+  } else {
+    std::sort(e, e + n, less);
+  }
+}
+
+// Sorts the entries of `records` in `scratch` (n entries), then packs the
+// sorted indices into scratch's first 4n bytes and returns them. Packing
+// index i overwrites only bytes of entries already read (4i + 4 <= 16i for
+// i >= 1).
+uint32_t* order_into(const KVVec& records, bool sort_values,
+                     SortEntry* scratch) {
+  const std::size_t n = records.size();
+  IMR_CHECK_MSG(n <= UINT32_MAX, "a sort buffer indexes records in 32 bits");
   for (std::size_t i = 0; i < n; ++i) {
-    std::size_t src = order[i].index;
+    scratch[i] = make_entry(records[i], static_cast<uint32_t>(i), sort_values);
+  }
+  radix_sort(scratch, n, 0, EntryLess(records.data(), sort_values));
+  auto* packed = reinterpret_cast<unsigned char*>(scratch);
+  for (std::size_t i = 0; i < n; ++i) {
+    const uint32_t index = scratch[i].index;
+    std::memcpy(packed + i * sizeof(uint32_t), &index, sizeof index);
+  }
+  return reinterpret_cast<uint32_t*>(packed);
+}
+
+uint32_t* order_in_arena(const KVVec& records, bool sort_values,
+                         RecordArena& arena) {
+  arena.reset();
+  return order_into(records, sort_values,
+                    arena.alloc_array<SortEntry>(records.size()));
+}
+
+// Applies `order` in place, cycle by cycle: position i must receive
+// records[order[i]]. Each cycle rotates through one saved record; a placed
+// slot is marked by pointing its index at itself, so every record moves
+// exactly once and no second buffer is needed.
+void apply_order(KVVec& records, uint32_t* order) {
+  const std::size_t n = records.size();
+  for (std::size_t i = 0; i < n; ++i) {
+    std::size_t src = order[i];
     if (src == i) continue;
     KV tmp = std::move(records[i]);
     std::size_t dst = i;
     while (src != i) {
       records[dst] = std::move(records[src]);
-      order[dst].index = static_cast<uint32_t>(dst);
+      order[dst] = static_cast<uint32_t>(dst);
       dst = src;
-      src = order[dst].index;
+      src = order[dst];
     }
     records[dst] = std::move(tmp);
-    order[dst].index = static_cast<uint32_t>(dst);
+    order[dst] = static_cast<uint32_t>(dst);
+  }
+}
+
+}  // namespace
+
+void sort_records(KVVec& records, bool sort_values) {
+  std::vector<SortEntry> scratch(records.size());
+  apply_order(records, order_into(records, sort_values, scratch.data()));
+}
+
+void sort_records(KVVec& records, bool sort_values, RecordArena& arena) {
+  if (records.empty()) return;
+  apply_order(records, order_in_arena(records, sort_values, arena));
+}
+
+std::span<const uint32_t> sort_order(const KVVec& records, bool sort_values,
+                                     RecordArena& arena) {
+  if (records.empty()) return {};
+  return {order_in_arena(records, sort_values, arena), records.size()};
+}
+
+void take_groups(KVVec& records, std::span<const uint32_t> order,
+                 const GroupFn& fn) {
+  // The walk visits records in key order, not memory order; fetching
+  // records ahead overlaps their cache misses. A record spans two cache
+  // lines unless the buffer happens to be 64-byte aligned, so both ends are
+  // fetched.
+  constexpr std::size_t kPrefetchAhead = 16;
+  std::vector<Bytes> values;
+  std::size_t i = 0;
+  while (i < order.size()) {
+    const Bytes& key = records[order[i]].key;
+    values.clear();
+    do {
+      if (i + kPrefetchAhead < order.size()) {
+        const KV& ahead = records[order[i + kPrefetchAhead]];
+        __builtin_prefetch(&ahead);
+        __builtin_prefetch(reinterpret_cast<const char*>(&ahead + 1) - 1);
+      }
+      values.push_back(std::move(records[order[i]].value));
+      ++i;
+    } while (i < order.size() && records[order[i]].key == key);
+    fn(key, values);
   }
 }
 

@@ -2,10 +2,19 @@
 //
 // The record compute path is the per-iteration hot loop of every figure, so
 // the primitives here avoid redundant byte-string work:
-//   - sort_records normalizes each key to an 8-byte big-endian prefix and
-//     sorts (prefix, index) pairs, falling back to a full compare only on
-//     prefix ties (codecs are order-preserving, so prefix order == key
-//     order); the permutation is applied by moving records once.
+//   - sort_order computes a buffer's sorted permutation over 16-byte
+//     entries: the key's first 8 bytes as a big-endian integer, the arrival
+//     index, min(key length, 9) and, when values are sorted too, the value's
+//     first 3 bytes. An in-place MSD radix pass orders the entries by the
+//     8 prefix bytes; small buckets and whole-prefix ties finish with a
+//     comparator that reads a record only when both keys run past 8 bytes or
+//     two values tie on their first 3 bytes (codecs are order-preserving, so
+//     entry order == record order). The arrival index breaks every remaining
+//     tie, so the permutation is unique.
+//   - sort_records is that order applied in place, each record moved once.
+//   - take_groups walks an unsorted buffer in a sort_order permutation as
+//     key groups, moving each value straight out of its record: the
+//     in-memory reduce never moves a record into sorted position.
 //   - GroupCursor iterates key runs of a sorted buffer as spans — no value
 //     copies, one key compare per record.
 //   - GroupValues adapts a run to the std::vector<Bytes> shape user
@@ -16,6 +25,8 @@
 //     ship through: run-length grouping over value-sorted input.
 #pragma once
 
+#include <cstdint>
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -29,15 +40,33 @@ namespace imr {
 // Sorts records by key (and by value within equal keys when
 // `sort_values` — deterministic reduce input independent of arrival order).
 // Key-only sorting is stable; full sorting breaks exact (key, value) ties by
-// original position, so the result is deterministic in both modes.
+// original position, so the result is deterministic in both modes. The
+// entry scratch is a std::vector, freed on return.
 void sort_records(KVVec& records, bool sort_values);
 
-// Arena-backed variant: the (prefix, index) order array comes from `arena`
-// (reset first — the scratch is dead after the call) and the permutation is
-// applied in place by cycle rotation, so the sort allocates nothing from the
-// global heap once the arena's blocks are pooled. Byte-identical results to
-// the plain overload.
+// Arena-backed variant: the same order as sort_order, applied in place by
+// cycle rotation, so the sort allocates nothing from the global heap once
+// the arena's blocks are pooled. Byte-identical results to the plain
+// overload.
 void sort_records(KVVec& records, bool sort_values, RecordArena& arena);
+
+// The permutation sort_records(records, sort_values) would apply: element i
+// is the index of the record that belongs at position i. It lives in
+// `arena` (reset first) and stays valid until the arena's next reset — in a
+// ReduceInput, until its next sort or spill. `records` is not touched.
+std::span<const uint32_t> sort_order(const KVVec& records, bool sort_values,
+                                     RecordArena& arena);
+
+// One reduce call's input: a key and its values, in sorted order.
+using GroupFn =
+    std::function<void(const Bytes& key, const std::vector<Bytes>& values)>;
+
+// Calls fn once per key group of `records` taken in `order` (a sort_order
+// permutation of them), in key order, MOVING each value out of its record;
+// the keys stay in place. The same groups, values and order as grouping the
+// buffer sort_records would have produced, without moving any record.
+void take_groups(KVVec& records, std::span<const uint32_t> order,
+                 const GroupFn& fn);
 
 // ---------------------------------------------------------------------------
 // Streaming k-way merge over sorted runs (out-of-core reduce, DESIGN.md §10)

@@ -2,8 +2,9 @@
 // combine primitives must be indistinguishable from the implementations they
 // replaced. Each test pits the new code against a VERBATIM copy of the old
 // one over generated corpora that stress the tricky inputs: duplicate keys,
-// empty keys, keys absent from the static data, and keys sharing a >8-byte
-// prefix (so the prefix fast path ties and must fall back correctly).
+// empty keys, keys absent from the static data, keys sharing a >8-byte
+// prefix (so the prefix fast path ties and must fall back correctly), and
+// values and whole records that tie on every byte the sort entry carries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -12,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/arena.h"
 #include "common/codec.h"
 #include "common/rng.h"
 #include "imapreduce/static_store.h"
@@ -91,6 +93,53 @@ KVVec nasty_corpus(uint64_t seed, std::size_t n) {
   return out;
 }
 
+// Built to reach every tie-break of the sort: most values share their first
+// 3 bytes (lengths 0-12 over one stem, with a tail drawn from 0x00, 0x01,
+// 'z' and 0xff), others are "v", "v\0" and "v\0\0"; keys include "k",
+// "k\0", "k\0\0", the empty key and 17-byte keys sharing 16 bytes; a fifth of
+// the records repeat an earlier record exactly; and one hot key holds far
+// more values than a bucket the radix pass leaves to insertion sort.
+KVVec tie_corpus(uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  const char kTail[] = {'\0', '\x01', 'z', '\xff'};
+  KVVec out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const uint64_t r = rng.next_u64();
+    if (i >= 8 && r % 5 == 0) {
+      out.push_back(out[rng.next_u64() % i]);
+      continue;
+    }
+    Bytes key;
+    if (i < 40 || r % 3 == 0) {
+      key = u32_key(7);
+    } else if ((r >> 8) % 4 == 0) {
+      key = u32_key(static_cast<uint32_t>((r >> 16) % (n / 16 + 1)));
+    } else if ((r >> 8) % 4 == 1) {
+      key = Bytes("k\0\0", 1 + (r >> 16) % 3);
+    } else if ((r >> 8) % 4 == 2) {
+      key = Bytes("long-shared-key/") + static_cast<char>('a' + (r >> 16) % 3);
+    }
+    Bytes value;
+    if ((r >> 24) % 4 == 0) {
+      value = Bytes("v\0\0", 1 + (r >> 32) % 3);
+    } else {
+      const std::size_t len = (r >> 32) % 13;
+      value = Bytes("abc").substr(0, len);
+      while (value.size() < len) value += kTail[rng.next_u64() % 4];
+    }
+    out.emplace_back(std::move(key), std::move(value));
+  }
+  return out;
+}
+
+// Position of the first record where a and b differ; -1 if they are equal.
+std::ptrdiff_t first_difference(const KVVec& a, const KVVec& b) {
+  if (a == b) return -1;
+  return std::mismatch(a.begin(), a.end(), b.begin(), b.end()).first -
+         a.begin();
+}
+
 void expect_identical(const KVVec& a, const KVVec& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -102,7 +151,7 @@ void expect_identical(const KVVec& a, const KVVec& b) {
 // --- Sort -------------------------------------------------------------------
 
 TEST(RecordPathSort, MatchesReferenceAcrossCorpora) {
-  // Sizes straddle the prefix-sort threshold (64) on purpose.
+  // Sizes fall on both sides of the radix cutoff (32) on purpose.
   for (std::size_t n : {0u, 1u, 2u, 63u, 64u, 65u, 500u, 4096u}) {
     for (uint64_t seed : {1u, 2u, 3u}) {
       for (bool sort_values : {false, true}) {
@@ -112,6 +161,24 @@ TEST(RecordPathSort, MatchesReferenceAcrossCorpora) {
         sort_records(actual, sort_values);
         expect_identical(expected, actual);
       }
+    }
+  }
+}
+
+TEST(RecordPathSort, TieBreaksMatchReference) {
+  for (std::size_t n : {63u, 64u, 65u, 4096u, 70000u}) {
+    for (bool sort_values : {false, true}) {
+      KVVec expected = tie_corpus(n, n);
+      sort_records_reference(expected, sort_values);
+      KVVec plain = tie_corpus(n, n);
+      sort_records(plain, sort_values);
+      EXPECT_EQ(first_difference(expected, plain), -1)
+          << "plain overload, n=" << n << " sort_values=" << sort_values;
+      RecordArena arena;
+      KVVec pooled = tie_corpus(n, n);
+      sort_records(pooled, sort_values, arena);
+      EXPECT_EQ(first_difference(expected, pooled), -1)
+          << "arena overload, n=" << n << " sort_values=" << sort_values;
     }
   }
 }
@@ -170,6 +237,31 @@ TEST(RecordPathGroup, CursorViewMatchesReference) {
       EXPECT_EQ(groups.size(), actual.back().second.size());
     }
     EXPECT_EQ(expected, actual);
+  }
+}
+
+TEST(RecordPathGroup, SortOrderWalkMatchesReference) {
+  for (std::size_t n : {0u, 1u, 63u, 64u, 65u, 4096u, 70000u}) {
+    for (bool ties : {false, true}) {
+      KVVec sorted = ties ? tie_corpus(n, n) : nasty_corpus(n, n);
+      sort_records_reference(sorted, true);
+      const GroupList expected = reference_groups(sorted);
+
+      // take_groups walks the unsorted buffer through sort_order's
+      // permutation: no record moves, and the keys stay put.
+      KVVec records = ties ? tie_corpus(n, n) : nasty_corpus(n, n);
+      const KVVec arrival = records;
+      RecordArena arena;
+      GroupList actual;
+      take_groups(records, sort_order(records, true, arena),
+                  [&](const Bytes& key, const std::vector<Bytes>& values) {
+                    actual.emplace_back(key, values);
+                  });
+      EXPECT_TRUE(expected == actual) << "n=" << n << " ties=" << ties;
+      for (std::size_t i = 0; i < n; ++i) {
+        ASSERT_EQ(records[i].key, arrival[i].key) << "record " << i;
+      }
+    }
   }
 }
 
