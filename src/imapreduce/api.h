@@ -7,9 +7,11 @@
 // threshold-based termination (§3.1.2).
 //
 // Mapper/Reducer instances are PERSISTENT: one instance per task, living
-// across all iterations (the persistent-task model, §3.1.1). They may keep
+// across iterations (the persistent-task model, §3.1.1). They may keep
 // state between iterations — the K-means auxiliary convergence detector
 // (§5.3) relies on this to remember the previous iteration's assignments.
+// A task that restarts after a rollback or a session resume starts a fresh
+// mapper, as a respawned task does; its reducer instance is kept.
 #pragma once
 
 #include <functional>

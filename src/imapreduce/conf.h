@@ -132,6 +132,9 @@ struct IterJobConf {
       if (!p.mapper || !p.reducer) {
         throw ConfigError("phase missing mapper or reducer");
       }
+      if (p.mapping == Mapping::kOne2All && p.static_path.empty()) {
+        throw ConfigError("one2all phase requires static data to map over");
+      }
     }
     if (state_path.empty()) throw ConfigError("statepath not set");
     if (output_path.empty()) throw ConfigError("output path not set");

@@ -58,8 +58,17 @@ struct Collected {
 // The static value a map joins a key that has none with.
 const Bytes kNoStatic;
 
-// The control handler of a task with no control of its own.
-constexpr auto kNoOwnControl = [](const CtlMsg&, NetMessage&) { return true; };
+// The job's phases, and the aux phase (§5.3), if any, as phase P: its mapper
+// and reducer, no static data, no combiner.
+std::vector<PhaseConf> with_aux_phase(const IterJobConf& conf) {
+  std::vector<PhaseConf> phases = conf.phases;
+  if (conf.aux) {
+    phases.emplace_back();
+    phases.back().mapper = conf.aux->mapper;
+    phases.back().reducer = conf.aux->reducer;
+  }
+  return phases;
+}
 
 // Iteration-aware mailbox wrapper. In asynchronous execution a fast upstream
 // task may legitimately run one iteration ahead and send data tagged with a
@@ -191,6 +200,7 @@ class JobRun {
   JobRun(Cluster& cluster, const IterJobConf& conf, bool session_mode = false)
       : cluster_(cluster),
         conf_(conf),
+        phases_(with_aux_phase(conf)),
         cost_(cluster.cost()),
         // Job ordinal is per-cluster so a fresh cluster replays the same DFS
         // paths (placement is path-derived; see Cluster::next_job_ordinal).
@@ -229,12 +239,6 @@ class JobRun {
 
  private:
   // --- naming ---
-  std::string map_ep_name(int p, int i) const {
-    return tag_ + "/p" + std::to_string(p) + "/m" + std::to_string(i);
-  }
-  std::string red_ep_name(int p, int i) const {
-    return tag_ + "/p" + std::to_string(p) + "/r" + std::to_string(i);
-  }
   std::string ckpt_path(int iter) const {
     return "ckpt/" + tag_ + "/it" + std::to_string(iter);
   }
@@ -258,48 +262,81 @@ class JobRun {
     return dir + "/workset-" + std::to_string(i);
   }
 
-  // --- endpoint registry (swapped under lock on respawn) ---
-  std::shared_ptr<Endpoint> map_ep(int p, int i) {
-    std::lock_guard<std::mutex> lock(ep_mu_);
-    return map_ep_[static_cast<std::size_t>(p)][static_cast<std::size_t>(i)];
+  // --- mailbox registry (swapped under lock on respawn) ---
+  // Every task's mailbox, keyed by role, phase and task index. Phase P_ is
+  // the aux phase (§5.3): one aux map per pair and num_reduce_tasks aux
+  // reduces.
+  enum class Role { kMap, kReduce };
+  struct Slot {
+    Role role;
+    int p;
+    int i;
+  };
+  using Mailboxes = std::vector<std::shared_ptr<Endpoint>>;
+  int slots(Role role, int p) const {
+    if (p < P_) return T_;
+    if (!conf_.aux) return 0;
+    return role == Role::kMap ? T_ : conf_.aux->num_reduce_tasks;
   }
-  std::shared_ptr<Endpoint> red_ep(int p, int i) {
-    std::lock_guard<std::mutex> lock(ep_mu_);
-    return red_ep_[static_cast<std::size_t>(p)][static_cast<std::size_t>(i)];
+  // Row (role, p); ep_mu_ must be held. Every map row precedes every
+  // reduce row.
+  Mailboxes& row(Role role, int p) {
+    const int r = (role == Role::kReduce ? P_ + 1 : 0) + p;
+    return mailboxes_[static_cast<std::size_t>(r)];
   }
-  std::shared_ptr<Endpoint> aux_map_ep(int a) {
+  std::shared_ptr<Endpoint> mailbox(const Slot& s) {
     std::lock_guard<std::mutex> lock(ep_mu_);
-    return aux_map_ep_[static_cast<std::size_t>(a)];
+    return row(s.role, s.p)[static_cast<std::size_t>(s.i)];
   }
-  std::shared_ptr<Endpoint> aux_red_ep(int j) {
+  // Where pair i lives: all its mailboxes share its phase-0 map's worker.
+  int pair_worker(int i) { return mailbox({Role::kMap, 0, i})->home_worker(); }
+  Mailboxes all_endpoints() {
     std::lock_guard<std::mutex> lock(ep_mu_);
-    return aux_red_ep_[static_cast<std::size_t>(j)];
-  }
-  std::vector<std::shared_ptr<Endpoint>> all_endpoints() {
-    std::lock_guard<std::mutex> lock(ep_mu_);
-    std::vector<std::shared_ptr<Endpoint>> all;
-    for (auto& v : map_ep_) all.insert(all.end(), v.begin(), v.end());
-    for (auto& v : red_ep_) all.insert(all.end(), v.begin(), v.end());
-    all.insert(all.end(), aux_map_ep_.begin(), aux_map_ep_.end());
-    all.insert(all.end(), aux_red_ep_.begin(), aux_red_ep_.end());
+    Mailboxes all;
+    for (const Mailboxes& r : mailboxes_) {
+      all.insert(all.end(), r.begin(), r.end());
+    }
     return all;
   }
+  // Every slot, pair by pair: the pair's map and reduce in each phase, its
+  // aux map, then the aux reduce of the same index. Start-up and respawns
+  // walk this order.
+  template <typename Fn>
+  void for_each_slot(Fn fn) const {
+    for (int i = 0; i < std::max(T_, slots(Role::kReduce, P_)); ++i) {
+      for (int p = 0; p <= P_; ++p) {
+        for (Role role : {Role::kMap, Role::kReduce}) {
+          if (i < slots(role, p)) fn(Slot{role, p, i});
+        }
+      }
+    }
+  }
+  // Gives slot s a fresh mailbox homed on `worker`. Used at start and by
+  // every respawn. Names: <tag>/p<p>/m<i> and /r<i>, <tag>/aux/m<i> and
+  // /r<j>.
+  void home(const Slot& s, int worker) {
+    const std::string name =
+        tag_ + (s.p == P_ ? "/aux" : "/p" + std::to_string(s.p)) +
+        (s.role == Role::kMap ? "/m" : "/r") + std::to_string(s.i);
+    std::lock_guard<std::mutex> lock(ep_mu_);
+    row(s.role, s.p)[static_cast<std::size_t>(s.i)] =
+        cluster_.fabric().create_endpoint(name, worker);
+    // Publish the swap to the EpRow caches.
+    ep_epoch_.fetch_add(1, std::memory_order_release);
+  }
 
-  // Which endpoint row an EpRow caches.
-  enum class EpKind { kMap, kReduce, kAuxMap, kAuxReduce };
-
-  // Generation-stamped cache of one endpoint row ([task index] for a fixed
-  // phase). Task loops ship every flushed batch through a row; looking each
-  // endpoint up under ep_mu_ per batch serializes all senders on one global
-  // mutex. Instead the row is snapshotted once and re-snapshotted only after
-  // respawn_and_rollback swaps endpoints and bumps ep_epoch_. A send racing
+  // Generation-stamped cache of one mailbox row ([task index] for a fixed
+  // role and phase). Task loops ship every flushed batch through a row;
+  // looking each mailbox up under ep_mu_ per batch serializes all senders on
+  // one global mutex. Instead the row is snapshotted once and re-snapshotted
+  // only after a respawn swaps mailboxes and bumps ep_epoch_. A send racing
   // the swap can still land in an abandoned mailbox — exactly the race the
   // per-send lookup already had (the pointer was fetched before the swap) —
   // and is handled the same way: the receiver's generation check filters it,
   // or teardown declares it a discard.
   class EpRow {
    public:
-    EpRow(JobRun& run, EpKind kind, int p = 0) : run_(run), kind_(kind), p_(p) {}
+    EpRow(JobRun& run, Role role, int p) : run_(run), role_(role), p_(p) {}
 
     Endpoint& at(int i) {
       refresh();
@@ -322,25 +359,12 @@ class JobRun {
       uint64_t epoch = run_.ep_epoch_.load(std::memory_order_acquire);
       if (epoch == epoch_) return;
       std::lock_guard<std::mutex> lock(run_.ep_mu_);
-      switch (kind_) {
-        case EpKind::kMap:
-          row_ = run_.map_ep_[static_cast<std::size_t>(p_)];
-          break;
-        case EpKind::kReduce:
-          row_ = run_.red_ep_[static_cast<std::size_t>(p_)];
-          break;
-        case EpKind::kAuxMap:
-          row_ = run_.aux_map_ep_;
-          break;
-        case EpKind::kAuxReduce:
-          row_ = run_.aux_red_ep_;
-          break;
-      }
+      row_ = run_.row(role_, p_);
       epoch_ = epoch;
     }
 
     JobRun& run_;
-    EpKind kind_;
+    Role role_;
     int p_;
     uint64_t epoch_ = ~uint64_t{0};
     std::vector<std::shared_ptr<Endpoint>> row_;
@@ -365,6 +389,9 @@ class JobRun {
                            control_message(ctl, -1, std::move(records)),
                            TrafficCategory::kControl);
   }
+  void master_send_phase0(Role role, const CtlMsg& ctl) {
+    for (int i = 0; i < T_; ++i) master_send(*mailbox({role, 0, i}), ctl);
+  }
   void task_send_ctl(TaskContext& ctx, const CtlMsg& ctl,
                      KVVec records = {}) {
     ctx.send(*master_ep_, control_message(ctl, ctl.task, std::move(records)),
@@ -373,7 +400,7 @@ class JobRun {
 
   // --- task bodies ---
   // Where and when a task starts. The spawning thread resolves the mailbox
-  // (see spawn_pair); the task never looks it up, since a task thread may be
+  // (see spawn_task); the task never looks it up, since a task thread may be
   // scheduled arbitrarily late. A task runs on its mailbox's worker.
   struct TaskStart {
     int p = 0;
@@ -386,12 +413,6 @@ class JobRun {
   class PairTask;
   class MapTask;
   class ReduceTask;
-  // Aux tasks are generation-aware like main tasks: after a rollback the
-  // main phase re-sends aux data under the bumped generation, so an aux task
-  // stuck at generation 0 would stash that data forever and convergence
-  // detection would silently stop firing.
-  void run_aux_map(const TaskStart& at);
-  void run_aux_reduce(const TaskStart& at);
 
   // --- master (thread-confined) ---
   // Dispatches the master's control messages until T Dones or a quiesce.
@@ -400,6 +421,9 @@ class JobRun {
   // Records iteration k, whose reports are all in, and acts on its verdict:
   // quiesce, terminate, or one Continue(k).
   void decide(int k);
+  // The delta barrier's last ack: resumes every parked task from the
+  // perturbed-key frontier under a fresh generation (DESIGN.md §8).
+  void open_epoch();
   enum class Verdict { kContinue, kConverged, kBudgetSpent };
   Verdict verdict(const PendingIter& it) const;
   // A failure notice (§3.4.1): moves the worker's pairs and rolls back.
@@ -407,7 +431,8 @@ class JobRun {
   void maybe_migrate(const PendingIter& it);
   // Every task stops; last-phase reduces dump the output and send Done.
   void terminate();
-  // Respawns `pairs` on `targets` and rolls everything back to last_ckpt_.
+  // Respawns `pairs` on `targets`, and any aux reduce on a dead worker, and
+  // rolls everything else back to last_ckpt_.
   void respawn_and_rollback(const std::vector<int>& pairs,
                             const std::vector<int>& targets);
 
@@ -417,70 +442,13 @@ class JobRun {
   void start();
   void run_master();
   RunReport finish();
-  // Report slice covering the current epoch only (since epoch_first_stat_).
+  // Report slice covering the current epoch only (since epoch_first_stat_),
+  // which must have quiesced; kept as last_report_.
   RunReport epoch_report(const std::string& label);
 
-  // --- spawning ---
-  void spawn(std::function<void()> body) {
-    std::lock_guard<std::mutex> lock(threads_mu_);
-    threads_.emplace_back([this, body = std::move(body)] {
-      try {
-        body();
-      } catch (...) {
-        {
-          std::lock_guard<std::mutex> elock(error_mu_);
-          if (!first_error_) first_error_ = std::current_exception();
-        }
-        // Unblock everything so the run can unwind.
-        for (auto& ep : all_endpoints()) ep->close();
-        master_ep_->close();
-      }
-    });
-  }
-  // Spawns pair i's tasks in every phase, and its aux map.
-  void spawn_pair(int i, int gen, int start_iter, int64_t start_vt);
-  void spawn_aux_reduce(int j, int gen, int start_iter) {
-    const TaskStart at{0, j, gen, start_iter, 0, aux_red_ep(j)};
-    spawn([this, at] { run_aux_reduce(at); });
-  }
-  // Homes pair i on `worker` with fresh mailboxes: each phase's map and
-  // reduce, and its aux map. Used at start and by every respawn.
-  void home_pair(int i, int worker) {
-    set_pair_worker(i, worker);
-    const auto at = static_cast<std::size_t>(i);
-    std::lock_guard<std::mutex> lock(ep_mu_);
-    for (std::size_t p = 0; p < map_ep_.size(); ++p) {
-      map_ep_[p][at] = cluster_.fabric().create_endpoint(
-          map_ep_name(static_cast<int>(p), i), worker);
-      red_ep_[p][at] = cluster_.fabric().create_endpoint(
-          red_ep_name(static_cast<int>(p), i), worker);
-    }
-    if (conf_.aux) {
-      aux_map_ep_[at] = cluster_.fabric().create_endpoint(
-          tag_ + "/aux/m" + std::to_string(i), worker);
-    }
-    // Publish the swap to the EpRow caches.
-    ep_epoch_.fetch_add(1, std::memory_order_release);
-  }
-  void home_aux_reduce(int j, int worker) {
-    std::lock_guard<std::mutex> lock(ep_mu_);
-    aux_red_ep_[static_cast<std::size_t>(j)] =
-        cluster_.fabric().create_endpoint(tag_ + "/aux/r" + std::to_string(j),
-                                          worker);
-    ep_epoch_.fetch_add(1, std::memory_order_release);
-  }
-  // Pair i's mailboxes, in home_pair's order: the Kill and Rollback fan-out.
-  std::vector<std::shared_ptr<Endpoint>> pair_endpoints(int i) {
-    const auto at = static_cast<std::size_t>(i);
-    std::lock_guard<std::mutex> lock(ep_mu_);
-    std::vector<std::shared_ptr<Endpoint>> eps;
-    for (std::size_t p = 0; p < map_ep_.size(); ++p) {
-      eps.push_back(map_ep_[p][at]);
-      eps.push_back(red_ep_[p][at]);
-    }
-    if (conf_.aux) eps.push_back(aux_map_ep_[at]);
-    return eps;
-  }
+  // Spawns the task that reads slot s's mailbox. A task's error is the
+  // run's first error, or is dropped after it.
+  void spawn_task(const Slot& s, int gen, int start_iter, int64_t start_vt);
 
   // Routing for one key under the job's effective partitioner (the conf's or
   // the flat hash). Everything that decides where a key LIVES — shuffle
@@ -495,8 +463,7 @@ class JobRun {
   // Whether phase p's maps take the whole state, broadcast by every reduce
   // (one2all, §5.1).
   bool maps_all(int p) const {
-    return conf_.phases[static_cast<std::size_t>(p)].mapping ==
-           Mapping::kOne2All;
+    return phases_[static_cast<std::size_t>(p)].mapping == Mapping::kOne2All;
   }
   // The same routing as a MiniDfs::PartitionFn for partition loads.
   MiniDfs::PartitionFn partition_fn() const {
@@ -560,24 +527,18 @@ class JobRun {
   // By value: a session-mode run outlives the IterativeEngine::open_session
   // call that supplied the conf.
   const IterJobConf conf_;
+  const std::vector<PhaseConf> phases_;  // conf_.phases, then the aux phase
   const CostModel& cost_;
   std::string tag_;
   int P_;
   int T_;
-  int aux_reduces_ = 0;
 
   std::shared_ptr<Endpoint> master_ep_;
   std::mutex ep_mu_;
-  std::vector<std::vector<std::shared_ptr<Endpoint>>> map_ep_;  // [p][i]
-  std::vector<std::vector<std::shared_ptr<Endpoint>>> red_ep_;  // [p][i]
-  std::vector<std::shared_ptr<Endpoint>> aux_map_ep_;           // [i]
-  std::vector<std::shared_ptr<Endpoint>> aux_red_ep_;           // [j]
-  // Bumped (after the swap, under ep_mu_) whenever endpoints are replaced;
+  std::vector<Mailboxes> mailboxes_;  // [role, p][i]; see row()
+  // Bumped (after the swap, under ep_mu_) whenever mailboxes are replaced;
   // EpRow caches re-snapshot when they observe a new epoch.
   std::atomic<uint64_t> ep_epoch_{0};
-
-  std::mutex assign_mu_;
-  std::vector<int> pair_worker_;  // pair index -> worker
 
   std::mutex threads_mu_;
   std::vector<std::thread> threads_;
@@ -665,17 +626,13 @@ class JobRun {
   // Quiesce/epoch bookkeeping (master thread only).
   bool quiesced_ = false;
   int ckpt_acks_ = 0;
+  // The open delta barrier's acks (count, refining verdict, seeds); empty
+  // between barriers.
+  int delta_acks_ = 0;
+  bool delta_reset_all_ = false;
+  KVVec delta_seeds_;
   std::size_t epoch_first_stat_ = 0;
   double epoch_start_ms_ = 0;
-
-  int pair_worker(int i) {
-    std::lock_guard<std::mutex> lock(assign_mu_);
-    return pair_worker_[static_cast<std::size_t>(i)];
-  }
-  void set_pair_worker(int i, int w) {
-    std::lock_guard<std::mutex> lock(assign_mu_);
-    pair_worker_[static_cast<std::size_t>(i)] = w;
-  }
 };
 
 // ---------------------------------------------------------------------------
@@ -684,7 +641,9 @@ class JobRun {
 
 // What the map and the reduce of a pair share: identity, mailbox, clock and
 // the failure protocol. A task is named after its mailbox, and so are its
-// log lines.
+// log lines. A task of phase P_ is an aux task (§5.3); it follows the
+// generation protocol like any other, or the main phase's re-sends after a
+// rollback would sit in its stash forever.
 class JobRun::PairTask {
  public:
   PairTask(const PairTask&) = delete;
@@ -695,6 +654,7 @@ class JobRun::PairTask {
       : run_(run),
         p_(at.p),
         i_(at.i),
+        aux_(at.p == run.P_),
         gen_(at.gen),
         k_(at.iteration),
         inbox_(at.ep, senders, gated),
@@ -734,12 +694,17 @@ class JobRun::PairTask {
     notice.worker = ctx_.worker();
     run_.task_send_ctl(ctx_, notice);
   }
+  // Consumes an injected crash at `point` in `iteration`, if one is due.
+  // Aux tasks never consume a fault, so a schedule hits the main tasks only.
+  bool crashes(FaultPoint point, int iteration) {
+    return !aux_ && run_.cluster_.consume_fault(ctx_.worker(), point,
+                                                iteration, &ctx_.vt());
+  }
   // True when an injected crash at `point` killed the task in iteration k,
   // which has then sent its failure notice; the caller must return
   // immediately.
   bool dies_at(FaultPoint point) {
-    const bool dies =
-        run_.cluster_.consume_fault(ctx_.worker(), point, k_, &ctx_.vt());
+    const bool dies = crashes(point, k_);
     if (dies) fail(k_);
     return dies;
   }
@@ -747,6 +712,7 @@ class JobRun::PairTask {
   JobRun& run_;
   const int p_;
   const int i_;
+  const bool aux_;
   int gen_;
   int k_;
   StashedInbox inbox_;
@@ -759,14 +725,14 @@ class JobRun::PairTask {
 
 // A persistent map task (§3.1): it loads and indexes its static partition
 // once; each iteration it collects, joins and maps its input and ships the
-// output.
+// output. An aux map collects from all T main tasks, as under one2all.
 class JobRun::MapTask : public PairTask {
  public:
   MapTask(JobRun& run, const TaskStart& at)
-      : PairTask(run, at, run.maps_all(at.p) ? run.T_ : 1,
+      : PairTask(run, at,
+                 run.maps_all(at.p) || at.p == run.P_ ? run.T_ : 1,
                  at.p == 0 && !run.conf_.async_maps && !run.maps_all(at.p)) {
     run.cluster_.metrics().inc("imr_persistent_map_tasks");
-    mapper_->configure(run.conf_.params);
     if (combiner_) combiner_->configure(run.conf_.params);
   }
 
@@ -777,9 +743,10 @@ class JobRun::MapTask : public PairTask {
       // Workset mode (DESIGN.md §7) maps the frontier the paired reduce
       // shipped; its iteration span is named apart so traces show frontier
       // iterations at a glance.
-      TraceSpan iter_span(
-          run_.conf_.workset_mode ? "map_iter_frontier" : "map_iter", ctx_.vt(),
-          k_, gen_);
+      TraceSpan iter_span(aux_                          ? "aux_map_iter"
+                          : run_.conf_.workset_mode ? "map_iter_frontier"
+                                                    : "map_iter",
+                          ctx_.vt(), k_, gen_);
       const int64_t iter_start_vt_ns = ctx_.vt().now_ns();
       // Injection point: died while working on iteration k, before its shuffle
       // output exists.
@@ -805,7 +772,8 @@ class JobRun::MapTask : public PairTask {
 
  private:
   // Routing, streaming, the barrier flush and the task's memory budget
-  // (DESIGN.md §9, §10). Telemetry profiles phase 0's shuffle output.
+  // (DESIGN.md §9, §10). Telemetry profiles phase 0's shuffle output. An aux
+  // map routes by flat hash over the aux reduces, and never frames.
   MapOutput::Options output_options() {
     const IterJobConf& conf = run_.conf_;
     const bool feeds_aux = conf.aux && p_ == 0 &&
@@ -823,10 +791,10 @@ class JobRun::MapTask : public PairTask {
             .generation = gen_,
             .reduces = red_row_.row_fn(),
             .aux = feeds_aux ? aux_row_.row_fn() : MapOutput::Row(),
-            .partitioner = conf.partitioner.get(),
+            .partitioner = aux_ ? nullptr : conf.partitioner.get(),
             .combine = std::move(combine),
             .buffer_records = conf.buffer_records,
-            .aggregated = conf.aggregated_shuffle,
+            .aggregated = !aux_ && conf.aggregated_shuffle,
             .budget_bytes = conf.max_task_memory_bytes,
             .profiled = profiled_};
   }
@@ -949,10 +917,13 @@ class JobRun::MapTask : public PairTask {
   }
   // Stale queue contents are filtered by generation (rollback) or stale
   // iteration (resume); reload whatever input the restart point needs. The
-  // static store is NOT touched — session mutations are loop-invariant
-  // within an epoch and survive rollbacks.
+  // mapper starts fresh, as a respawned task's does, so nothing it absorbed
+  // from the dropped iteration survives. The static store is NOT touched —
+  // session mutations are loop-invariant within an epoch and survive
+  // rollbacks.
   void restart(const Collected& c) {
     const TraceSpan span = begin_restart(c);
+    mapper_ = new_mapper();
     out_.reset(gen_);
     deferred_.clear();
     load_state(c.restart_at);
@@ -1037,13 +1008,19 @@ class JobRun::MapTask : public PairTask {
     return true;
   }
 
-  const PhaseConf& ph_ = run_.conf_.phases[static_cast<std::size_t>(p_)];
+  std::unique_ptr<IterMapper> new_mapper() const {
+    std::unique_ptr<IterMapper> mapper = ph_.mapper();
+    mapper->configure(run_.conf_.params);
+    return mapper;
+  }
+
+  const PhaseConf& ph_ = run_.phases_[static_cast<std::size_t>(p_)];
   const bool one2all_ = run_.maps_all(p_);
   const bool profiled_ = p_ == 0 && TelemetryRecorder::enabled();
-  EpRow red_row_{run_, EpKind::kReduce, p_};
-  EpRow aux_row_{run_, EpKind::kAuxMap};
+  EpRow red_row_{run_, Role::kReduce, p_};
+  EpRow aux_row_{run_, Role::kMap, run_.P_};
   StaticStore static_store_;
-  std::unique_ptr<IterMapper> mapper_ = ph_.mapper();
+  std::unique_ptr<IterMapper> mapper_ = new_mapper();
   std::unique_ptr<IterReducer> combiner_ =
       ph_.combiner ? ph_.combiner() : nullptr;
   MapOutput out_{ctx_, output_options()};
@@ -1066,7 +1043,8 @@ class JobRun::MapTask : public PairTask {
 
 // A persistent reduce task (§3.1): each iteration it collects the shuffle,
 // reduces it, and streams the output to the next phase's maps (§3.2.1); the
-// last phase also reconciles, checkpoints and reports.
+// last phase also reconciles, checkpoints and reports. An aux reduce's
+// output is the aux phase's verdict (§5.3) and goes to the master instead.
 class JobRun::ReduceTask : public PairTask {
  public:
   ReduceTask(JobRun& run, const TaskStart& at)
@@ -1082,7 +1060,8 @@ class JobRun::ReduceTask : public PairTask {
     if (gen_ > 0 && dies_at(FaultPoint::kMigration)) return;
     load_state(k_ - 1, /*resume=*/false);
     while (true) {
-      TraceSpan iter_span("reduce_iter", ctx_.vt(), k_, gen_);
+      TraceSpan iter_span(aux_ ? "aux_reduce_iter" : "reduce_iter", ctx_.vt(),
+                          k_, gen_);
       if (std::exchange(seed_ship_, false)) ship_seeds();
       const Collected c = collect();
       if (c.event == LoopEvent::kKill) {
@@ -1141,8 +1120,7 @@ class JobRun::ReduceTask : public PairTask {
   // when an injected crash tore it: half the state landed, and the task has
   // sent its failure notice and must return.
   bool dump_dies(const std::string& dir, VClock& clock, int iteration) {
-    const bool torn = run_.cluster_.consume_fault(
-        ctx_.worker(), FaultPoint::kCheckpointWrite, iteration, &ctx_.vt());
+    const bool torn = crashes(FaultPoint::kCheckpointWrite, iteration);
     dump_state(dir, clock, TrafficCategory::kCheckpoint, torn);
     if (!torn) return false;
     run_.cluster_.metrics().inc("imr_torn_checkpoints");
@@ -1199,8 +1177,17 @@ class JobRun::ReduceTask : public PairTask {
   // The one path to the next phase's maps (§3.2.1): a batch goes to the
   // paired map, or under one2all as one shared payload to all T maps — the
   // fabric enqueues T handles to one records buffer (each charged its full
-  // wire size) instead of T deep copies.
+  // wire size) instead of T deep copies. An aux reduce turns each terminate
+  // signal record into an AuxSignal to the master.
   void ship(KVVec batch, int iteration) {
+    if (aux_) {
+      for (const KV& kv : batch) {
+        if (kv.key != kTerminateSignalKey) continue;
+        run_.task_send_ctl(ctx_, message(CtlType::kAuxSignal, iteration));
+        run_.cluster_.metrics().inc("imr_aux_signals");
+      }
+      return;
+    }
     if (batch.empty()) return;
     NetMessage msg;
     msg.kind = NetMessage::Kind::kData;
@@ -1217,6 +1204,7 @@ class JobRun::ReduceTask : public PairTask {
   }
   // Ends `iteration`'s stream at every map ship() reaches.
   void close(int iteration) {
+    if (aux_) return;
     if (!broadcast_) {
       ctx_.send_eos(next_maps_.at(i_), i_, iteration, gen_,
                     TrafficCategory::kReduceToMap);
@@ -1366,7 +1354,8 @@ class JobRun::ReduceTask : public PairTask {
 
   const bool last_phase_ = p_ == run_.P_ - 1;
   const bool workset_ = run_.conf_.workset_mode;
-  const int next_p_ = (p_ + 1) % run_.P_;
+  // An aux reduce feeds no map: its output keeps its own iteration.
+  const int next_p_ = aux_ ? p_ : (p_ + 1) % run_.P_;
   const bool broadcast_ = run_.maps_all(next_p_);
   const bool aux_from_reduce_ =
       run_.conf_.aux && last_phase_ &&
@@ -1375,21 +1364,18 @@ class JobRun::ReduceTask : public PairTask {
   // seed frontier to the paired map: at a refining epoch's resume, and
   // again whenever a rollback lands exactly on its baseline.
   bool seed_ship_ = false;
-  EpRow next_maps_{run_, EpKind::kMap, next_p_};
-  EpRow aux_row_{run_, EpKind::kAuxMap};
+  EpRow next_maps_{run_, Role::kMap, next_p_};
+  EpRow aux_row_{run_, Role::kMap, run_.P_};
   std::unique_ptr<IterReducer> reducer_ =
-      run_.conf_.phases[static_cast<std::size_t>(p_)].reducer();
+      run_.phases_[static_cast<std::size_t>(p_)].reducer();
   // Memory governance (DESIGN.md §10): collected shuffle input is charged
   // against the budget as it arrives and spills as sorted runs once the
   // budget is crossed; iteration processing then merges the runs with the
   // in-memory tail — byte-identical output either way.
   ReduceInput input_{
       ctx_, strprintf("%s/r%d-t%d-g%d", run_.tag_.c_str(), p_, i_, gen_),
-      run_.conf_.max_task_memory_bytes, [this](int iter) {
-        return run_.cluster_.consume_fault(ctx_.worker(),
-                                           FaultPoint::kSpillWrite, iter,
-                                           &ctx_.vt());
-      }};
+      run_.conf_.max_task_memory_bytes,
+      [this](int iter) { return crashes(FaultPoint::kSpillWrite, iter); }};
   // Buffers the output for a reduce-sourced auxiliary phase (§5.3).
   MapOutput aux_copy_{
       ctx_, {.task = i_,
@@ -1410,135 +1396,35 @@ class JobRun::ReduceTask : public PairTask {
   ThreadCpuTimer cpu_;
 };
 
-void JobRun::spawn_pair(int i, int gen, int start_iter, int64_t start_vt) {
-  // Resolve the pair's inbox endpoints, and so its home worker, HERE, in
-  // the spawning thread. A new thread can begin running arbitrarily late —
-  // after a subsequent recovery has re-homed this pair and replaced its
-  // endpoints. A task that resolved its own inbox only once scheduled
-  // would then grab the *replacement* mailbox: its Kill would sit unread
-  // in the abandoned one while it silently stole (and stashed, by
-  // generation) the replacement task's messages — a deadlock that only
-  // shows up when thread start-up is delayed by machine load.
-  for (int p = 0; p < P_; ++p) {
-    const TaskStart map{p, i, gen, start_iter, start_vt, map_ep(p, i)};
-    const TaskStart reduce{p, i, gen, start_iter, start_vt, red_ep(p, i)};
-    spawn([this, map] { MapTask(*this, map).run(); });
-    spawn([this, reduce] { ReduceTask(*this, reduce).run(); });
-  }
-  // Aux map i lives and moves with its pair, so map-side output hand-off
-  // is local.
-  if (conf_.aux) {
-    const TaskStart aux{0, i, gen, start_iter, 0, aux_map_ep(i)};
-    spawn([this, aux] { run_aux_map(aux); });
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Auxiliary phase tasks (§5.3)
-// ---------------------------------------------------------------------------
-
-void JobRun::run_aux_map(const TaskStart& at) {
-  StashedInbox inbox(at.ep, T_);
-  TaskContext ctx(cluster_, at.ep->name(), at.ep->home_worker(), at.vt);
-  EpRow red_row(*this, EpKind::kAuxReduce);
-  ctx.charge(cost_.task_init, TimeCategory::kTaskInit);
-
-  int gen = at.gen;
-  std::unique_ptr<IterMapper> mapper = conf_.aux->mapper();
-  mapper->configure(conf_.params);
-  MapOutput out(ctx,
-                {.task = at.i, .generation = gen, .reduces = red_row.row_fn()});
-
-  int k = at.iteration;
-  while (true) {
-    TraceSpan iter_span("aux_map_iter", ctx.vt(), k, gen);
-    const Collected c = inbox.collect(
-        ctx.vt(), gen, k, kNoOwnControl, [&](NetMessage& msg) {
-          ThreadCpuTimer cpu;
-          for (const KV& kv : msg.records()) {
-            mapper->map(kv.key, kv.value, kNoStatic, out);
-          }
-          ctx.charge_compute(cpu.elapsed_ns());
-          return true;
-        });
-    if (c.event == LoopEvent::kTerminate || c.event == LoopEvent::kKill) {
-      return;
-    }
-    if (c.event != LoopEvent::kIterationReady) {
-      // The main phase re-executes from the checkpoint and re-sends this
-      // data under the new generation. Drop the partially collected
-      // iteration — including whatever the eager mapper already absorbed —
-      // and resume where the main phase resumes.
-      mapper = conf_.aux->mapper();
-      mapper->configure(conf_.params);
-      out.reset(gen);
-      k = c.restart_at + 1;
-      continue;
-    }
-    {
-      ThreadCpuTimer cpu;
-      mapper->flush(out);
-      ctx.charge_compute(cpu.elapsed_ns());
-    }
-    out.flush(k);
-    out.close_iteration(k);
-    ++k;
-  }
-}
-
-void JobRun::run_aux_reduce(const TaskStart& at) {
-  StashedInbox inbox(at.ep, T_);  // one aux map per pair
-  TaskContext ctx(cluster_, at.ep->name(), at.ep->home_worker(), at.vt);
-  ctx.charge(cost_.task_init, TimeCategory::kTaskInit);
-
-  int gen = at.gen;
-  std::unique_ptr<IterReducer> reducer = conf_.aux->reducer();
-  reducer->configure(conf_.params);
-  // Aux tasks run without a memory budget.
-  ReduceInput input(ctx, strprintf("%s/aux/r%d-g%d", tag_.c_str(), at.i, gen),
-                    /*budget_bytes=*/0);
-
-  int k = at.iteration;
-  while (true) {
-    TraceSpan iter_span("aux_reduce_iter", ctx.vt(), k, gen);
-    const Collected c = inbox.collect(
-        ctx.vt(), gen, k, kNoOwnControl, [&](NetMessage& msg) {
-          input.add(msg.take_records());
-          return true;
-        });
-    if (c.event == LoopEvent::kTerminate || c.event == LoopEvent::kKill) {
-      return;
-    }
-    if (c.event != LoopEvent::kIterationReady) {
-      // Partial collections are dropped; the aux maps re-send everything
-      // from the rollback point under the new generation.
-      input.reset();
-      k = c.restart_at + 1;
-      continue;
-    }
-
-    input.sort(k, gen);
-    ThreadCpuTimer cpu;
-    KVVec output;
-    CollectEmitter out(output);
-    input.group([&](const Bytes& key, const std::vector<Bytes>& values) {
-      reducer->reduce(key, values, out);
-    });
-    ctx.charge_compute(cpu.elapsed_ns());
-
-    for (const KV& kv : output) {
-      if (kv.key == kTerminateSignalKey) {
-        CtlMsg sig;
-        sig.type = CtlType::kAuxSignal;
-        sig.task = at.i;
-        sig.iteration = k;
-        sig.generation = gen;
-        task_send_ctl(ctx, sig);
-        cluster_.metrics().inc("imr_aux_signals");
+void JobRun::spawn_task(const Slot& s, int gen, int start_iter,
+                        int64_t start_vt) {
+  // Resolve the task's mailbox, and so its home worker, HERE, in the
+  // spawning thread. A new thread can begin running arbitrarily late — after
+  // a subsequent recovery has re-homed the task and replaced its mailbox. A
+  // task that resolved its own inbox only once scheduled would then grab the
+  // *replacement* mailbox: its Kill would sit unread in the abandoned one
+  // while it silently stole (and stashed, by generation) the replacement
+  // task's messages — a deadlock that only shows up when thread start-up is
+  // delayed by machine load.
+  const TaskStart at{s.p, s.i, gen, start_iter, start_vt, mailbox(s)};
+  std::lock_guard<std::mutex> lock(threads_mu_);
+  threads_.emplace_back([this, at, map = s.role == Role::kMap] {
+    try {
+      if (map) {
+        MapTask(*this, at).run();
+      } else {
+        ReduceTask(*this, at).run();
       }
+    } catch (...) {
+      {
+        std::lock_guard<std::mutex> elock(error_mu_);
+        if (!first_error_) first_error_ = std::current_exception();
+      }
+      // Unblock everything so the run can unwind.
+      for (auto& ep : all_endpoints()) ep->close();
+      master_ep_->close();
     }
-    ++k;
-  }
+  });
 }
 
 // ---------------------------------------------------------------------------
@@ -1572,6 +1458,20 @@ void JobRun::master_loop() {
           quiesced_ = true;
         }
         break;
+      case CtlType::kDeltaAck: {
+        // Session delta barrier: each map applied its slice of the next
+        // epoch's batch and answers with its seeds and refining verdict.
+        if (ctl.generation != generation_ || ctl.session != session_id_ + 1) {
+          break;
+        }
+        if (ctl.workset_size == 0) delta_reset_all_ = true;
+        KVVec seeds = msg->take_records();
+        delta_seeds_.insert(delta_seeds_.end(),
+                            std::make_move_iterator(seeds.begin()),
+                            std::make_move_iterator(seeds.end()));
+        if (++delta_acks_ >= T_) open_epoch();
+        break;
+      }
       case CtlType::kAuxSignal: {
         // A signal computed from pre-rollback data must not stop the
         // re-executed run.
@@ -1664,10 +1564,8 @@ void JobRun::decide(int k) {
     cont.type = CtlType::kContinue;
     cont.iteration = k;
     cont.generation = generation_;
-    for (int idx = 0; idx < T_; ++idx) master_send(*red_ep(0, idx), cont);
-    if (!conf_.async_maps && !maps_all(0)) {
-      for (int idx = 0; idx < T_; ++idx) master_send(*map_ep(0, idx), cont);
-    }
+    master_send_phase0(Role::kReduce, cont);
+    if (!conf_.async_maps && !maps_all(0)) master_send_phase0(Role::kMap, cont);
     maybe_migrate(it);
     return;
   }
@@ -1687,7 +1585,7 @@ void JobRun::decide(int k) {
   cc.iteration = k;
   cc.generation = generation_;
   cc.session = session_id_;
-  for (int idx = 0; idx < T_; ++idx) master_send(*red_ep(0, idx), cc);
+  master_send_phase0(Role::kReduce, cc);
 }
 
 // The termination policy (§3.1.2, DESIGN.md §7, §5.3), in precedence order:
@@ -1724,7 +1622,7 @@ void JobRun::recover(int worker, int iteration) {
   std::vector<int> targets;
   std::map<int, int> load;
   for (int idx = 0; idx < T_; ++idx) {
-    int w = pair_worker(idx);
+    const int w = pair_worker(idx);
     if (w == worker) {
       pairs.push_back(idx);
     } else {
@@ -1815,49 +1713,44 @@ void JobRun::respawn_and_rollback(const std::vector<int>& pairs,
                                   const std::vector<int>& targets) {
   ++generation_;
   const int ckpt = last_ckpt_;
-  auto contains = [](const std::vector<int>& v, int x) {
-    return std::find(v.begin(), v.end(), x) != v.end();
-  };
-  // Aux reduces are not pair-homed; the ones stranded on a worker the master
-  // no longer trusts respawn on the recovery targets.
-  std::vector<int> moved_aux_reduces;
-  for (int j = 0; j < aux_reduces_; ++j) {
-    if (!cluster_.worker_alive(aux_red_ep(j)->home_worker())) {
-      moved_aux_reduces.push_back(j);
-    }
-  }
-  // Kill the old tasks of the moved pairs, aux maps included (their
-  // endpoints are about to be replaced; the kill lands in the old objects).
+  // A task moves with its pair; an aux reduce is not pair-homed and moves
+  // off a worker the master no longer trusts, onto a recovery target. A
+  // moving task's old incarnation gets a Kill in its old mailbox, which a
+  // fresh one then replaces.
   CtlMsg kill;
   kill.type = CtlType::kKill;
   kill.generation = generation_;
-  for (int idx : pairs) {
-    for (const auto& ep : pair_endpoints(idx)) master_send(*ep, kill);
+  std::vector<Slot> moved;
+  std::vector<Slot> stay;
+  for_each_slot([&](const Slot& s) {
+    const std::shared_ptr<Endpoint> old = mailbox(s);
+    const bool aux_reduce = s.role == Role::kReduce && s.p == P_;
+    const auto pair = std::find(pairs.begin(), pairs.end(), s.i);
+    if (aux_reduce ? cluster_.worker_alive(old->home_worker())
+                   : pair == pairs.end()) {
+      stay.push_back(s);
+      return;
+    }
+    const std::size_t n =
+        aux_reduce ? static_cast<std::size_t>(s.i) % targets.size()
+                   : static_cast<std::size_t>(pair - pairs.begin());
+    master_send(*old, kill);
+    home(s, targets[n]);
+    moved.push_back(s);
+  });
+  // Fresh tasks only once every mailbox is fresh, and the Rollback only
+  // after that: no sender of the new generation may resolve an abandoned
+  // mailbox.
+  for (const Slot& s : moved) {
+    spawn_task(s, generation_, ckpt + 1, mvt_.now_ns());
   }
-  for (int j : moved_aux_reduces) master_send(*aux_red_ep(j), kill);
-  // Fresh endpoints homed on the new workers, then fresh threads.
-  for (std::size_t n = 0; n < pairs.size(); ++n) {
-    home_pair(pairs[n], targets[n]);
-  }
-  for (int j : moved_aux_reduces) {
-    home_aux_reduce(j, targets[static_cast<std::size_t>(j) % targets.size()]);
-  }
-  for (int idx : pairs) spawn_pair(idx, generation_, ckpt + 1, mvt_.now_ns());
-  for (int j : moved_aux_reduces) spawn_aux_reduce(j, generation_, ckpt + 1);
-  // Roll every other pair back to the checkpoint (§3.4.2 step 3), and the
-  // surviving aux tasks with them — an aux task left at the old generation
-  // would stash the re-sent data forever and never signal again.
+  // Roll every other task back to the checkpoint (§3.4.2 step 3), aux tasks
+  // included.
   CtlMsg rb;
   rb.type = CtlType::kRollback;
   rb.iteration = ckpt;
   rb.generation = generation_;
-  for (int idx = 0; idx < T_; ++idx) {
-    if (contains(pairs, idx)) continue;
-    for (const auto& ep : pair_endpoints(idx)) master_send(*ep, rb);
-  }
-  for (int j = 0; j < aux_reduces_; ++j) {
-    if (!contains(moved_aux_reduces, j)) master_send(*aux_red_ep(j), rb);
-  }
+  for (const Slot& s : stay) master_send(*mailbox(s), rb);
   pending_.clear();
   decided_ = ckpt;
   // A partially collected quiesce is void too: the epoch re-converges and
@@ -1886,13 +1779,8 @@ void JobRun::respawn_and_rollback(const std::vector<int>& pairs,
 
 void JobRun::start() {
   conf_.validate();
-  for (const auto& ph : conf_.phases) {
-    if (ph.mapping == Mapping::kOne2All && ph.static_path.empty()) {
-      throw ConfigError("one2all phase requires static data to map over");
-    }
-  }
-  aux_reduces_ = conf_.aux ? conf_.aux->num_reduce_tasks : 0;
-  const int aux_maps = conf_.aux ? T_ : 0;
+  const int aux_maps = slots(Role::kMap, P_);
+  const int aux_reduces = slots(Role::kReduce, P_);
 
   // Each phase's persistent tasks must fit the execution slots; phases of
   // the same iteration alternate activity and share them (§3.1.1), while an
@@ -1902,7 +1790,7 @@ void JobRun::start() {
         "%d persistent map tasks exceed %d map slots", T_ + aux_maps,
         cluster_.map_slots()));
   }
-  if (T_ + aux_reduces_ > cluster_.reduce_slots()) {
+  if (T_ + aux_reduces > cluster_.reduce_slots()) {
     throw ConfigError("persistent reduce tasks exceed reduce slots");
   }
 
@@ -1924,19 +1812,16 @@ void JobRun::start() {
       cost_);
 
   master_ep_ = cluster_.fabric().create_endpoint(tag_ + "/master", -1);
-  const auto tasks = static_cast<std::size_t>(T_);
-  const std::vector<std::shared_ptr<Endpoint>> row(tasks);
-  pair_worker_.resize(tasks);
-  map_ep_.assign(static_cast<std::size_t>(P_), row);
-  red_ep_.assign(static_cast<std::size_t>(P_), row);
-  aux_map_ep_.resize(static_cast<std::size_t>(aux_maps));
-  aux_red_ep_.resize(static_cast<std::size_t>(aux_reduces_));
-  for (int i = 0; i < T_; ++i) {
-    home_pair(i, placement[static_cast<std::size_t>(i)]);
+  for (Role role : {Role::kMap, Role::kReduce}) {
+    for (int p = 0; p <= P_; ++p) mailboxes_.emplace_back(slots(role, p));
   }
-  for (int j = 0; j < aux_reduces_; ++j) {
-    home_aux_reduce(j, j % cluster_.num_workers());
-  }
+  // A pair's tasks, aux map included, live on the pair's worker, so map-side
+  // output hand-off is local; aux reduce j lives on worker j mod W.
+  for_each_slot([&](const Slot& s) {
+    home(s, s.role == Role::kReduce && s.p == P_
+                ? s.i % cluster_.num_workers()
+                : placement[static_cast<std::size_t>(s.i)]);
+  });
 
   // One-time job initialization (§3.1).
   // The master thread's trace timeline for this job; the "job" span brackets
@@ -1953,8 +1838,9 @@ void JobRun::start() {
   cluster_.metrics().inc("jobs_submitted");
   const int64_t base_vt = mvt_.now_ns();
 
-  for (int i = 0; i < T_; ++i) spawn_pair(i, /*gen=*/0, /*start_iter=*/1, base_vt);
-  for (int j = 0; j < aux_reduces_; ++j) spawn_aux_reduce(j, 0, 1);
+  for_each_slot([&](const Slot& s) {
+    spawn_task(s, /*gen=*/0, /*start_iter=*/1, base_vt);
+  });
   started_ = true;
 }
 
@@ -1988,10 +1874,7 @@ RunReport JobRun::finish() {
   // outlives close_session() inside the JobSession handle — without this the
   // ledger would read delivered > received + discarded until the session
   // object itself died.
-  map_ep_.clear();
-  red_ep_.clear();
-  aux_map_ep_.clear();
-  aux_red_ep_.clear();
+  mailboxes_.clear();
   master_ep_.reset();
 
   // Checkpoints are recovery-scoped; a job garbage-collects its own
@@ -2062,6 +1945,12 @@ RunReport JobRun::execute() {
 // ---------------------------------------------------------------------------
 
 RunReport JobRun::epoch_report(const std::string& label) {
+  if (!quiesced_) {
+    // A task error unwound the epoch before it could park; tear everything
+    // down and surface the failure.
+    finish();
+    throw Error(tag_ + ": session epoch ended without quiescing");
+  }
   RunReport r;
   r.label = label;
   r.total_wall_ms = mvt_.now_ms() - epoch_start_ms_;
@@ -2082,6 +1971,7 @@ RunReport JobRun::epoch_report(const std::string& label) {
   RunReport window_end = r;
   r.subtract(epoch_base_report_);
   epoch_base_report_ = std::move(window_end);
+  last_report_ = r;
   return r;
 }
 
@@ -2091,14 +1981,7 @@ RunReport JobRun::converge() {
   epoch_start_ms_ = 0;
   epoch_first_stat_ = 0;
   run_master();
-  if (!quiesced_) {
-    // A task error unwound the run before it could park; tear everything
-    // down and surface the failure.
-    finish();
-    throw Error(tag_ + ": session run ended without quiescing");
-  }
-  last_report_ = epoch_report(conf_.name + "/session-initial");
-  return last_report_;
+  return epoch_report(conf_.name + "/session-initial");
 }
 
 RunReport JobRun::apply_update(const StaticDelta& delta) {
@@ -2128,37 +2011,30 @@ RunReport JobRun::apply_update(const StaticDelta& delta) {
   }
   // Every map gets its slice — possibly empty; the ack doubles as the
   // barrier — applies it, and answers with seeds + a refining verdict.
+  // master_loop gathers the T_ acks (kDeltaAck) and the last one opens the
+  // epoch, which then runs until it quiesces again.
+  quiesced_ = false;
   CtlMsg d;
   d.type = CtlType::kDelta;
   d.iteration = decided_;
   d.generation = generation_;
   d.session = new_session;
   for (int idx = 0; idx < T_; ++idx) {
-    master_send(*map_ep(0, idx), d,
+    master_send(*mailbox({Role::kMap, 0, idx}), d,
                 std::move(routed[static_cast<std::size_t>(idx)]));
   }
-  // Collect the T_ acks. Every task is parked, so no data, reports, or
-  // failure notices race this loop; stale-session acks are filtered.
-  int acks = 0;
-  bool reset_all = false;
-  KVVec all_seeds;
-  while (acks < T_) {
-    auto msg = master_ep_->receive(mvt_);
-    IMR_CHECK_MSG(msg.has_value(), "master endpoint closed mid-update");
-    if (msg->kind != NetMessage::Kind::kControl) continue;
-    CtlMsg ctl = CtlMsg::decode(msg->control);
-    if (ctl.type != CtlType::kDeltaAck || ctl.session != new_session ||
-        ctl.generation != generation_) {
-      continue;
-    }
-    ++acks;
-    if (ctl.workset_size == 0) reset_all = true;
-    KVVec seeds = msg->take_records();
-    all_seeds.insert(all_seeds.end(), std::make_move_iterator(seeds.begin()),
-                     std::make_move_iterator(seeds.end()));
-  }
+  run_master();
+  return epoch_report(conf_.name + "/session-epoch-" +
+                      std::to_string(new_session));
+}
+
+void JobRun::open_epoch() {
+  const int new_session = session_id_ + 1;
+  delta_acks_ = 0;
+  const bool reset_all = std::exchange(delta_reset_all_, false);
   // Deduplicate seeds (first-in-sorted-order wins, mirroring the static
   // store's duplicate-key rule) and bucket them by owning reduce partition.
+  KVVec all_seeds = std::exchange(delta_seeds_, KVVec{});
   sort_records(all_seeds, /*sort_values=*/false);
   all_seeds.erase(
       std::unique(all_seeds.begin(), all_seeds.end(),
@@ -2194,7 +2070,6 @@ RunReport JobRun::apply_update(const StaticDelta& delta) {
   last_ckpt_ = base;
   pending_.clear();
   aux_stop_at_ = INT32_MAX;
-  quiesced_ = false;
   report_.converged = false;
   epoch_first_stat_ = report_.iterations.size();
   cluster_.metrics().inc("imr_session_epochs");
@@ -2209,17 +2084,9 @@ RunReport JobRun::apply_update(const StaticDelta& delta) {
   rs.generation = generation_;
   rs.session = new_session;
   for (int idx = 0; idx < T_; ++idx) {
-    master_send(*red_ep(0, idx), rs);
-    master_send(*map_ep(0, idx), rs);
+    master_send(*mailbox({Role::kReduce, 0, idx}), rs);
+    master_send(*mailbox({Role::kMap, 0, idx}), rs);
   }
-  run_master();
-  if (!quiesced_) {
-    finish();
-    throw Error(tag_ + ": session epoch ended without quiescing");
-  }
-  last_report_ = epoch_report(conf_.name + "/session-epoch-" +
-                              std::to_string(new_session));
-  return last_report_;
 }
 
 RunReport JobRun::close_session() {

@@ -290,11 +290,6 @@ void RunReport::capture(const MetricsRegistry& m) {
   dfs_time = m.time(TimeCategory::kDfsIo);
 }
 
-void RunReport::capture_delta(const MetricsRegistry& m, const RunReport& base) {
-  capture(m);
-  subtract(base);
-}
-
 void RunReport::subtract(const RunReport& base) {
   total_comm_bytes -= base.total_comm_bytes;
   shuffle_bytes -= base.shuffle_bytes;

@@ -257,11 +257,6 @@ struct RunReport {
 
   // Fill the byte/time totals from a registry.
   void capture(const MetricsRegistry& m);
-  // Fill the byte/time totals with the registry's counters MINUS `base`'s —
-  // the traffic attributable to one window (e.g. one session epoch) of a
-  // shared, cumulative registry. `base` must be a capture() of the same
-  // registry taken at the window's start.
-  void capture_delta(const MetricsRegistry& m, const RunReport& base);
   // Subtract `base`'s byte/time totals from this report's (already-captured)
   // totals in place. Lets a caller read the registry once and use the same
   // snapshot both as a window's end and as the next window's base, so

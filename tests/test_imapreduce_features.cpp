@@ -136,6 +136,7 @@ TEST(ImrOne2All, RequiresStaticData) {
   Jacobi::setup(*cluster, sys, "jac");
   IterJobConf conf = Jacobi::imapreduce("jac", "out", 2);
   conf.phases[0].static_path.clear();
+  EXPECT_THROW(conf.validate(), ConfigError);
   IterativeEngine engine(*cluster);
   EXPECT_THROW(engine.run(conf), ConfigError);
 }

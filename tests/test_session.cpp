@@ -692,6 +692,51 @@ TEST(SessionChaos, WorkerDeathDuringResetReplay) {
       << "reset replay diverged after recovery";
 }
 
+// Forwards to a mapper, except that its perturbed_keys hook throws.
+class ThrowingPerturbMapper : public IterMapper {
+ public:
+  explicit ThrowingPerturbMapper(std::unique_ptr<IterMapper> inner)
+      : inner_(std::move(inner)) {}
+  void configure(const Params& params) override { inner_->configure(params); }
+  void map(const Bytes& key, const Bytes& state, const Bytes& stat,
+           IterEmitter& out) override {
+    inner_->map(key, state, stat, out);
+  }
+  void flush(IterEmitter& out) override { inner_->flush(out); }
+  bool perturbed_keys(const StaticDeltaOp&, const Bytes*, KVVec&) override {
+    throw Error("perturbed_keys hook failed");
+  }
+
+ private:
+  std::unique_ptr<IterMapper> inner_;
+};
+
+// A task that dies inside the delta barrier is reported like any other task
+// error: apply_update throws the task's own error, and the session is closed.
+TEST(SessionChaos, TaskErrorDuringDeltaBarrierReachesCaller) {
+  const ChaosGraphs g = chaos_graphs();
+  IterJobConf conf = make_conf(SesAlgo::kSssp, "in", "out", 4);
+  conf.phases[0].mapper = [inner = conf.phases[0].mapper] {
+    return std::make_unique<ThrowingPerturbMapper>(inner());
+  };
+  auto cluster = testutil::free_cluster(3, 4, 4);
+  Sssp::setup(*cluster, g.g0, 0, "in");
+  IterativeEngine engine(*cluster);
+  JobSession session = engine.open_session(conf);
+  ASSERT_TRUE(session.last_report().converged);
+
+  try {
+    session.apply_update(Sssp::static_delta(g.g0, g.g1));
+    ADD_FAILURE() << "apply_update swallowed the hook's error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("perturbed_keys hook failed"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(session.closed());
+  EXPECT_NO_THROW(session.close());
+}
+
 // ---------------------------------------------------------------------------
 // InvariantChecker session-aware rules (5, 8, 9) — synthetic reports.
 // ---------------------------------------------------------------------------

@@ -12,8 +12,9 @@
 //     SpaceSaving sketches, a deliberately slowed worker is named by the
 //     straggler ranking, and rollbacks leave no duplicate iteration
 //     records;
-//   * windowing — per-epoch session reports (RunReport::capture_delta)
-//     tile: the epoch deltas sum to the cumulative close() report.
+//   * windowing — per-epoch session reports (RunReport::capture, then
+//     subtract of the epoch base) tile: the epoch deltas sum to the
+//     cumulative close() report.
 #include <gtest/gtest.h>
 
 #include <regex>
@@ -382,7 +383,7 @@ TEST_F(TelemetryTest, SlowedWorkerIsNamedStraggler) {
 }
 
 // Session epochs are reported as tiling windows: the converge epoch plus
-// each apply_update epoch (RunReport::capture_delta against the epoch base)
+// each apply_update epoch (RunReport::capture minus the epoch base)
 // must sum to the cumulative close() report, category by category. The
 // windows are gapless — each window's end snapshot is the next window's
 // base — but the LAST window can close before a parked map's trailing
