@@ -7,6 +7,7 @@
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
+#include <bit>
 #include <functional>
 #include <memory>
 #include <string>
@@ -139,8 +140,9 @@ BENCHMARK(BM_SortRecordsStd)->Arg(1024)->Arg(16384);
 //     whose first 3 bytes nearly always agree (the path the value bytes in
 //     the sort entry cannot shortcut).
 // Each is timed with the shipping arena sort_records and with the kernel it
-// replaced, kept verbatim below; BM_SortOrderPageRank times sort_order
-// alone, which is all an in-memory reduce computes before grouping.
+// replaced, kept verbatim below; BM_SortOrder{PageRank,KMeans} time
+// sort_order alone, which is all an in-memory reduce or a map-side combine
+// computes before walking the records.
 
 // Reference: sort_records' arena overload before the radix order — a
 // comparison sort of (prefix, index) pairs whose comparator reads both
@@ -288,6 +290,179 @@ void BM_SortRecordsKMeansPrefix(benchmark::State& state) {
       [](KVVec& b, RecordArena& a) { sort_records_prefix(b, true, a); });
 }
 BENCHMARK(BM_SortRecordsKMeansPrefix)->Arg(75000);
+
+void BM_SortOrderKMeans(benchmark::State& state) {
+  time_arena_sort(state,
+                  kmeans_combine_shape(static_cast<std::size_t>(state.range(0))),
+                  [](KVVec& b, RecordArena& a) {
+                    benchmark::DoNotOptimize(sort_order(b, true, a).data());
+                  });
+}
+BENCHMARK(BM_SortOrderKMeans)->Arg(75000);
+
+// The K-means map-side combine on the same buffer: the shipping
+// combine_records (the order, then a walk that feeds each key group to the
+// combiner) against what the combine ran before the radix order, the
+// prefix kernel's in-place sort followed by combine_sorted. The combiner
+// sums partials per centroid, as KMeans' does.
+void sum_partials(const Bytes& key, const std::vector<Bytes>& values,
+                  KVVec& out) {
+  uint64_t count = 0;
+  std::vector<double> sum;
+  for (const Bytes& v : values) {
+    std::size_t pos = 0;
+    count += decode_varint(v, pos);
+    const std::vector<double> point = decode_f64_vec(v, pos);
+    if (sum.empty()) sum.assign(point.size(), 0.0);
+    for (std::size_t i = 0; i < point.size(); ++i) sum[i] += point[i];
+  }
+  Bytes partial;
+  encode_varint(count, partial);
+  encode_f64_vec(sum, partial);
+  out.emplace_back(key, std::move(partial));
+}
+
+void BM_CombineKMeans(benchmark::State& state) {
+  time_arena_sort(
+      state, kmeans_combine_shape(static_cast<std::size_t>(state.range(0))),
+      [](KVVec& b, RecordArena& a) { combine_records(b, sum_partials, a); });
+}
+BENCHMARK(BM_CombineKMeans)->Arg(75000);
+
+void BM_CombineKMeansPrefix(benchmark::State& state) {
+  time_arena_sort(
+      state, kmeans_combine_shape(static_cast<std::size_t>(state.range(0))),
+      [](KVVec& b, RecordArena& a) {
+        sort_records_prefix(b, true, a);
+        combine_sorted(b, sum_partials);
+      });
+}
+BENCHMARK(BM_CombineKMeansPrefix)->Arg(75000);
+
+// --- Codec A/B: one K-means partial -----------------------------------------
+// The fixed-width codec before one-append writes and whole-word reads,
+// verbatim: each write pushes one byte at a time, each read assembles one
+// byte at a time.
+namespace bytewise {
+
+void require(bool ok, const char* what) {
+  if (!ok) throw FormatError(what);
+}
+
+void put_be(uint64_t v, int nbytes, Bytes& out) {
+  for (int i = nbytes - 1; i >= 0; --i) {
+    out.push_back(static_cast<char>((v >> (8 * i)) & 0xff));
+  }
+}
+
+uint64_t get_be(BytesView in, std::size_t& pos, int nbytes) {
+  require(pos + static_cast<std::size_t>(nbytes) <= in.size(),
+          "buffer underflow in fixed-width decode");
+  uint64_t v = 0;
+  for (int i = 0; i < nbytes; ++i) {
+    v = (v << 8) | static_cast<unsigned char>(in[pos + i]);
+  }
+  pos += static_cast<std::size_t>(nbytes);
+  return v;
+}
+
+void encode_f64(double v, Bytes& out) {
+  uint64_t bits = std::bit_cast<uint64_t>(v);
+  // Standard order-preserving transform for IEEE-754.
+  if (bits >> 63) {
+    bits = ~bits;  // negative: flip everything
+  } else {
+    bits |= (1ull << 63);  // positive: set sign bit
+  }
+  put_be(bits, 8, out);
+}
+
+double decode_f64(BytesView in, std::size_t& pos) {
+  uint64_t bits = get_be(in, pos, 8);
+  if (bits >> 63) {
+    bits &= ~(1ull << 63);
+  } else {
+    bits = ~bits;
+  }
+  return std::bit_cast<double>(bits);
+}
+
+void encode_f64_vec(const std::vector<double>& v, Bytes& out) {
+  encode_varint(v.size(), out);
+  for (double d : v) encode_f64(d, out);
+}
+
+std::vector<double> decode_f64_vec(BytesView in, std::size_t& pos) {
+  uint64_t n = decode_varint(in, pos);
+  std::vector<double> v;
+  v.reserve(n);
+  for (uint64_t i = 0; i < n; ++i) v.push_back(decode_f64(in, pos));
+  return v;
+}
+
+}  // namespace bytewise
+
+// A 16-dimensional point, encoded as KMeans::encode_partial encodes one
+// point's partial: a fresh string, varint count 1, then the f64 vector.
+std::vector<double> partial_point() {
+  Rng rng(7);
+  std::vector<double> point(16);
+  for (double& x : point) x = rng.uniform_real(0.0, 1.0);
+  return point;
+}
+
+template <typename Encode>
+void time_encode(benchmark::State& state, Encode encode_vec) {
+  const std::vector<double> point = partial_point();
+  for (auto _ : state) {
+    Bytes partial;
+    encode_varint(1, partial);
+    encode_vec(point, partial);
+    benchmark::DoNotOptimize(partial.data());
+    benchmark::ClobberMemory();
+  }
+}
+
+template <typename Decode>
+void time_decode(benchmark::State& state, Decode decode_vec) {
+  Bytes partial;
+  encode_varint(1, partial);
+  encode_f64_vec(partial_point(), partial);
+  for (auto _ : state) {
+    std::size_t pos = 0;
+    benchmark::DoNotOptimize(decode_varint(partial, pos));
+    std::vector<double> point = decode_vec(partial, pos);
+    benchmark::DoNotOptimize(point.data());
+  }
+}
+
+void BM_EncodeF64Vec(benchmark::State& state) {
+  time_encode(state, [](const std::vector<double>& v, Bytes& out) {
+    encode_f64_vec(v, out);
+  });
+}
+BENCHMARK(BM_EncodeF64Vec);
+
+void BM_EncodeF64VecBytewise(benchmark::State& state) {
+  time_encode(state, [](const std::vector<double>& v, Bytes& out) {
+    bytewise::encode_f64_vec(v, out);
+  });
+}
+BENCHMARK(BM_EncodeF64VecBytewise);
+
+void BM_DecodeF64Vec(benchmark::State& state) {
+  time_decode(state, [](BytesView in, std::size_t& pos) {
+    return decode_f64_vec(in, pos);
+  });
+}
+BENCHMARK(BM_DecodeF64Vec);
+
+void BM_DecodeF64VecBytewise(benchmark::State& state) {
+  time_decode(state, [](BytesView in, std::size_t& pos) {
+    return bytewise::decode_f64_vec(in, pos);
+  });
+}
+BENCHMARK(BM_DecodeF64VecBytewise);
 
 // Static-data join: the per-record state->static lookup of iterative map
 // (§3.2.2). 16k static records, probed with every key once per iteration, in

@@ -33,13 +33,14 @@ high-water marks are NOT gated here — batch arrival order shifts them a few
 percent between runs, and the binary already hard-gates byte identity,
 ledger balance, and the arena ceiling before emitting JSON at all.
 
---sort gates the radix sort kernel's in-run speedup: sort_out.json is a
---benchmark_out file of bench_micro_substrate covering
-BM_SortRecordsPageRankPrefix/262144 (the comparison-sort kernel the radix
-order replaced, kept verbatim in the binary) and BM_SortRecordsPageRank/262144
-(the shipping sort_records). Both times come from one run, so runner speed
-cancels; their ratio must stay at or above the sort_records_radix reference
-speedup divided by --tolerance.
+--sort gates the radix sort kernel's in-run speedup on two shapes:
+sort_out.json is a --benchmark_out file of bench_micro_substrate covering
+BM_SortRecordsPageRankPrefix/262144 and BM_SortRecordsKMeansPrefix/75000
+(the comparison-sort kernel the radix order replaced, kept verbatim in the
+binary) and BM_SortRecordsPageRank/262144 and BM_SortRecordsKMeans/75000
+(the shipping sort_records). Both times of a pair come from one run, so
+runner speed cancels; each pair's ratio must stay at or above its
+sort_records_radix reference speedup divided by --tolerance.
 
 --placement instead gates bench_placement_ab's remote-byte measurements:
 virtual-traffic byte counts are fully deterministic (no machine drift), so
@@ -188,47 +189,59 @@ def check_spill(run_path: str, reference: dict, tolerance: float) -> int:
     return 0
 
 
-SORT_SHAPE = "262144"  # the PageRank reduce shape the gate times
+# sort_records_radix series -> (shape, replaced kernel, shipping sort_records),
+# as bench_micro_substrate names them.
+SORT_PAIRS = {
+    "pagerank_reduce": (
+        "262144",
+        "BM_SortRecordsPageRankPrefix",
+        "BM_SortRecordsPageRank",
+    ),
+    "kmeans_combine": (
+        "75000",
+        "BM_SortRecordsKMeansPrefix",
+        "BM_SortRecordsKMeans",
+    ),
+}
 
 
 def check_sort(run_path: str, reference: dict, tolerance: float) -> int:
     """Gate the radix kernel's speedup over the kernel it replaced."""
     run = load_run(run_path)
-    series = reference.get("sort_records_radix", {}).get("pagerank_reduce", {})
     failures = []
-    old = run.get(f"BM_SortRecordsPageRankPrefix/{SORT_SHAPE}")
-    new = run.get(f"BM_SortRecordsPageRank/{SORT_SHAPE}")
-    ref = series.get("speedup", {}).get(f"n_{SORT_SHAPE}")
-    if old is None or new is None:
-        failures.append(
-            f"sort_records_radix/n_{SORT_SHAPE}: series missing from the "
-            f"benchmark run (need BM_SortRecordsPageRankPrefix and "
-            f"BM_SortRecordsPageRank at {SORT_SHAPE})"
-        )
-    elif ref is None:
-        failures.append(
-            f"sort_records_radix/n_{SORT_SHAPE}: no reference speedup"
-        )
-    else:
+    for key, (shape, old_bm, new_bm) in SORT_PAIRS.items():
+        series = reference.get("sort_records_radix", {}).get(key, {})
+        name = f"sort_records_radix/{key}/n_{shape}"
+        old = run.get(f"{old_bm}/{shape}")
+        new = run.get(f"{new_bm}/{shape}")
+        ref = series.get("speedup", {}).get(f"n_{shape}")
+        if old is None or new is None:
+            failures.append(
+                f"{name}: series missing from the benchmark run "
+                f"(need {old_bm} and {new_bm} at {shape})"
+            )
+            continue
+        if ref is None:
+            failures.append(f"{name}: no reference speedup")
+            continue
         ratio = old / new
         limit = float(ref) / tolerance
         verdict = "ok" if ratio >= limit else "REGRESSION"
         print(
-            f"sort_records_radix/n_{SORT_SHAPE}: prefix {old / 1e6:.1f}ms / "
-            f"radix {new / 1e6:.1f}ms = {ratio:.2f}x "
-            f"(reference {float(ref):.2f}x, floor {limit:.2f}x) {verdict}"
+            f"{name}: prefix {old / 1e6:.1f}ms / radix {new / 1e6:.1f}ms = "
+            f"{ratio:.2f}x (reference {float(ref):.2f}x, floor {limit:.2f}x) "
+            f"{verdict}"
         )
         if ratio < limit:
             failures.append(
-                f"sort_records_radix/n_{SORT_SHAPE}: speedup {ratio:.2f}x "
-                f"fell below {limit:.2f}x"
+                f"{name}: speedup {ratio:.2f}x fell below {limit:.2f}x"
             )
     if failures:
         print("\nFAIL:")
         for f_ in failures:
             print(f"  {f_}")
         return 1
-    print("\nradix sort speedup at or above its floor")
+    print("\nradix sort speedups at or above their floors")
     return 0
 
 
@@ -252,7 +265,7 @@ def main() -> int:
     ap.add_argument(
         "--sort",
         help="bench_micro_substrate --benchmark_out JSON of the PageRank "
-        "sort series to gate instead of the probe-overhead series",
+        "and K-means sort series to gate instead of the probe-overhead series",
     )
     ap.add_argument("--reference", default="BENCH_substrate.json")
     ap.add_argument(

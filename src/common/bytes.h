@@ -7,7 +7,9 @@
 // net/ and dfs/ byte-accurate.
 #pragma once
 
+#include <bit>
 #include <cstdint>
+#include <cstring>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -43,16 +45,23 @@ struct KV {
 
 using KVVec = std::vector<KV>;
 
-// First 8 bytes of a key as a big-endian integer, zero-padded on the right.
-// Because the codecs are order-preserving, comparing prefixes compares keys:
+// First 8 bytes of a key as a big-endian integer, zero-padded on the right
+// (the sort reads value chunks the same way). Because the codecs are
+// order-preserving, comparing prefixes compares keys:
 // prefix(a) < prefix(b) implies a < b lexicographically (a pad byte only ties
 // with a real 0x00 byte, and ties fall back to a full compare). The sort and
 // join fast paths use this to replace most byte-string compares with one
 // integer compare.
 inline uint64_t key_prefix_u64(BytesView key) {
   uint64_t p = 0;
-  const std::size_t n = key.size() < 8 ? key.size() : 8;
-  for (std::size_t i = 0; i < n; ++i) {
+  if (key.size() >= 8) {
+    std::memcpy(&p, key.data(), sizeof p);
+    if constexpr (std::endian::native == std::endian::little) {
+      p = __builtin_bswap64(p);
+    }
+    return p;
+  }
+  for (std::size_t i = 0; i < key.size(); ++i) {
     p |= static_cast<uint64_t>(static_cast<unsigned char>(key[i]))
          << (56 - 8 * i);
   }

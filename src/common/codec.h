@@ -7,6 +7,14 @@
 //
 // Composite encodings (pairs, vectors) use length-prefixed segments so that
 // adjacency lists, coordinate vectors, and tagged unions round-trip exactly.
+//
+// Every UDF in both engines encodes and decodes through here, so the
+// fixed-width codecs work a word at a time: a write appends its big-endian
+// bytes in one call (the swap follows std::endian), encode_f64_vec sizes
+// its output once, and a read loads a whole word after its bounds check.
+// Decoders reject malformed input with FormatError, including an element
+// count the rest of the buffer cannot hold, which is checked before
+// anything is reserved for it.
 #pragma once
 
 #include <cstdint>

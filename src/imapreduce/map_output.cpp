@@ -69,14 +69,9 @@ void MapOutput::ship(std::size_t r, int iteration) {
 void MapOutput::combine(KVVec& buf, int iteration) {
   if (!o_.combine) return;
   TraceSpan combine_span("combine", ctx_.vt(), iteration, gen_);
-  {
-    ThreadCpuTimer sort_cpu;
-    sort_records(buf, /*sort_values=*/true, arena_);
-    ctx_.charge_compute(sort_cpu.elapsed_ns(), TimeCategory::kSort);
-  }
-  ThreadCpuTimer cpu;
-  combine_sorted(buf, o_.combine);
-  ctx_.charge_compute(cpu.elapsed_ns());
+  const CombineRun run = combine_records(buf, o_.combine, arena_);
+  ctx_.charge_compute(run.order_cpu_ns, TimeCategory::kSort);
+  ctx_.charge_compute(run.combine_cpu_ns);
 }
 
 void MapOutput::charge_held() {

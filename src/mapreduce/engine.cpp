@@ -287,18 +287,20 @@ JobResult MapReduceEngine::run_job(const JobConf& conf, int64_t submit_vt_ns) {
     if (combiner) combine_body = combine_fn(*combiner);
 
     TraceSpan flush_span("shuffle_flush", ctx.vt());
+    RecordArena arena;
     for (int r = 0; r < num_reduces; ++r) {
       KVVec& buf = emitter.buffers()[static_cast<std::size_t>(r)];
-      ThreadCpuTimer sort_cpu;
-      sort_records(buf, /*sort_values=*/true);
-      ctx.charge_compute(sort_cpu.elapsed_ns(), TimeCategory::kSort);
       if (combiner && !buf.empty()) {
         TraceSpan combine_span("combine", ctx.vt());
-        ThreadCpuTimer comb_cpu;
-        std::size_t saved = combine_sorted(buf, combine_body);
-        ctx.charge_compute(comb_cpu.elapsed_ns());
+        const CombineRun run = combine_records(buf, combine_body, arena);
+        ctx.charge_compute(run.order_cpu_ns, TimeCategory::kSort);
+        ctx.charge_compute(run.combine_cpu_ns);
         cluster_.metrics().inc("combiner_records_saved",
-                               static_cast<int64_t>(saved));
+                               static_cast<int64_t>(run.saved));
+      } else {
+        ThreadCpuTimer sort_cpu;
+        sort_records(buf, /*sort_values=*/true);
+        ctx.charge_compute(sort_cpu.elapsed_ns(), TimeCategory::kSort);
       }
       Endpoint& to = *reduce_ep[static_cast<std::size_t>(r)];
       if (!buf.empty()) {

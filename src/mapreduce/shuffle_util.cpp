@@ -7,16 +7,22 @@
 
 #include "common/error.h"
 #include "common/hash.h"
+#include "common/sim_time.h"
 
 namespace imr {
 
 namespace {
 
-// One record's 16-byte sort entry. `prefix` is key_prefix_u64(key); `tie`
-// holds min(key length, 9) in its top byte and, in sort_values mode, the
-// value's first 3 bytes (zero-padded) below it. Each field orders like the
-// bytes it summarizes: a pad byte only ties with a real 0x00, and of two
-// keys with one prefix, a key that ends within it is a prefix of the other.
+// One record's 16-byte sort entry. It summarizes one 8-byte chunk of its
+// record at a time: the key's first 8 bytes, then, once a bucket's keys all
+// tie and the order needs the values, the value's bytes [at, at + 8) for
+// at = 0, 8, 16, ... `prefix` is the chunk as a big-endian integer
+// (zero-padded). The top byte of `tie` is the chunk's length code,
+// min(bytes of the field from the chunk's start, 9); at the key chunk in
+// sort_values mode the bytes below it hold the value's first 3 bytes
+// (zero-padded). Each field orders like the bytes it summarizes: a pad byte
+// only ties with a real 0x00, and of two fields with one chunk, a field that
+// ends within it is a prefix of the other.
 struct SortEntry {
   uint64_t prefix;
   uint32_t index;
@@ -24,9 +30,16 @@ struct SortEntry {
 };
 static_assert(sizeof(SortEntry) == 16, "the arena charge assumes 16 bytes");
 
+// Names the chunk an entry summarizes: the key's first 8 bytes, or else
+// the value's bytes from offset `at` on.
+constexpr int kKeyChunk = -1;
+
+uint32_t length_code(std::size_t field_bytes) {
+  return static_cast<uint32_t>(std::min<std::size_t>(field_bytes, 9)) << 24;
+}
+
 SortEntry make_entry(const KV& kv, uint32_t index, bool sort_values) {
-  const std::size_t klen = std::min<std::size_t>(kv.key.size(), 9);
-  uint32_t tie = static_cast<uint32_t>(klen) << 24;
+  uint32_t tie = length_code(kv.key.size());
   if (sort_values) {
     const std::size_t vlen = std::min<std::size_t>(kv.value.size(), 3);
     for (std::size_t i = 0; i < vlen; ++i) {
@@ -37,13 +50,14 @@ SortEntry make_entry(const KV& kv, uint32_t index, bool sort_values) {
   return SortEntry{key_prefix_u64(kv.key), index, tie};
 }
 
-// (key, [value,] arrival index) over entries. A record is read only when
-// both keys are longer than the prefix, or two values tie on their first
-// 3 bytes.
+// (key, [value,] arrival index) over entries that summarize chunk `at` of
+// records tying on everything before it. A record is read only when both
+// fields run past the chunk, or, at the key chunk, two values tie on their
+// first 3 bytes.
 class EntryLess {
  public:
-  EntryLess(const KV* records, bool sort_values)
-      : records_(records), sort_values_(sort_values) {}
+  EntryLess(const KV* records, bool sort_values, int at)
+      : records_(records), sort_values_(sort_values), at_(at) {}
 
   bool operator()(const SortEntry& a, const SortEntry& b) const {
     if (a.prefix != b.prefix) return a.prefix < b.prefix;
@@ -51,6 +65,15 @@ class EntryLess {
     if (alen != b.tie >> 24) return alen < b.tie >> 24;
     const KV& x = records_[a.index];
     const KV& y = records_[b.index];
+    if (at_ != kKeyChunk) {
+      if (alen > 8) {
+        const auto tail = static_cast<std::size_t>(at_) + 8;
+        const int c = BytesView(x.value).substr(tail).compare(
+            BytesView(y.value).substr(tail));
+        if (c != 0) return c < 0;
+      }
+      return a.index < b.index;
+    }
     if (alen > 8) {
       const int c = x.key.compare(y.key);
       if (c != 0) return c < 0;
@@ -66,6 +89,7 @@ class EntryLess {
  private:
   const KV* records_;
   bool sort_values_;
+  int at_;
 };
 
 // Buckets this small are finished by insertion sort: a 256-way histogram
@@ -81,52 +105,128 @@ void insertion_sort(SortEntry* e, std::size_t n, const EntryLess& less) {
   }
 }
 
-// In-place MSD radix sort (American flag sort) of e[0, n) on prefix bytes
-// `byte`..7, most significant first. A byte that is constant within the
-// bucket is skipped without moving anything. Small buckets, and buckets
-// that tie on the whole prefix, are finished with the comparator; its index
-// tiebreak makes the result unique, so the radix pass need not be stable.
-void radix_sort(SortEntry* e, std::size_t n, int byte, const EntryLess& less) {
-  for (; byte < 8 && n > kRadixCutoff; ++byte) {
-    const int shift = 56 - 8 * byte;
-    auto digit = [shift](const SortEntry& x) {
-      return static_cast<unsigned>(x.prefix >> shift) & 0xffu;
-    };
-    uint32_t count[256] = {};
-    for (std::size_t i = 0; i < n; ++i) ++count[digit(e[i])];
-    if (count[digit(e[0])] == n) continue;
+// A radix digit: the chunk's bytes 0..7, most significant first, then its
+// length code.
+constexpr int kDigits = 9;
 
-    uint32_t head[256];
-    uint32_t end[256];
-    uint32_t sum = 0;
-    for (unsigned b = 0; b < 256; ++b) {
-      head[b] = sum;
-      sum += count[b];
-      end[b] = sum;
-    }
-    // Each entry is swapped straight into the next free slot of its bucket.
-    for (unsigned b = 0; b < 256; ++b) {
-      while (head[b] < end[b]) {
-        SortEntry x = e[head[b]];
-        for (unsigned d = digit(x); d != b; d = digit(x)) {
-          std::swap(x, e[head[d]++]);
-        }
-        e[head[b]++] = x;
+// Orders one buffer's entries by in-place MSD radix sort (American flag
+// sort). The radix pass need not be stable: the index tiebreak of the
+// comparator that finishes each bucket makes the order unique.
+class RadixOrder {
+ public:
+  RadixOrder(const KV* records, bool sort_values)
+      : records_(records), sort_values_(sort_values) {}
+
+  // Sorts e[0, n), which tie on every chunk before `at` and on digits
+  // 0..digit-1 of chunk `at`. A digit constant within the bucket is
+  // skipped without moving anything. A bucket that ties on a whole chunk
+  // and its length code moves on to the next chunk when there is one: the
+  // value's first when the keys ended there (and values are sorted), the
+  // value's next when it runs past this one. Each entry is re-keyed from
+  // one read of its record and the bucket is radixed again.
+  void sort(SortEntry* e, std::size_t n, int digit, int at) const {
+    while (n > kRadixCutoff) {
+      if (digit == kDigits) {
+        const int next = next_chunk(e[0], at);
+        if (next == kKeyChunk) break;
+        rekey(e, n, next);
+        digit = 0;
+        at = next;
       }
+      const int shift = 56 - 8 * digit;
+      auto bucket = [digit, shift](const SortEntry& x) {
+        return digit < 8 ? static_cast<unsigned>(x.prefix >> shift) & 0xffu
+                         : x.tie >> 24;
+      };
+      uint32_t count[256] = {};
+      for (std::size_t i = 0; i < n; ++i) ++count[bucket(e[i])];
+      if (count[bucket(e[0])] == n) {
+        ++digit;
+        continue;
+      }
+
+      uint32_t head[256];
+      uint32_t end[256];
+      uint32_t sum = 0;
+      for (unsigned b = 0; b < 256; ++b) {
+        head[b] = sum;
+        sum += count[b];
+        end[b] = sum;
+      }
+      // Each entry is swapped straight into the next free slot of its
+      // bucket.
+      for (unsigned b = 0; b < 256; ++b) {
+        while (head[b] < end[b]) {
+          SortEntry x = e[head[b]];
+          for (unsigned d = bucket(x); d != b; d = bucket(x)) {
+            std::swap(x, e[head[d]++]);
+          }
+          e[head[b]++] = x;
+        }
+      }
+      // Every bucket but `last` is sorted by a recursive call. At a value
+      // chunk `last` is the largest bucket, which this loop goes on with,
+      // so a call gets at most half the entries and the stack stays
+      // O(log n) deep however many chunks tie; at the key chunk the digits
+      // bound the depth.
+      unsigned last = 256;
+      if (at != kKeyChunk) {
+        last = 0;
+        for (unsigned b = 1; b < 256; ++b) {
+          if (count[b] > count[last]) last = b;
+        }
+      }
+      std::size_t from = 0;
+      for (unsigned b = 0; b < 256; ++b) {
+        if (b != last && count[b] > 1) sort(e + from, count[b], digit + 1, at);
+        from += count[b];
+      }
+      if (last == 256) return;
+      e += end[last] - count[last];
+      n = count[last];
+      ++digit;
     }
-    std::size_t from = 0;
-    for (unsigned b = 0; b < 256; ++b) {
-      if (count[b] > 1) radix_sort(e + from, count[b], byte + 1, less);
-      from += count[b];
+    const EntryLess less(records_, sort_values_, at);
+    if (n <= kRadixCutoff) {
+      insertion_sort(e, n, less);
+    } else {
+      std::sort(e, e + n, less);
     }
-    return;
   }
-  if (n <= kRadixCutoff) {
-    insertion_sort(e, n, less);
-  } else {
-    std::sort(e, e + n, less);
+
+ private:
+  // The chunk after `at` for a bucket that ties on all of `at` (x is any
+  // of its entries), or kKeyChunk when the comparator must finish it: keys
+  // longer than the prefix, a key-only sort, or values that end within it.
+  int next_chunk(const SortEntry& x, int at) const {
+    const bool continues = x.tie >> 24 > 8;
+    if (at == kKeyChunk) return sort_values_ && !continues ? 0 : kKeyChunk;
+    return continues ? at + 8 : kKeyChunk;
   }
-}
+
+  // The bucket's entries are in no memory order, so each read is a cache
+  // miss unless fetched ahead: the record 2 * kAhead steps ahead, then the
+  // value bytes of the record kAhead steps ahead, whose pointer the first
+  // fetch brought in.
+  void rekey(SortEntry* e, std::size_t n, int at) const {
+    constexpr std::size_t kAhead = 8;
+    const auto from = static_cast<std::size_t>(at);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i + 2 * kAhead < n) {
+        __builtin_prefetch(&records_[e[i + 2 * kAhead].index].value);
+      }
+      if (i + kAhead < n) {
+        __builtin_prefetch(records_[e[i + kAhead].index].value.data() + from);
+      }
+      const BytesView chunk = BytesView(records_[e[i].index].value).substr(from);
+      e[i].prefix = key_prefix_u64(chunk);
+      e[i].tie = length_code(chunk.size());
+    }
+  }
+
+  const KV* records_;
+  bool sort_values_;
+};
 
 // Sorts the entries of `records` in `scratch` (n entries), then packs the
 // sorted indices into scratch's first 4n bytes and returns them. Packing
@@ -139,7 +239,7 @@ uint32_t* order_into(const KVVec& records, bool sort_values,
   for (std::size_t i = 0; i < n; ++i) {
     scratch[i] = make_entry(records[i], static_cast<uint32_t>(i), sort_values);
   }
-  radix_sort(scratch, n, 0, EntryLess(records.data(), sort_values));
+  RadixOrder(records.data(), sort_values).sort(scratch, n, 0, kKeyChunk);
   auto* packed = reinterpret_cast<unsigned char*>(scratch);
   for (std::size_t i = 0; i < n; ++i) {
     const uint32_t index = scratch[i].index;
@@ -308,6 +408,26 @@ std::size_t combine_sorted(KVVec& sorted, const CombineFn& fn) {
   std::size_t saved = sorted.size() - combined.size();
   sorted = std::move(combined);
   return saved;
+}
+
+CombineRun combine_records(KVVec& records, const CombineFn& fn,
+                           RecordArena& arena) {
+  CombineRun run;
+  const ThreadCpuTimer order_cpu;
+  const std::span<const uint32_t> order =
+      sort_order(records, /*sort_values=*/true, arena);
+  run.order_cpu_ns = order_cpu.elapsed_ns();
+  const ThreadCpuTimer walk_cpu;
+  KVVec combined;
+  combined.reserve(records.size() / 2 + 1);
+  take_groups(records, order,
+              [&](const Bytes& key, const std::vector<Bytes>& values) {
+                fn(key, values, combined);
+              });
+  run.saved = records.size() - combined.size();
+  records = std::move(combined);
+  run.combine_cpu_ns = walk_cpu.elapsed_ns();
+  return run;
 }
 
 CombineFn combine_fn(Reducer& combiner) {

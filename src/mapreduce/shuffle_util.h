@@ -3,26 +3,34 @@
 // The record compute path is the per-iteration hot loop of every figure, so
 // the primitives here avoid redundant byte-string work:
 //   - sort_order computes a buffer's sorted permutation over 16-byte
-//     entries: the key's first 8 bytes as a big-endian integer, the arrival
-//     index, min(key length, 9) and, when values are sorted too, the value's
-//     first 3 bytes. An in-place MSD radix pass orders the entries by the
-//     8 prefix bytes; small buckets and whole-prefix ties finish with a
-//     comparator that reads a record only when both keys run past 8 bytes or
-//     two values tie on their first 3 bytes (codecs are order-preserving, so
-//     entry order == record order). The arrival index breaks every remaining
-//     tie, so the permutation is unique.
+//     entries, each summarizing one 8-byte chunk of its record as a
+//     big-endian integer plus a length code, min(bytes left in the field,
+//     9), beside the arrival index. An in-place MSD radix pass orders the
+//     entries by the key's chunk, then its length code. In sort_values
+//     mode a bucket whose keys all tie is re-keyed from one read per
+//     record to the value's first 8 bytes and radixed again, and again
+//     8 bytes further on while a chunk still ties. Small buckets and keys
+//     that tie on a whole 8-byte prefix finish with a comparator, which
+//     reads a record only when both fields run past the chunk, or, at the
+//     key, when two values tie on their first 3 bytes (which the key
+//     entry also carries). Codecs are order-preserving, so entry order ==
+//     record order; the arrival index breaks every remaining tie, so the
+//     permutation is unique.
 //   - sort_records is that order applied in place, each record moved once.
 //   - take_groups walks an unsorted buffer in a sort_order permutation as
 //     key groups, moving each value straight out of its record: the
 //     in-memory reduce never moves a record into sorted position.
+//   - combine_records is the map-side combine both engines run: the order,
+//     then a take_groups walk that feeds each group to the combiner.
 //   - GroupCursor iterates key runs of a sorted buffer as spans — no value
 //     copies, one key compare per record.
 //   - GroupValues adapts a run to the std::vector<Bytes> shape user
 //     Reducer::reduce signatures expect, either borrowing (moving values out
 //     of a consumed buffer — zero deep copies for heap-allocated values) or
 //     copying (for buffers the caller still needs).
-//   - combine_sorted is the single combiner implementation both engines
-//     ship through: run-length grouping over value-sorted input.
+//   - combine_sorted combines a buffer sort_records already sorted by key
+//     and value: run-length grouping, the same groups combine_records
+//     feeds its combiner.
 #pragma once
 
 #include <cstdint>
@@ -180,6 +188,23 @@ using CombineFn = std::function<void(
 // of input records combined away. Byte-identical to sorting plus run-length
 // grouping.
 std::size_t combine_sorted(KVVec& sorted, const CombineFn& fn);
+
+// What one combine_records call did, with the thread CPU of each part: the
+// order is a sort (kSort), the walk belongs to the combine (kCompute).
+struct CombineRun {
+  std::size_t saved = 0;  // input records combined away
+  int64_t order_cpu_ns = 0;
+  int64_t combine_cpu_ns = 0;
+};
+
+// The map-side combine of one partition buffer, the one both engines run:
+// sort_order(records, true, arena), then a take_groups walk of that order
+// that feeds each key group to fn, so no record moves into sorted position.
+// Replaces `records` with the combined records, in key order: byte-identical
+// to sort_records(records, true) followed by combine_sorted. The order lives
+// in `arena` until its next reset.
+CombineRun combine_records(KVVec& records, const CombineFn& fn,
+                           RecordArena& arena);
 
 // Binds a classic Reducer used as a combiner to the shared CombineFn shape.
 CombineFn combine_fn(Reducer& combiner);

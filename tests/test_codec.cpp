@@ -140,6 +140,18 @@ TEST(Codec, UnderflowThrows) {
   EXPECT_THROW(decode_u64(b, pos), FormatError);
   EXPECT_THROW(as_u32(Bytes("abc")), FormatError);
   EXPECT_THROW(decode_wedges(Bytes("\x05")), FormatError);
+  // A 2^63 element count is malformed input, not an allocation request.
+  Bytes huge;
+  encode_varint(1ull << 63, huge);
+  pos = 0;
+  EXPECT_THROW(decode_f64_vec(huge, pos), FormatError);
+  EXPECT_THROW(decode_adj(huge), FormatError);
+  EXPECT_THROW(decode_wedges(huge), FormatError);
+  // A segment length that wraps pos + n around is an underflow too.
+  Bytes wrap("x");
+  encode_varint(~0ull, wrap);
+  pos = 1;
+  EXPECT_THROW(decode_bytes_view(wrap, pos), FormatError);
 }
 
 TEST(Codec, TrailingBytesThrow) {

@@ -3,8 +3,9 @@
 // replaced. Each test pits the new code against a VERBATIM copy of the old
 // one over generated corpora that stress the tricky inputs: duplicate keys,
 // empty keys, keys absent from the static data, keys sharing a >8-byte
-// prefix (so the prefix fast path ties and must fall back correctly), and
-// values and whole records that tie on every byte the sort entry carries.
+// prefix (so the prefix fast path ties and must fall back correctly),
+// values and whole records that tie on every byte the sort entry carries,
+// and values that tie chunk after chunk of the value radix.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -133,6 +134,51 @@ KVVec tie_corpus(uint64_t seed, std::size_t n) {
   return out;
 }
 
+// K-means-shaped ties, built to reach every step of the value radix: from
+// n = 4,096 up each key holds far more values than a bucket the radix pass
+// leaves to insertion sort, and the values share stems of 2, 3, 8, 11, 16
+// or 20 bytes (a combiner partial's two varints, then f64 bytes). Their
+// lengths fall on each side of 8, 16 and 24 and are cut from a few long
+// tails per stem, so many values are prefixes of others across a chunk
+// boundary; half of them then have one byte changed. Keys are u32 centroid
+// ids plus "k", "k\0" and "k\0\0", which share one prefix bucket and
+// split on their length code; a fifth of the records repeat an earlier
+// record exactly.
+KVVec kmeans_tie_corpus(uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  const Bytes kStem("\x01\x10\xbf\xf0\x12\x34\x56\x78\x9a\xbc\xde\xf0\x11\x22"
+                    "\x33\x44\x55\x66\x77\x88",
+                    20);
+  const std::size_t kStemBytes[] = {2, 3, 8, 11, 16, 20};
+  const std::size_t kLengths[] = {0, 2,  3,  7,  8,  9,  11, 15,
+                                  16, 17, 20, 23, 24, 25, 130};
+  const char kTail[] = {'\0', '\x01', 'z', '\xff'};
+  std::vector<Bytes> tails(3);
+  for (Bytes& t : tails) {
+    while (t.size() < 130) t += kTail[rng.next_u64() % 4];
+  }
+  KVVec out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const uint64_t r = rng.next_u64();
+    if (i >= 8 && r % 5 == 0) {
+      out.push_back(out[rng.next_u64() % i]);
+      continue;
+    }
+    Bytes key = (r >> 8) % 7 < 4
+                    ? u32_key(static_cast<uint32_t>((r >> 8) % 7))
+                    : Bytes("k\0\0", (r >> 8) % 7 - 3);
+    const std::size_t stem = kStemBytes[(r >> 16) % 6];
+    Bytes value = kStem.substr(0, stem) + tails[(r >> 24) % 3];
+    value.resize(kLengths[(r >> 32) % 15]);
+    if ((r >> 40) % 2 == 0 && !value.empty()) {
+      value[(r >> 44) % value.size()] = kTail[(r >> 60) % 4];
+    }
+    out.emplace_back(std::move(key), std::move(value));
+  }
+  return out;
+}
+
 // Position of the first record where a and b differ; -1 if they are equal.
 std::ptrdiff_t first_difference(const KVVec& a, const KVVec& b) {
   if (a == b) return -1;
@@ -167,18 +213,23 @@ TEST(RecordPathSort, MatchesReferenceAcrossCorpora) {
 
 TEST(RecordPathSort, TieBreaksMatchReference) {
   for (std::size_t n : {63u, 64u, 65u, 4096u, 70000u}) {
-    for (bool sort_values : {false, true}) {
-      KVVec expected = tie_corpus(n, n);
-      sort_records_reference(expected, sort_values);
-      KVVec plain = tie_corpus(n, n);
-      sort_records(plain, sort_values);
-      EXPECT_EQ(first_difference(expected, plain), -1)
-          << "plain overload, n=" << n << " sort_values=" << sort_values;
-      RecordArena arena;
-      KVVec pooled = tie_corpus(n, n);
-      sort_records(pooled, sort_values, arena);
-      EXPECT_EQ(first_difference(expected, pooled), -1)
-          << "arena overload, n=" << n << " sort_values=" << sort_values;
+    for (auto corpus : {tie_corpus, kmeans_tie_corpus}) {
+      for (bool sort_values : {false, true}) {
+        const bool kmeans = corpus == kmeans_tie_corpus;
+        KVVec expected = corpus(n, n);
+        sort_records_reference(expected, sort_values);
+        KVVec plain = corpus(n, n);
+        sort_records(plain, sort_values);
+        EXPECT_EQ(first_difference(expected, plain), -1)
+            << "plain overload, n=" << n << " kmeans=" << kmeans
+            << " sort_values=" << sort_values;
+        RecordArena arena;
+        KVVec pooled = corpus(n, n);
+        sort_records(pooled, sort_values, arena);
+        EXPECT_EQ(first_difference(expected, pooled), -1)
+            << "arena overload, n=" << n << " kmeans=" << kmeans
+            << " sort_values=" << sort_values;
+      }
     }
   }
 }
@@ -242,14 +293,14 @@ TEST(RecordPathGroup, CursorViewMatchesReference) {
 
 TEST(RecordPathGroup, SortOrderWalkMatchesReference) {
   for (std::size_t n : {0u, 1u, 63u, 64u, 65u, 4096u, 70000u}) {
-    for (bool ties : {false, true}) {
-      KVVec sorted = ties ? tie_corpus(n, n) : nasty_corpus(n, n);
+    for (auto corpus : {nasty_corpus, tie_corpus, kmeans_tie_corpus}) {
+      KVVec sorted = corpus(n, n);
       sort_records_reference(sorted, true);
       const GroupList expected = reference_groups(sorted);
 
       // take_groups walks the unsorted buffer through sort_order's
       // permutation: no record moves, and the keys stay put.
-      KVVec records = ties ? tie_corpus(n, n) : nasty_corpus(n, n);
+      KVVec records = corpus(n, n);
       const KVVec arrival = records;
       RecordArena arena;
       GroupList actual;
@@ -257,7 +308,9 @@ TEST(RecordPathGroup, SortOrderWalkMatchesReference) {
                   [&](const Bytes& key, const std::vector<Bytes>& values) {
                     actual.emplace_back(key, values);
                   });
-      EXPECT_TRUE(expected == actual) << "n=" << n << " ties=" << ties;
+      EXPECT_TRUE(expected == actual)
+          << "n=" << n << " ties=" << (corpus == tie_corpus)
+          << " kmeans=" << (corpus == kmeans_tie_corpus);
       for (std::size_t i = 0; i < n; ++i) {
         ASSERT_EQ(records[i].key, arrival[i].key) << "record " << i;
       }
@@ -344,8 +397,9 @@ CombineFn concat_combiner() {
 }
 
 TEST(RecordPathCombine, SortedPathMatchesOldSortPlusGroupPipeline) {
-  for (uint64_t seed : {41u, 42u}) {
-    KVVec input = nasty_corpus(seed, 3000);
+  const KVVec inputs[] = {nasty_corpus(41, 3000), nasty_corpus(42, 3000),
+                          kmeans_tie_corpus(43, 4096)};
+  for (const KVVec& input : inputs) {
     CombineFn fn = concat_combiner();
 
     KVVec expected_buf = input;
@@ -361,6 +415,13 @@ TEST(RecordPathCombine, SortedPathMatchesOldSortPlusGroupPipeline) {
     std::size_t saved = combine_sorted(actual, fn);
     expect_identical(expected, actual);
     EXPECT_EQ(saved, input.size() - actual.size());
+
+    // The engines' entry point: the same bytes from a walk of the order.
+    KVVec walked = input;
+    RecordArena arena;
+    const CombineRun run = combine_records(walked, fn, arena);
+    expect_identical(expected, walked);
+    EXPECT_EQ(run.saved, input.size() - walked.size());
   }
 }
 
