@@ -8,14 +8,17 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <functional>
 #include <memory>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "cluster/cluster.h"
 #include "common/codec.h"
 #include "common/hash.h"
+#include "common/key_index.h"
 #include "common/rng.h"
 #include "imapreduce/static_store.h"
 #include "mapreduce/shuffle_util.h"
@@ -516,6 +519,108 @@ void BM_StaticJoinIndex(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_StaticJoinIndex)->Arg(1024)->Arg(16384);
+
+// The join as one of T hash-partitioned map tasks sees it: 20,000 keys that
+// partition_of routes to partition 0 of T, so for T = 2^b they all share
+// fnv1a's low b bits. The index takes its home slot from a remix of the
+// hash; one taken from the low bits left 1/T of the slots as homes, and a
+// probe at T = 64 cost 3.8x one at T = 1.
+void BM_StaticJoinIndexPartitioned(benchmark::State& state) {
+  const auto tasks = static_cast<uint32_t>(state.range(0));
+  Rng rng(3);
+  KVVec sorted;
+  while (sorted.size() < 20000) {
+    Bytes key = u64_key(rng.next_u64());
+    if (partition_of(key, tasks) != 0) continue;
+    sorted.emplace_back(std::move(key), f64_value(1.0));
+  }
+  sort_records(sorted, false);
+  std::vector<Bytes> probes;
+  for (const KV& kv : sorted) probes.push_back(kv.key);
+  for (std::size_t i = probes.size(); i > 1; --i) {
+    std::swap(probes[i - 1], probes[rng.next_u64() % i]);
+  }
+  StaticStore store;
+  store.build(std::move(sorted));
+  for (auto _ : state) {
+    for (const Bytes& k : probes) benchmark::DoNotOptimize(store.find(k));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(probes.size()));
+}
+BENCHMARK(BM_StaticJoinIndexPartitioned)->Arg(1)->Arg(64);
+
+// --- Reduce state A/B: one PageRank iteration's reconcile -------------------
+// A persistent reduce reconciles each record it produces against its key's
+// previous state: find-or-insert, the distance, then the assign. These run
+// one iteration of it over n node ids of one of two hash partitions, in key
+// order as the grouped reduce emits them, against a state that already holds
+// every key (the steady state); successive runs alternate two rank vectors.
+// BM_ReduceStateReconcile times the shipping FlatTable;
+// BM_ReduceStateReconcileUnorderedMap the node-based map it replaced, with
+// the reconcile verbatim.
+struct ReconcileFixture {
+  KVVec produced[2];
+
+  explicit ReconcileFixture(std::size_t n) {
+    Rng rng(7);
+    std::vector<Bytes> keys;  // big-endian, so ascending ids are key order
+    for (uint32_t v = 0; keys.size() < n; ++v) {
+      if (partition_of(u32_key(v), 2) == 0) keys.push_back(u32_key(v));
+    }
+    for (KVVec& ranks : produced) {
+      for (const Bytes& key : keys) {
+        ranks.emplace_back(key, f64_value(rng.uniform_real(0.0, 1.0) / n));
+      }
+    }
+  }
+};
+
+double rank_distance(const Bytes& prev, const Bytes& cur) {
+  const double rp = prev.empty() ? 0.0 : as_f64(prev);
+  const double rc = cur.empty() ? 0.0 : as_f64(cur);
+  return std::abs(rp - rc);
+}
+
+void BM_ReduceStateReconcile(benchmark::State& state) {
+  ReconcileFixture fx(static_cast<std::size_t>(state.range(0)));
+  FlatTable table;
+  for (const KV& kv : fx.produced[1]) {
+    table.find_or_insert(kv.key).first.value = kv.value;
+  }
+  int run = 0;
+  for (auto _ : state) {
+    double distance = 0;
+    for (const KV& kv : fx.produced[run++ & 1]) {
+      auto [prev, fresh] = table.find_or_insert(kv.key);
+      distance += rank_distance(prev.value, kv.value);
+      prev.value = kv.value;
+    }
+    benchmark::DoNotOptimize(distance);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ReduceStateReconcile)->Arg(50000);
+
+void BM_ReduceStateReconcileUnorderedMap(benchmark::State& state) {
+  ReconcileFixture fx(static_cast<std::size_t>(state.range(0)));
+  std::unordered_map<Bytes, Bytes> state_map;
+  for (const KV& kv : fx.produced[1]) state_map[kv.key] = kv.value;
+  int run = 0;
+  for (auto _ : state) {
+    double distance = 0;
+    for (const KV& kv : fx.produced[run++ & 1]) {
+      auto [prev, fresh] = state_map.try_emplace(kv.key);
+      distance += rank_distance(prev->second, kv.value);
+      prev->second = kv.value;
+    }
+    benchmark::DoNotOptimize(distance);
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_ReduceStateReconcileUnorderedMap)->Arg(50000);
 
 // Group iteration over a sorted reduce buffer: 8 values per key, f64 values
 // (the PageRank/SSSP shape). The "work" per group is a byte sum so neither

@@ -9,6 +9,8 @@ Usage: scripts/check_bench_regression.py bench_out.json \
            [--reference BENCH_substrate.json] [--tolerance 2.0]
        scripts/check_bench_regression.py --sort sort_out.json \
            [--reference BENCH_substrate.json] [--tolerance 2.0]
+       scripts/check_bench_regression.py --key-index index_out.json \
+           [--reference BENCH_substrate.json] [--tolerance 2.0]
 
 `bench_out.json` is google-benchmark's --benchmark_out JSON for a run of
 bench_micro_substrate covering the BM_FabricSendMT* series. The reference
@@ -41,6 +43,17 @@ binary) and BM_SortRecordsPageRank/262144 and BM_SortRecordsKMeans/75000
 (the shipping sort_records). Both times of a pair come from one run, so
 runner speed cancels; each pair's ratio must stay at or above its
 sort_records_radix reference speedup divided by --tolerance.
+
+--key-index gates the two in-run ratios of the shared key index
+(key_index series): index_out.json is a --benchmark_out file of
+bench_micro_substrate covering BM_ReduceStateReconcile/50000 and
+BM_ReduceStateReconcileUnorderedMap/50000 (a reduce state's reconcile on
+the flat table, and on the node-based map it replaced, kept verbatim in the
+binary), whose speedup must stay at or above the reference divided by
+--tolerance, and BM_StaticJoinIndexPartitioned/1 and /64 (the join over
+keys of one hash partition of 1 and of 64), whose slowdown at 64 must stay
+at or below the reference times --tolerance: an index whose home slot
+drops back to fnv1a's low bits reads about 8x there.
 
 --placement instead gates bench_placement_ab's remote-byte measurements:
 virtual-traffic byte counts are fully deterministic (no machine drift), so
@@ -245,6 +258,62 @@ def check_sort(run_path: str, reference: dict, tolerance: float) -> int:
     return 0
 
 
+def check_key_index(run_path: str, reference: dict, tolerance: float) -> int:
+    """Gate the flat state table's speedup and the partitioned join's spread."""
+    run = load_run(run_path)
+    series = reference.get("key_index", {})
+    failures = []
+    # (name, numerator, denominator, reference key, higher is better)
+    pairs = (
+        (
+            "key_index/reduce_state_reconcile/n_50000",
+            "BM_ReduceStateReconcileUnorderedMap/50000",
+            "BM_ReduceStateReconcile/50000",
+            ("reduce_state_reconcile", "speedup"),
+            True,
+        ),
+        (
+            "key_index/static_join_partitioned",
+            "BM_StaticJoinIndexPartitioned/64",
+            "BM_StaticJoinIndexPartitioned/1",
+            ("static_join_partitioned", "t64_over_t1"),
+            False,
+        ),
+    )
+    for name, num_bm, den_bm, (group, field), higher in pairs:
+        num = run.get(num_bm)
+        den = run.get(den_bm)
+        ref = series.get(group, {}).get(field)
+        if num is None or den is None:
+            failures.append(
+                f"{name}: series missing from the benchmark run "
+                f"(need {num_bm} and {den_bm})"
+            )
+            continue
+        if ref is None:
+            failures.append(f"{name}: no reference {field}")
+            continue
+        ratio = num / den
+        limit = float(ref) / tolerance if higher else float(ref) * tolerance
+        ok = ratio >= limit if higher else ratio <= limit
+        bound = "floor" if higher else "ceiling"
+        print(
+            f"{name}: {num_bm} {num / 1e3:.1f}us / {den_bm} {den / 1e3:.1f}us "
+            f"= {ratio:.2f}x (reference {float(ref):.2f}x, {bound} "
+            f"{limit:.2f}x) {'ok' if ok else 'REGRESSION'}"
+        )
+        if not ok:
+            failures.append(f"{name}: ratio {ratio:.2f}x is past its {bound} "
+                            f"{limit:.2f}x")
+    if failures:
+        print("\nFAIL:")
+        for f_ in failures:
+            print(f"  {f_}")
+        return 1
+    print("\nkey index ratios within their bounds")
+    return 0
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument(
@@ -267,15 +336,21 @@ def main() -> int:
         help="bench_micro_substrate --benchmark_out JSON of the PageRank "
         "and K-means sort series to gate instead of the probe-overhead series",
     )
+    ap.add_argument(
+        "--key-index",
+        help="bench_micro_substrate --benchmark_out JSON of the reduce state "
+        "and partitioned join series to gate instead of the probe-overhead "
+        "series",
+    )
     ap.add_argument("--reference", default="BENCH_substrate.json")
     ap.add_argument(
         "--tolerance",
         type=float,
         default=2.0,
         help="armed/disarmed ratio may exceed the reference ratio by "
-        "at most this factor (default 2.0); in --placement and --sort "
-        "modes the measured ratio may fall below the reference by the same "
-        "factor",
+        "at most this factor (default 2.0); in --placement, --sort and "
+        "--key-index modes the measured ratio may fall short of the "
+        "reference by the same factor",
     )
     args = ap.parse_args()
 
@@ -287,8 +362,13 @@ def main() -> int:
         return check_spill(args.spill, reference, args.tolerance)
     if args.sort:
         return check_sort(args.sort, reference, args.tolerance)
+    if args.key_index:
+        return check_key_index(args.key_index, reference, args.tolerance)
     if not args.bench_out:
-        ap.error("either bench_out, --placement, --spill, or --sort is required")
+        ap.error(
+            "either bench_out, --placement, --spill, --sort, or --key-index "
+            "is required"
+        )
     run = load_run(args.bench_out)
 
     failures = []

@@ -31,9 +31,8 @@ inline uint32_t partition_of(BytesView key, uint32_t num_partitions) {
   return static_cast<uint32_t>(fnv1a(key) % num_partitions);
 }
 
-// Smallest power of two >= v (and >= 1). Open-addressed tables (the static
-// join index, the hash combiner) size to powers of two so the probe sequence
-// is a mask, not a modulo.
+// Smallest power of two >= v (and >= 1). The open-addressed KeyIndex sizes
+// to powers of two so the probe sequence is a mask, not a modulo.
 inline std::size_t next_pow2(std::size_t v) {
   std::size_t p = 1;
   while (p < v) p <<= 1;

@@ -6,12 +6,12 @@
 #include <map>
 #include <span>
 #include <thread>
-#include <unordered_map>
 #include <utility>
 
 #include "cluster/placement.h"
 #include "cluster/task_context.h"
 #include "common/hash.h"
+#include "common/key_index.h"
 #include "common/log.h"
 #include "common/strings.h"
 #include "imapreduce/control.h"
@@ -1097,8 +1097,10 @@ class JobRun::ReduceTask : public PairTask {
     if (ckpt_iter <= 0 || (at_base && sv.reset_all)) return;
     const std::string dir =
         at_base ? sv.baseline_dir : run_.ckpt_path(ckpt_iter);
-    for (KV& kv : ctx_.dfs_read_all(part_path(dir, i_))) {
-      state_[std::move(kv.key)] = std::move(kv.value);
+    KVVec part = ctx_.dfs_read_all(part_path(dir, i_));
+    state_.reserve(part.size());
+    for (KV& kv : part) {
+      state_.find_or_insert(kv.key).first.value = std::move(kv.value);
     }
   }
   // Writes the state as this task's part file under `dir`. A torn dump
@@ -1106,12 +1108,8 @@ class JobRun::ReduceTask : public PairTask {
   void dump_state(const std::string& dir, VClock& clock, TrafficCategory cat,
                   bool torn = false) {
     const std::size_t n = torn ? state_.size() / 2 : state_.size();
-    KVVec sorted;
-    sorted.reserve(n);
-    for (const auto& [key, value] : state_) {
-      if (sorted.size() >= n) break;
-      sorted.emplace_back(key, value);
-    }
+    KVVec sorted(state_.begin(),
+                 state_.begin() + static_cast<std::ptrdiff_t>(n));
     sort_records(sorted, /*sort_values=*/false);
     run_.cluster_.dfs().write_file(part_path(dir, i_), std::move(sorted),
                                    ctx_.worker(), &clock, cat);
@@ -1220,8 +1218,7 @@ class JobRun::ReduceTask : public PairTask {
   void ship_seeds() {
     KVVec seeds = run_.session_seeds_for(i_);
     for (KV& kv : seeds) {
-      auto it = state_.find(kv.key);
-      if (it != state_.end()) kv.value = it->second;
+      if (const KV* prev = state_.find(kv.key)) kv.value = prev->value;
     }
     run_.cluster_.metrics().inc("imr_session_seed_records",
                                 static_cast<int64_t>(seeds.size()));
@@ -1234,11 +1231,11 @@ class JobRun::ReduceTask : public PairTask {
   // unchanged key, which then enters no frontier, so the paired map never
   // revisits it. False for such a key.
   bool reconcile(KV& kv) {
-    auto [prev, fresh] = state_.try_emplace(kv.key);
-    if (workset_) kv.value = reducer_->merge(kv.key, prev->second, kv.value);
-    distance_ += reducer_->distance(kv.key, prev->second, kv.value);
-    if (workset_ && !fresh && kv.value == prev->second) return false;
-    prev->second = kv.value;
+    auto [prev, fresh] = state_.find_or_insert(kv.key);
+    if (workset_) kv.value = reducer_->merge(kv.key, prev.value, kv.value);
+    distance_ += reducer_->distance(kv.key, prev.value, kv.value);
+    if (workset_ && !fresh && kv.value == prev.value) return false;
+    prev.value = kv.value;
     ++changed_;
     if (workset_ && ckpt_due_) ckpt_workset_.push_back(kv);
     return true;
@@ -1337,8 +1334,9 @@ class JobRun::ReduceTask : public PairTask {
     report.duration_ns = duration_ns;
     report.workset_size = workset_ ? changed_ : 0;
     if (TelemetryRecorder::enabled()) {
-      for (const auto& [key, value] : state_) {
-        report.state_bytes += static_cast<int64_t>(key.size() + value.size());
+      for (const KV& kv : state_) {
+        report.state_bytes +=
+            static_cast<int64_t>(kv.key.size() + kv.value.size());
       }
     }
     run_.task_send_ctl(ctx_, report);
@@ -1383,8 +1381,11 @@ class JobRun::ReduceTask : public PairTask {
              .aux = aux_from_reduce_ ? aux_row_.row_fn() : MapOutput::Row()}};
   // Previous-iteration state for distance + checkpoints + final dump
   // (§3.1.2: "the reduce tasks save the output from two consecutive
-  // iterations and calculate the distance").
-  std::unordered_map<Bytes, Bytes> state_;
+  // iterations and calculate the distance"). One flat table for the task's
+  // whole life: each iteration finds its keys and updates their values in
+  // place, so a steady-state iteration allocates nothing here; a restart
+  // clears it and keeps its memory.
+  FlatTable state_;
   // Iteration k's output stage, reset by process().
   int out_iter_ = 0;
   bool ckpt_due_ = false;  // decided up front: the changed-set is inline

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/error.h"
-#include "common/hash.h"
 
 namespace imr {
 
@@ -23,21 +22,12 @@ void StaticStore::build(KVVec sorted) {
 
 void StaticStore::reindex() {
   ++epoch_;
-  slots_.clear();
-  if (records_.empty()) {
-    mask_ = 0;
-    return;
-  }
-  const std::size_t capacity = next_pow2(2 * records_.size());
-  mask_ = capacity - 1;
-  slots_.assign(capacity, 0);
+  index_.reset(records_.size());
   for (std::size_t i = 0; i < records_.size(); ++i) {
     // Sorted input puts duplicate keys adjacent; keeping only the first
     // preserves the lower_bound join's first-match semantics.
     if (i > 0 && records_[i].key == records_[i - 1].key) continue;
-    std::size_t s = static_cast<std::size_t>(fnv1a(records_[i].key)) & mask_;
-    while (slots_[s] != 0) s = (s + 1) & mask_;
-    slots_[s] = static_cast<uint32_t>(i) + 1;
+    index_.insert_new(records_[i].key, static_cast<uint32_t>(i));
   }
 }
 
@@ -92,15 +82,8 @@ void StaticStore::apply_delta(const std::vector<StaticDeltaOp>& ops) {
 }
 
 const Bytes* StaticStore::find(BytesView key) const {
-  if (records_.empty()) return nullptr;
-  std::size_t s = static_cast<std::size_t>(fnv1a(key)) & mask_;
-  while (true) {
-    uint32_t slot = slots_[s];
-    if (slot == 0) return nullptr;
-    const KV& kv = records_[slot - 1];
-    if (kv.key == key) return &kv.value;
-    s = (s + 1) & mask_;
-  }
+  const uint32_t i = index_.find(records_, key);
+  return i == KeyIndex::kNone ? nullptr : &records_[i].value;
 }
 
 }  // namespace imr

@@ -4,10 +4,12 @@
 // task starts, then joined against every state record of every iteration
 // (§3.2.2). Paying a per-record lower_bound with O(log n) byte-string
 // compares for that join re-derives the same ordering information each
-// round, so the store builds an open-addressed hash index (key -> record
-// slot) once at load and answers each probe with a single fnv1a hash and an
-// expected O(1) scan. The sorted record vector is kept as-is for the
-// one2all map_all() pass, which walks the static partition in key order.
+// round, so the store builds a KeyIndex (common/key_index.h: key -> record
+// position, open-addressed, its home slot a remix of fnv1a that keys of one
+// hash partition spread over) once at load and answers each probe with one
+// hash and an expected O(1) scan. The sorted record vector is kept as-is
+// for the one2all map_all() pass, which walks the static partition in key
+// order.
 //
 // Duplicate static keys resolve to the FIRST record in sorted order —
 // exactly what the lower_bound join returned.
@@ -25,6 +27,7 @@
 #include <vector>
 
 #include "common/bytes.h"
+#include "common/key_index.h"
 #include "imapreduce/delta.h"
 
 namespace imr {
@@ -87,10 +90,7 @@ class StaticStore {
   void reindex();
 
   KVVec records_;
-  // Open-addressed table: slot -> record index + 1, 0 = empty. Power-of-two
-  // capacity at load factor <= 0.5.
-  std::vector<uint32_t> slots_;
-  std::size_t mask_ = 0;
+  KeyIndex index_;  // each distinct key -> its first record in records_
   uint64_t epoch_ = 0;
   mutable std::atomic<int> live_probes_{0};
 };

@@ -27,7 +27,7 @@ ReduceInput::~ReduceInput() {
 
 bool ReduceInput::add(KVVec batch, int iteration, int generation) {
   const std::size_t batch_bytes = budget_.limited() ? wire_size(batch) : 0;
-  if (records_.empty()) {
+  if (records_.empty() && records_.capacity() < batch.capacity()) {
     records_ = std::move(batch);
   } else {
     records_.insert(records_.end(), std::make_move_iterator(batch.begin()),
@@ -57,7 +57,7 @@ bool ReduceInput::spill(int iteration, int generation) {
     budget_.release(std::exchange(held_, 0));
     ctx_.cluster().metrics().inc("imr_reduce_spills");
   }
-  records_ = KVVec{};
+  records_.clear();
   return !dies;
 }
 
@@ -105,14 +105,14 @@ void ReduceInput::group(const GroupFn& fn) {
     spills_.consume(0);
     ctx_.cluster().metrics().inc("imr_reduce_merges");
   }
-  records_ = KVVec{};
+  records_.clear();
   order_ = {};
   budget_.release(std::exchange(held_, 0));
 }
 
 void ReduceInput::reset() {
   spills_.abandon();
-  records_ = KVVec{};
+  records_.clear();
   order_ = {};
   budget_.release(std::exchange(held_, 0));
 }

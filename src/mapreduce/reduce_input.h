@@ -4,7 +4,10 @@
 // collected in-memory records. When nothing spilled, sort() computes only
 // the records' sort order (sort_order), which lives in the arena until the
 // next sort or spill, and group() walks the records through it; spill runs
-// and the merge tail are sorted in place. Like its parts, it is per-task
+// and the merge tail are sorted in place. The record buffer is cleared, not
+// freed, by group() and reset(), so a persistent reduce collects every
+// iteration into the capacity its largest one reached instead of regrowing
+// it (a spill hands the buffer to its run). Like its parts, it is per-task
 // and NOT thread-safe.
 #pragma once
 
@@ -38,7 +41,8 @@ class ReduceInput {
   ReduceInput(const ReduceInput&) = delete;
   ReduceInput& operator=(const ReduceInput&) = delete;
 
-  // Appends `batch`, charging its wire bytes. Once the budget is crossed
+  // Appends `batch`, charging its wire bytes; its buffer is adopted only
+  // while the held buffer is empty and smaller. Once the budget is crossed
   // the collected records are sorted and spilled as one run. Returns false
   // when the spill-fault hook fired: the torn run is registered (so the
   // unwind drops it) and the caller must fail the task.

@@ -425,6 +425,11 @@ CombineRun combine_records(KVVec& records, const CombineFn& fn,
                 fn(key, values, combined);
               });
   run.saved = records.size() - combined.size();
+  // The reservation guessed a 2x reduction. A combiner that reduces far more
+  // (K-means: 75k partials to 10) would otherwise ship a buffer that is
+  // mostly empty capacity, which a reduce that keeps its input buffer would
+  // keep for the whole job.
+  if (combined.size() < combined.capacity() / 2) combined.shrink_to_fit();
   records = std::move(combined);
   run.combine_cpu_ns = walk_cpu.elapsed_ns();
   return run;

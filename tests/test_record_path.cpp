@@ -10,12 +10,15 @@
 
 #include <algorithm>
 #include <map>
+#include <set>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/arena.h"
 #include "common/codec.h"
+#include "common/hash.h"
+#include "common/key_index.h"
 #include "common/rng.h"
 #include "imapreduce/static_store.h"
 #include "mapreduce/engine.h"
@@ -335,9 +338,24 @@ TEST(RecordPathGroup, CursorTakeMatchesReference) {
 
 // --- Static join index ------------------------------------------------------
 
+// n records whose keys the hash partitioner routes to partition 0 of 64:
+// they share fnv1a's low 6 bits, which a join index must not take its home
+// slot from.
+KVVec one_partition_corpus(uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  KVVec out;
+  while (out.size() < n) {
+    Bytes key = u64_key(rng.next_u64() % (4 * 64 * n));
+    if (partition_of(key, 64) != 0) continue;
+    out.emplace_back(std::move(key), f64_value(static_cast<double>(out.size())));
+  }
+  return out;
+}
+
 TEST(RecordPathJoin, IndexMatchesLowerBound) {
-  for (uint64_t seed : {31u, 32u, 33u}) {
-    KVVec static_data = nasty_corpus(seed, 2000);
+  for (uint64_t seed : {31u, 32u, 33u, 34u}) {
+    KVVec static_data = seed == 34 ? one_partition_corpus(seed, 2000)
+                                   : nasty_corpus(seed, 2000);
     sort_records(static_data, /*sort_values=*/false);
     StaticStore store;
     store.build(static_data);  // copy: the vector doubles as the oracle
@@ -347,6 +365,9 @@ TEST(RecordPathJoin, IndexMatchesLowerBound) {
     std::vector<Bytes> probes;
     for (const KV& kv : static_data) probes.push_back(kv.key);
     for (int i = 0; i < 2000; ++i) probes.push_back(nasty_key(rng, 2000));
+    for (const KV& kv : one_partition_corpus(seed + 200, 2000)) {
+      probes.push_back(kv.key);
+    }
     probes.push_back(Bytes());
 
     for (const Bytes& key : probes) {
@@ -379,6 +400,104 @@ TEST(RecordPathJoin, DuplicateKeysResolveToFirstSortedRecord) {
   EXPECT_EQ(*store.find(u64_key(5)), f64_value(1.0));
   EXPECT_EQ(*store.find(u64_key(9)), f64_value(3.0));
   EXPECT_EQ(store.find(u64_key(6)), nullptr);
+}
+
+// --- The reduce state table -------------------------------------------------
+
+// Inserts each key once, checking that each is new and that every earlier
+// key still maps to its value, then finds every key again.
+void expect_table_holds(FlatTable& table, const std::vector<Bytes>& keys) {
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    auto [rec, fresh] = table.find_or_insert(keys[i]);
+    ASSERT_TRUE(fresh) << "key " << i;
+    EXPECT_EQ(rec.key, keys[i]);
+    EXPECT_TRUE(rec.value.empty());
+    rec.value = u64_key(i);
+  }
+  ASSERT_EQ(table.size(), keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    const KV* found = table.find(keys[i]);
+    ASSERT_NE(found, nullptr) << "key " << i;
+    EXPECT_EQ(found->value, u64_key(i));
+    auto [rec, fresh] = table.find_or_insert(keys[i]);
+    EXPECT_FALSE(fresh);
+    EXPECT_EQ(&rec, found);
+  }
+  EXPECT_EQ(table.size(), keys.size());
+}
+
+// The records' keys, each once, in first-appearance order.
+std::vector<Bytes> distinct_keys(const KVVec& records) {
+  std::vector<Bytes> keys;
+  std::set<Bytes> seen;
+  for (const KV& kv : records) {
+    if (seen.insert(kv.key).second) keys.push_back(kv.key);
+  }
+  return keys;
+}
+
+TEST(FlatTable, FindOrInsertAcrossGrowth) {
+  FlatTable table;
+  EXPECT_EQ(table.find(u64_key(1)), nullptr);
+  std::vector<Bytes> keys;
+  for (uint32_t i = 0; i < (1u << 17) + 1000; ++i) keys.push_back(u32_key(i));
+  expect_table_holds(table, keys);
+  EXPECT_EQ(table.find(u32_key(1u << 20)), nullptr);
+}
+
+TEST(FlatTable, IteratesInInsertionOrder) {
+  FlatTable table;
+  Rng rng(41);
+  std::vector<Bytes> keys;
+  for (int i = 0; i < 5000; ++i) keys.push_back(u64_key(rng.next_u64()));
+  expect_table_holds(table, keys);
+  std::size_t i = 0;
+  for (const KV& kv : table) {
+    ASSERT_LT(i, keys.size());
+    EXPECT_EQ(kv.key, keys[i]);
+    EXPECT_EQ(kv.value, u64_key(i));
+    ++i;
+  }
+  EXPECT_EQ(i, keys.size());
+}
+
+TEST(FlatTable, ClearThenReuse) {
+  FlatTable table;
+  std::vector<Bytes> first, second;
+  for (uint32_t i = 0; i < 3000; ++i) first.push_back(u32_key(i));
+  for (uint32_t i = 0; i < 100; ++i) second.push_back(u32_key(5000 + 3 * i));
+  expect_table_holds(table, first);
+  table.clear();
+  EXPECT_EQ(table.size(), 0u);
+  EXPECT_EQ(table.begin(), table.end());
+  for (const Bytes& key : first) ASSERT_EQ(table.find(key), nullptr);
+  expect_table_holds(table, second);
+  EXPECT_EQ(table.begin()->key, second.front());
+  table.clear();
+  expect_table_holds(table, first);
+}
+
+TEST(FlatTable, EmptyKeyAndKeysLongerThanEightBytes) {
+  FlatTable table;
+  // nasty keys: the empty key, keys shorter than 8 bytes, and 21-byte keys
+  // sharing their first 13 bytes.
+  std::vector<Bytes> keys = distinct_keys(nasty_corpus(43, 4000));
+  ASSERT_NE(std::find(keys.begin(), keys.end(), Bytes()), keys.end());
+  expect_table_holds(table, keys);
+  EXPECT_EQ(table.find(Bytes("shared-prefix")), nullptr);
+}
+
+TEST(FlatTable, KeysOfOnePartitionOf64) {
+  FlatTable table;
+  const std::vector<Bytes> keys =
+      distinct_keys(one_partition_corpus(44, 20000));
+  expect_table_holds(table, keys);
+  const std::set<Bytes> present(keys.begin(), keys.end());
+  for (const KV& kv : one_partition_corpus(45, 2000)) {
+    if (present.count(kv.key) == 0) {
+      EXPECT_EQ(table.find(kv.key), nullptr);
+    }
+  }
 }
 
 // --- Combining --------------------------------------------------------------

@@ -17,6 +17,7 @@
 // validation gates, and the classic engine's budgeted reduce.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -29,6 +30,7 @@
 #include "algorithms/pagerank.h"
 #include "algorithms/sssp.h"
 #include "cluster/fault_schedule.h"
+#include "cluster/task_context.h"
 #include "common/arena.h"
 #include "common/codec.h"
 #include "common/error.h"
@@ -40,6 +42,7 @@
 #include "imapreduce/conf.h"
 #include "imapreduce/engine.h"
 #include "mapreduce/engine.h"
+#include "mapreduce/reduce_input.h"
 #include "mapreduce/shuffle_util.h"
 #include "metrics/invariants.h"
 #include "tests/chaos_harness.h"
@@ -314,6 +317,82 @@ TEST(SpillSet, TornRunWritesHalfAndIsDroppedOnUnwind) {
   EXPECT_EQ(cluster->metrics().count("imr_torn_spills"), 1);
   expect_balanced(*cluster);
   EXPECT_TRUE(cluster->dfs().list("spill/").empty());
+}
+
+// ---------------------------------------------------------------------------
+// ReduceInput across iterations: one stage, as a persistent reduce keeps it,
+// collects iterations of different sizes into the buffer it keeps (and a
+// rollback's reset in between), and each iteration groups exactly what
+// that iteration's input alone would.
+// ---------------------------------------------------------------------------
+
+// The groups ReduceInput feeds group(), flattened to one record per value,
+// checking that consecutive groups have distinct keys.
+KVVec collect_groups(ReduceInput& input) {
+  KVVec out;
+  input.sort();
+  input.group([&out](const Bytes& key, const std::vector<Bytes>& values) {
+    EXPECT_FALSE(values.empty());
+    if (!out.empty()) {
+      EXPECT_NE(out.back().key, key) << "split group";
+    }
+    for (const Bytes& v : values) out.emplace_back(key, v);
+  });
+  return out;
+}
+
+// Adds `records` in 1,000-record batches, as a shuffle delivers them.
+void add_batches(ReduceInput& input, const KVVec& records) {
+  for (std::size_t off = 0; off < records.size(); off += 1000) {
+    const auto begin = records.begin() + static_cast<std::ptrdiff_t>(off);
+    const auto end =
+        records.begin() +
+        static_cast<std::ptrdiff_t>(std::min(records.size(), off + 1000));
+    ASSERT_TRUE(input.add(KVVec(begin, end)));
+  }
+}
+
+void expect_iterations_group_alone(int64_t budget) {
+  auto cluster = testutil::free_cluster(1, 1, 1);
+  TaskContext ctx(*cluster, "reduce", 0, 0);
+  {
+    ReduceInput input(ctx, "t/ri", budget);
+    // Large, small, then larger than the first; a partial iteration is
+    // collected and reset before the small one.
+    const std::vector<std::size_t> sizes = {20000, 500, 40000};
+    for (std::size_t it = 0; it < sizes.size(); ++it) {
+      if (it == 1) {
+        add_batches(input, nasty_corpus(900, 7000));
+        input.reset();
+      }
+      const KVVec records = nasty_corpus(910 + it, sizes[it]);
+      add_batches(input, records);
+      KVVec expected = records;
+      sort_records(expected, /*sort_values=*/true);
+      expect_identical(expected, collect_groups(input));
+    }
+  }
+  expect_balanced(*cluster);
+  const int64_t spills = cluster->metrics().count("imr_reduce_spills");
+  const int64_t merges = cluster->metrics().count("imr_reduce_merges");
+  if (budget == 0) {
+    EXPECT_EQ(spills, 0);
+    EXPECT_EQ(merges, 0);
+  } else {
+    // Each large iteration collects ~10x the budget.
+    EXPECT_GT(spills, 0);
+    EXPECT_GE(merges, 2);
+    EXPECT_GT(cluster->metrics().count("imr_spill_runs_dropped"), 0)
+        << "the reset must drop the partial iteration's runs";
+  }
+}
+
+TEST(ReduceInput, IterationsGroupAloneUnlimited) {
+  expect_iterations_group_alone(0);
+}
+
+TEST(ReduceInput, IterationsGroupAloneSpilling) {
+  expect_iterations_group_alone(64 << 10);
 }
 
 // ---------------------------------------------------------------------------
