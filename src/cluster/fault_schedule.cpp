@@ -21,6 +21,8 @@ const char* fault_point_name(FaultPoint p) {
       return "migration";
     case FaultPoint::kSpillWrite:
       return "spill_write";
+    case FaultPoint::kDeltaApply:
+      return "delta_apply";
   }
   return "unknown";
 }

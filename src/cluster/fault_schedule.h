@@ -30,15 +30,16 @@ enum class FaultPoint : uint8_t {
                            // startup — failure during recovery (§3.4.2)
   kSpillWrite,             // task dies while writing a budgeted spill run
                            // (out-of-core record path, DESIGN.md §10)
+  kDeltaApply,             // session map dies applying an update (§8)
 };
 
 const char* fault_point_name(FaultPoint p);
-inline constexpr int kNumFaultPoints = 7;
+inline constexpr int kNumFaultPoints = 8;
 // Points FaultSchedule::random draws from when no explicit set is given:
-// the original six. kSpillWrite only fires in budget-limited runs, so
-// including it by default would plant never-firing events in every seeded
-// unlimited-budget chaos sweep (tripping expect_all_faults_consumed) and
-// shift every existing seed's draw sequence.
+// the original six. kSpillWrite only fires in budget-limited runs and
+// kDeltaApply in job sessions, so including them would plant never-firing
+// events in every seeded chaos sweep (tripping expect_all_faults_consumed)
+// and shift every existing seed's draw sequence.
 inline constexpr int kNumDefaultFaultPoints = 6;
 
 struct FaultEvent {

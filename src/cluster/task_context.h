@@ -48,7 +48,6 @@ class TaskContext {
   Cluster& cluster() { return cluster_; }
   const std::string& task_name() const { return task_name_; }
   int worker() const { return worker_; }
-  void set_worker(int w) { worker_ = w; }  // task migration
   VClock& vt() { return vt_; }
 
   // Charge measured user-function CPU time, scaled by the cost model and the
@@ -103,7 +102,7 @@ class TaskContext {
   }
   // One wire transfer to many co-homed mailboxes (aggregated exchange,
   // DESIGN.md §9): the first endpoint is charged the full payload, siblings
-  // pay framing only.
+  // are charged zero bytes.
   void send_coalesced(const std::vector<std::shared_ptr<Endpoint>>& to,
                       const NetMessage& msg, TrafficCategory category) {
     cluster_.fabric().send_coalesced(worker_, vt_, to, msg, category);
@@ -125,7 +124,7 @@ class TaskContext {
  private:
   Cluster& cluster_;
   std::string task_name_;
-  int worker_;
+  const int worker_;
   VClock vt_;
   bool traced_ = false;
   TraceRecorder::TrackHandle prev_track_ = nullptr;

@@ -417,7 +417,6 @@ class JobRun {
   // --- master (thread-confined) ---
   // Dispatches the master's control messages until T Dones or a quiesce.
   void master_loop();
-  struct PendingIter;
   // Records iteration k, whose reports are all in, and acts on its verdict:
   // quiesce, terminate, or one Continue(k).
   void decide(int k);
@@ -425,10 +424,10 @@ class JobRun {
   // perturbed-key frontier under a fresh generation (DESIGN.md §8).
   void open_epoch();
   enum class Verdict { kContinue, kConverged, kBudgetSpent };
-  Verdict verdict(const PendingIter& it) const;
+  Verdict verdict(const IterationStat& it) const;
   // A failure notice (§3.4.1): moves the worker's pairs and rolls back.
   void recover(int worker, int iteration);
-  void maybe_migrate(const PendingIter& it);
+  void maybe_migrate(const IterationStat& it);
   // Every task stops; last-phase reduces dump the output and send Done.
   void terminate();
   // Respawns `pairs` on `targets`, and any aux reduce on a dead worker, and
@@ -548,9 +547,6 @@ class JobRun {
   // Master-filled results.
   RunReport report_;
   RunReport last_report_;
-  // Telemetry iteration records (master thread only); truncated beside
-  // report_.iterations on rollback, joined with the ledger at finish().
-  std::vector<IterTelemetry> telemetry_iters_;
   // Registry snapshot at the current epoch's start; epoch_report subtracts
   // it so each epoch's byte/time totals cover that epoch alone.
   RunReport epoch_base_report_;
@@ -558,42 +554,7 @@ class JobRun {
   // --- master protocol state. Owned by the master thread; hoisted out of
   // master_loop so a session can leave the loop at quiesce and re-enter it
   // for the next epoch without losing the iteration ledger.
-  struct PendingIter {
-    int reports = 0;
-    double distance = 0;
-    int64_t workset = 0;  // summed changed-record counts (workset mode)
-    std::map<int, int64_t> worker_dur;  // worker -> max duration
-    // Telemetry (populated only while the recorder gate is armed): exact
-    // per-task durations/resident-state bytes, and the straggler — the
-    // report that arrived LAST in virtual time (ties: smaller task id).
-    std::map<int, int64_t> task_dur;
-    std::map<int, int64_t> task_state_bytes;
-    int straggler_task = -1;
-    int straggler_worker = -1;
-    int64_t straggler_vt = -1;
-    int64_t straggler_dur = 0;
-
-    void add(const CtlMsg& report, int64_t vt_ready) {
-      ++reports;
-      distance += report.distance;
-      workset += report.workset_size;
-      int64_t& dur = worker_dur[report.worker];
-      dur = std::max(dur, report.duration_ns);
-      if (!TelemetryRecorder::enabled()) return;
-      int64_t& td = task_dur[report.task];
-      td = std::max(td, report.duration_ns);
-      task_state_bytes[report.task] = report.state_bytes;
-      if (vt_ready > straggler_vt ||
-          (vt_ready == straggler_vt &&
-           (straggler_task == -1 || report.task < straggler_task))) {
-        straggler_vt = vt_ready;
-        straggler_task = report.task;
-        straggler_worker = report.worker;
-        straggler_dur = report.duration_ns;
-      }
-    }
-  };
-  std::map<int, PendingIter> pending_;  // iteration -> reports (current gen)
+  std::map<int, IterationStat> pending_;  // iteration -> reports so far
   int generation_ = 0;
   int decided_ = 0;
   int last_ckpt_ = 0;
@@ -601,7 +562,6 @@ class JobRun {
   int last_migration_iter_ = 0;
   bool terminating_ = false;
   int done_count_ = 0;
-  double last_decided_wall_ms_ = 0;
   // The master clock and trace track persist across session epochs: epoch
   // wall times are slices of one continuous timeline.
   VClock mvt_;
@@ -626,8 +586,10 @@ class JobRun {
   // Quiesce/epoch bookkeeping (master thread only).
   bool quiesced_ = false;
   int ckpt_acks_ = 0;
-  // The open delta barrier's acks (count, refining verdict, seeds); empty
-  // between barriers.
+  // The delta barrier, open from apply_update's Delta sends until
+  // open_epoch, and its acks (count, refining verdict, seeds); empty between
+  // barriers.
+  bool delta_open_ = false;
   int delta_acks_ = 0;
   bool delta_reset_all_ = false;
   KVVec delta_seeds_;
@@ -866,10 +828,8 @@ class JobRun::MapTask : public PairTask {
     return inbox_.collect(
         ctx_.vt(), gen_, k_,
         [this](const CtlMsg& ctl, NetMessage& msg) {
-          if (ctl.type == CtlType::kDelta && ctl.generation == gen_) {
-            apply_delta(ctl, msg.take_records());
-          }
-          return true;
+          return ctl.type != CtlType::kDelta || ctl.generation != gen_ ||
+                 apply_delta(ctl, msg.take_records());
         },
         [this](NetMessage& msg) {
           if (one2all_) {
@@ -890,8 +850,13 @@ class JobRun::MapTask : public PairTask {
   // Session update batch for this partition (master is blocked in its ack
   // barrier; every task is parked). The hooks observe the PRE-batch store,
   // then the batch is applied in one pass — exactly how a respawned task
-  // replays it from the history.
-  void apply_delta(const CtlMsg& ctl, KVVec op_records) {
+  // replays it from the history. False when an injected crash killed the
+  // task as it applied the batch.
+  bool apply_delta(const CtlMsg& ctl, KVVec op_records) {
+    if (crashes(FaultPoint::kDeltaApply, ctl.iteration)) {
+      fail(ctl.iteration);
+      return false;
+    }
     std::vector<StaticDeltaOp> ops;
     ops.reserve(op_records.size());
     for (const KV& kv : op_records) ops.push_back(delta_op_from_kv(kv));
@@ -914,6 +879,7 @@ class JobRun::MapTask : public PairTask {
     ack.workset_size = refining ? 1 : 0;
     ack.state_records = static_cast<int64_t>(ops.size());
     run_.task_send_ctl(ctx_, ack, std::move(seeds));
+    return true;
   }
   // Stale queue contents are filtered by generation (rollback) or stale
   // iteration (resume); reload whatever input the restart point needs. The
@@ -1492,13 +1458,23 @@ void JobRun::master_loop() {
         break;
       }
       case CtlType::kFailure:
+        // A failure inside the delta barrier fails the update: a rollback
+        // would void the maps' acks and seeds, and the epoch would never
+        // open (DESIGN.md §8). epoch_report tears the session down.
+        if (delta_open_ && cluster_.worker_alive(ctl.worker)) {
+          throw Error(strprintf("%s: worker %d failed while applying the "
+                                "update of session epoch %d",
+                                tag_.c_str(), ctl.worker, session_id_ + 1));
+        }
         recover(ctl.worker, ctl.iteration);
         break;
       case CtlType::kReport: {
         if (terminating_ || ctl.generation != generation_) break;
-        PendingIter& pi = pending_[ctl.iteration];
-        pi.add(ctl, msg->vt_ready);
-        if (ctl.iteration == decided_ + 1 && pi.reports >= T_) {
+        std::vector<TaskReport>& reports = pending_[ctl.iteration].reports;
+        reports.push_back({ctl.task, ctl.worker, ctl.duration_ns, ctl.distance,
+                           ctl.workset_size, ctl.state_bytes, msg->vt_ready});
+        if (ctl.iteration == decided_ + 1 &&
+            static_cast<int>(reports.size()) >= T_) {
           decide(ctl.iteration);
         }
         break;
@@ -1511,47 +1487,25 @@ void JobRun::master_loop() {
 
 void JobRun::decide(int k) {
   decided_ = k;
-  const PendingIter it = std::move(pending_[k]);
+  report_.iterations.push_back(std::move(pending_[k]));
   pending_.erase(k);
   if (checkpoints(k)) last_ckpt_ = k;
-  IterationStat st;
-  st.iteration = k;
-  st.wall_ms_end = mvt_.now_ms();
-  st.distance = it.distance;
-  st.session = session_id_;
-  if (conf_.workset_mode) st.workset_size = it.workset;
-  report_.iterations.push_back(st);
-  cluster_.metrics().histogram("iteration_wall_us").record(
-      static_cast<int64_t>((st.wall_ms_end - last_decided_wall_ms_) * 1000.0));
-  last_decided_wall_ms_ = st.wall_ms_end;
-  if (TelemetryRecorder::enabled()) {
-    // Master-side slice of the iteration record; the ledger's fabric
-    // buckets (bytes, msgs, queue HWM, map durations) join in at finish(),
-    // once the task threads are quiescent.
-    IterTelemetry tel;
-    tel.iteration = k;
-    tel.generation = generation_;
-    tel.session = session_id_;
-    tel.vt_ms = mvt_.now_ms();
-    tel.distance = it.distance;
-    if (conf_.workset_mode) tel.workset = it.workset;
-    int64_t max_dur = 0;
-    for (const auto& [t, ns] : it.task_dur) {
-      tel.task_ms[t] = static_cast<double>(ns) / 1e6;
-      max_dur = std::max(max_dur, ns);
-    }
-    tel.reduce_ms = static_cast<double>(max_dur) / 1e6;
-    tel.state_bytes = it.task_state_bytes;
-    tel.straggler_task = it.straggler_task;
-    tel.straggler_worker = it.straggler_worker;
-    tel.straggler_ms = static_cast<double>(it.straggler_dur) / 1e6;
-    telemetry_iters_.push_back(std::move(tel));
+  IterationStat& it = report_.iterations.back();
+  it.iteration = k;
+  it.generation = generation_;
+  it.session = session_id_;
+  it.wall_ms_end = mvt_.now_ms();
+  int64_t changed = 0;
+  for (const TaskReport& r : it.reports) {
+    it.distance += r.distance;
+    changed += r.changed;
   }
+  if (conf_.workset_mode) it.workset_size = changed;
   TraceRecorder::instance().instant("iteration_decided", mvt_.now_ns(), k,
                                     generation_);
   if (conf_.workset_mode) {
     TraceRecorder::instance().counter("workset_size", mvt_.now_ns(),
-                                      it.workset);
+                                      it.workset_size);
   }
   cluster_.metrics().inc("imr_iterations");
   IMR_INFO << tag_ << " iteration " << k << " done at " << mvt_.now_ms()
@@ -1567,7 +1521,7 @@ void JobRun::decide(int k) {
     cont.generation = generation_;
     master_send_phase0(Role::kReduce, cont);
     if (!conf_.async_maps && !maps_all(0)) master_send_phase0(Role::kMap, cont);
-    maybe_migrate(it);
+    maybe_migrate(it);  // last: a migration's rollback drops `it`
     return;
   }
   report_.converged = v == Verdict::kConverged;
@@ -1592,10 +1546,10 @@ void JobRun::decide(int k) {
 // The termination policy (§3.1.2, DESIGN.md §7, §5.3), in precedence order:
 // a met threshold or a drained workset on the last budgeted iteration is
 // convergence; an aux signal on that iteration is not.
-JobRun::Verdict JobRun::verdict(const PendingIter& it) const {
+JobRun::Verdict JobRun::verdict(const IterationStat& it) const {
   // Drain: a workset run whose merged changed-record count hits zero has
   // reached its fixpoint — nothing would be mapped next iteration.
-  if (conf_.workset_mode && it.workset == 0) return Verdict::kConverged;
+  if (conf_.workset_mode && it.workset_size == 0) return Verdict::kConverged;
   if (conf_.distance_threshold >= 0 &&
       it.distance < conf_.distance_threshold) {
     return Verdict::kConverged;
@@ -1646,8 +1600,9 @@ void JobRun::recover(int worker, int iteration) {
 }
 
 // Load balancing (§3.4.2): migrates the slowest worker's first pair to the
-// fastest worker when iteration `it`'s durations deviate enough.
-void JobRun::maybe_migrate(const PendingIter& it) {
+// fastest worker when the per-worker maxima of iteration `it`'s report
+// durations deviate enough.
+void JobRun::maybe_migrate(const IterationStat& it) {
   // Noise gate for the deviation test: the slowest worker must also exceed
   // the trimmed average by this much absolute virtual time. Iteration spans
   // carry measured thread-CPU time, so on a loaded machine a homogeneous
@@ -1656,11 +1611,17 @@ void JobRun::maybe_migrate(const PendingIter& it) {
   // the gap is material.
   constexpr double kMigrationMinGapMs = 25.0;
   if (!conf_.load_balancing || last_ckpt_ <= 0 ||
-      decided_ - last_migration_iter_ < 2 || it.worker_dur.size() < 3) {
+      decided_ - last_migration_iter_ < 2) {
     return;
   }
-  std::vector<std::pair<int, int64_t>> durs(it.worker_dur.begin(),
-                                            it.worker_dur.end());
+  std::map<int, int64_t> worker_dur;
+  for (const TaskReport& r : it.reports) {
+    int64_t& dur = worker_dur[r.worker];
+    dur = std::max(dur, r.duration_ns);
+  }
+  if (worker_dur.size() < 3) return;
+  std::vector<std::pair<int, int64_t>> durs(worker_dur.begin(),
+                                            worker_dur.end());
   std::sort(durs.begin(), durs.end(), [](const auto& a, const auto& b) {
     return a.second < b.second;
   });
@@ -1766,10 +1727,6 @@ void JobRun::respawn_and_rollback(const std::vector<int>& pairs,
   while (!report_.iterations.empty() &&
          report_.iterations.back().iteration > ckpt) {
     report_.iterations.pop_back();
-  }
-  while (!telemetry_iters_.empty() &&
-         telemetry_iters_.back().iteration > ckpt) {
-    telemetry_iters_.pop_back();
   }
   report_.rollback_iterations.push_back(ckpt);
 }
@@ -1916,8 +1873,9 @@ RunReport JobRun::finish() {
     rt.iterations_run = report_.iterations_run;
     rt.converged = report_.converged;
     rt.session_epochs = session_id_;
-    for (IterTelemetry& it : telemetry_iters_) led.fill_iter(it);
-    rt.iters = std::move(telemetry_iters_);
+    for (const IterationStat& st : report_.iterations) {
+      rt.iters.push_back(led.iter_view(st));
+    }
     rt.matrix = led.snapshot_matrix();
     led.collect_profiles(&rt.hot_keys, &rt.hot_key_samples,
                          &rt.partition_records, &rt.skew);
@@ -2015,6 +1973,7 @@ RunReport JobRun::apply_update(const StaticDelta& delta) {
   // master_loop gathers the T_ acks (kDeltaAck) and the last one opens the
   // epoch, which then runs until it quiesces again.
   quiesced_ = false;
+  delta_open_ = true;
   CtlMsg d;
   d.type = CtlType::kDelta;
   d.iteration = decided_;
@@ -2031,6 +1990,7 @@ RunReport JobRun::apply_update(const StaticDelta& delta) {
 
 void JobRun::open_epoch() {
   const int new_session = session_id_ + 1;
+  delta_open_ = false;
   delta_acks_ = 0;
   const bool reset_all = std::exchange(delta_reset_all_, false);
   // Deduplicate seeds (first-in-sorted-order wins, mirroring the static

@@ -58,8 +58,6 @@ RunReport IterativeDriver::run(const IterativeSpec& spec) {
     prev_track =
         TraceRecorder::instance().begin_thread_track(spec.name + "-driver", 0);
   }
-  Histogram& iter_hist = cluster_.metrics().histogram("iteration_wall_us");
-  double prev_wall_ms = 0;
   // The iterated stream: previous iteration's final output (seeded by the
   // initial input or the initial state).
   std::string prev_output =
@@ -163,9 +161,6 @@ RunReport IterativeDriver::run(const IterativeSpec& spec) {
     st.init_ms = iter_init_ms;
     report.iterations.push_back(st);
     report.iterations_run = k;
-    iter_hist.record(
-        static_cast<int64_t>((st.wall_ms_end - prev_wall_ms) * 1000.0));
-    prev_wall_ms = st.wall_ms_end;
     if (traced) TraceRecorder::instance().span_end("iteration", vt);
 
     IMR_INFO << spec.name << " [MapReduce] iteration " << k << " done at "

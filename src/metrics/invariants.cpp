@@ -1,6 +1,7 @@
 #include "metrics/invariants.h"
 
 #include <algorithm>
+#include <set>
 
 #include "common/strings.h"
 
@@ -107,6 +108,21 @@ std::vector<std::string> InvariantChecker::check(
         r.iterations.back().iteration != r.iterations_run) {
       fail(strprintf("last decided iteration %d != iterations_run %d",
                      r.iterations.back().iteration, r.iterations_run));
+    }
+    // Each decision read one report per last-phase reduce: no task twice,
+    // and the same count in every iteration of the run.
+    for (const IterationStat& st : r.iterations) {
+      std::set<int> tasks;
+      for (const TaskReport& rep : st.reports) tasks.insert(rep.task);
+      if (tasks.size() != st.reports.size()) {
+        fail(strprintf("iteration %d repeats a reporting task", st.iteration));
+      }
+      if (st.reports.size() != r.iterations.front().reports.size()) {
+        fail(strprintf("iteration %d decided on %zu reports, the first "
+                       "on %zu",
+                       st.iteration, st.reports.size(),
+                       r.iterations.front().reports.size()));
+      }
     }
 
     // 6. Recovery accounting.

@@ -23,6 +23,9 @@
 //   5. iteration ledger      — decided iterations advance by exactly one,
 //      except across a recorded rollback, where they restart at
 //      rollback + 1 (exactly-once application of every decided iteration);
+//      each decided iteration's reports name distinct tasks, and every
+//      iteration of a run carries the same number of reports (one per
+//      last-phase reduce; none for the classic driver);
 //   6. recovery accounting   — the master recovered exactly once per
 //      injected worker death;
 //   7. state conservation    — the final state holds exactly the expected

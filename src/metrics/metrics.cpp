@@ -263,55 +263,29 @@ void MetricsRegistry::reset() {
   for (auto& [name, h] : hists_) h->reset();
 }
 
+int64_t RunReport::total_comm_bytes() const {
+  int64_t total = 0;
+  for (int64_t b : remote_bytes) total += b;
+  return total;
+}
+
 void RunReport::capture(const MetricsRegistry& m) {
-  total_comm_bytes = m.total_remote_bytes();
-  shuffle_bytes = m.traffic_bytes(TrafficCategory::kShuffle);
-  reduce_to_map_bytes = m.traffic_bytes(TrafficCategory::kReduceToMap);
-  broadcast_bytes = m.traffic_bytes(TrafficCategory::kBroadcast);
-  checkpoint_bytes = m.traffic_bytes(TrafficCategory::kCheckpoint);
-  control_bytes = m.traffic_bytes(TrafficCategory::kControl);
-  shuffle_agg_bytes = m.traffic_bytes(TrafficCategory::kShuffleAgg);
-  spill_bytes = m.traffic_bytes(TrafficCategory::kSpill);
-  dfs_read_bytes = m.traffic_bytes(TrafficCategory::kDfsRead);
-  dfs_write_bytes = m.traffic_bytes(TrafficCategory::kDfsWrite);
-  shuffle_remote_bytes = m.traffic_remote_bytes(TrafficCategory::kShuffle);
-  reduce_to_map_remote_bytes =
-      m.traffic_remote_bytes(TrafficCategory::kReduceToMap);
-  broadcast_remote_bytes = m.traffic_remote_bytes(TrafficCategory::kBroadcast);
-  checkpoint_remote_bytes =
-      m.traffic_remote_bytes(TrafficCategory::kCheckpoint);
-  control_remote_bytes = m.traffic_remote_bytes(TrafficCategory::kControl);
-  shuffle_agg_remote_bytes =
-      m.traffic_remote_bytes(TrafficCategory::kShuffleAgg);
-  spill_remote_bytes = m.traffic_remote_bytes(TrafficCategory::kSpill);
-  job_init_time = m.time(TimeCategory::kJobInit);
-  task_init_time = m.time(TimeCategory::kTaskInit);
-  network_time = m.time(TimeCategory::kNetwork);
-  dfs_time = m.time(TimeCategory::kDfsIo);
+  for (int c = 0; c < kNumTrafficCategories; ++c) {
+    const auto cat = static_cast<TrafficCategory>(c);
+    bytes[cat] = m.traffic_bytes(cat);
+    remote_bytes[cat] = m.traffic_remote_bytes(cat);
+  }
+  for (int c = 0; c < kNumTimeCategories; ++c) {
+    time[static_cast<TimeCategory>(c)] = m.time(static_cast<TimeCategory>(c));
+  }
 }
 
 void RunReport::subtract(const RunReport& base) {
-  total_comm_bytes -= base.total_comm_bytes;
-  shuffle_bytes -= base.shuffle_bytes;
-  reduce_to_map_bytes -= base.reduce_to_map_bytes;
-  broadcast_bytes -= base.broadcast_bytes;
-  checkpoint_bytes -= base.checkpoint_bytes;
-  control_bytes -= base.control_bytes;
-  shuffle_agg_bytes -= base.shuffle_agg_bytes;
-  spill_bytes -= base.spill_bytes;
-  dfs_read_bytes -= base.dfs_read_bytes;
-  dfs_write_bytes -= base.dfs_write_bytes;
-  shuffle_remote_bytes -= base.shuffle_remote_bytes;
-  reduce_to_map_remote_bytes -= base.reduce_to_map_remote_bytes;
-  broadcast_remote_bytes -= base.broadcast_remote_bytes;
-  checkpoint_remote_bytes -= base.checkpoint_remote_bytes;
-  control_remote_bytes -= base.control_remote_bytes;
-  shuffle_agg_remote_bytes -= base.shuffle_agg_remote_bytes;
-  spill_remote_bytes -= base.spill_remote_bytes;
-  job_init_time -= base.job_init_time;
-  task_init_time -= base.task_init_time;
-  network_time -= base.network_time;
-  dfs_time -= base.dfs_time;
+  for (std::size_t c = 0; c < bytes.size(); ++c) {
+    bytes[c] -= base.bytes[c];
+    remote_bytes[c] -= base.remote_bytes[c];
+  }
+  for (std::size_t c = 0; c < time.size(); ++c) time[c] -= base.time[c];
 }
 
 }  // namespace imr

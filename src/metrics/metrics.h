@@ -9,6 +9,7 @@
 // figures (Fig. 10, Fig. 11) can be computed exactly from a run.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <cstdint>
 #include <map>
@@ -192,11 +193,37 @@ class MetricsRegistry {
   std::map<std::string, std::unique_ptr<Histogram>> hists_;
 };
 
-// Per-iteration record of one engine run; engines append one entry per
-// completed iteration so benches can plot "time vs iteration" curves
-// (Fig. 4–7) and compute decompositions.
+// A fixed array indexed by a category enum (TrafficCategory, TimeCategory);
+// plain integer indexing and iteration come from std::array.
+template <typename Category, typename T, std::size_t N>
+struct CategoryArray : std::array<T, N> {
+  using std::array<T, N>::operator[];
+  T& operator[](Category c) { return (*this)[static_cast<std::size_t>(c)]; }
+  const T& operator[](Category c) const {
+    return (*this)[static_cast<std::size_t>(c)];
+  }
+};
+using TrafficTotals =
+    CategoryArray<TrafficCategory, int64_t, kNumTrafficCategories>;
+using TimeTotals = CategoryArray<TimeCategory, SimDuration, kNumTimeCategories>;
+
+// One last-phase reduce's Report for a decided iteration (§3.4.2).
+struct TaskReport {
+  int task = 0;
+  int worker = 0;
+  int64_t duration_ns = 0;  // the task's processing span, virtual
+  double distance = 0.0;    // its share of the merged distance
+  int64_t changed = 0;      // records it changed (workset mode; else 0)
+  int64_t state_bytes = 0;  // resident state estimate (telemetry armed only)
+  int64_t vt_ready = 0;     // virtual time the Report reached the master
+};
+
+// The one record of a decided iteration: termination, migration and the
+// telemetry iter lines all read it, and benches plot "time vs iteration"
+// curves (Fig. 4–7) from it.
 struct IterationStat {
   int iteration = 0;          // 1-based
+  int generation = 0;         // rollback generation it was decided in
   double wall_ms_end = 0.0;   // wall time from run start to end of iteration
   double init_ms = 0.0;       // job+task init charged during this iteration
   double distance = 0.0;      // merged convergence distance (if measured)
@@ -206,6 +233,8 @@ struct IterationStat {
   // Job-session epoch this iteration ran in (0 = the initial run; each
   // apply_update starts the next epoch). Always 0 outside sessions.
   int session = 0;
+  // One per last-phase reduce, in arrival order; none from the classic driver.
+  std::vector<TaskReport> reports;
 };
 
 struct RunReport {
@@ -228,33 +257,15 @@ struct RunReport {
   // send fewer records than there are keys, so conservation is checked on
   // the final state, not on per-iteration channel transfers.
   int64_t final_state_records = 0;
-  // Snapshot of key totals at end of run. The per-category byte fields
-  // cover every category of the Fig. 11 communication decomposition, so the
-  // decomposition can be computed from a report alone, without a live
-  // registry; *_remote_bytes are the cross-worker slices (what the paper
-  // calls communication cost).
-  int64_t total_comm_bytes = 0;    // all remote bytes
-  int64_t shuffle_bytes = 0;
-  int64_t reduce_to_map_bytes = 0;
-  int64_t broadcast_bytes = 0;
-  int64_t checkpoint_bytes = 0;
-  int64_t control_bytes = 0;
-  int64_t dfs_read_bytes = 0;
-  int64_t dfs_write_bytes = 0;
-  int64_t shuffle_agg_bytes = 0;
-  int64_t spill_bytes = 0;
-  int64_t shuffle_remote_bytes = 0;
-  int64_t reduce_to_map_remote_bytes = 0;
-  int64_t broadcast_remote_bytes = 0;
-  int64_t checkpoint_remote_bytes = 0;
-  int64_t control_remote_bytes = 0;
-  int64_t shuffle_agg_remote_bytes = 0;
-  int64_t spill_remote_bytes = 0;
-  SimDuration job_init_time{0};
-  SimDuration task_init_time{0};
-  SimDuration network_time{0};
-  SimDuration dfs_time{0};
+  // The registry's totals at end of run, per category: the Fig. 11
+  // communication and Fig. 10 time decompositions can be computed from a
+  // report alone, without a live registry. remote_bytes are the
+  // cross-worker slices (what the paper calls communication cost).
+  TrafficTotals bytes{};
+  TrafficTotals remote_bytes{};
+  TimeTotals time{};
 
+  int64_t total_comm_bytes() const;  // the sum of remote_bytes
   // Fill the byte/time totals from a registry.
   void capture(const MetricsRegistry& m);
   // Subtract `base`'s byte/time totals from this report's (already-captured)

@@ -259,12 +259,39 @@ TrafficMatrixSnapshot TelemetryLedger::snapshot_matrix() const {
   return snap;
 }
 
-void TelemetryLedger::fill_iter(IterTelemetry& t) const {
-  const uint64_t key = bucket_key(t.generation, t.iteration);
+IterTelemetry TelemetryLedger::iter_view(const IterationStat& st) const {
+  IterTelemetry t;
+  t.iteration = st.iteration;
+  t.generation = st.generation;
+  t.session = st.session;
+  t.vt_ms = st.wall_ms_end;
+  t.distance = st.distance;
+  t.workset = st.workset_size;
+  // The straggler is the report that reached the master last in virtual
+  // time, ties going to the smaller task id.
+  const TaskReport* straggler = nullptr;
+  int64_t max_dur = 0;
+  for (const TaskReport& r : st.reports) {
+    t.task_ms[r.task] = static_cast<double>(r.duration_ns) / 1e6;
+    t.state_bytes[r.task] = r.state_bytes;
+    max_dur = std::max(max_dur, r.duration_ns);
+    if (straggler == nullptr || r.vt_ready > straggler->vt_ready ||
+        (r.vt_ready == straggler->vt_ready && r.task < straggler->task)) {
+      straggler = &r;
+    }
+  }
+  t.reduce_ms = static_cast<double>(max_dur) / 1e6;
+  if (straggler != nullptr) {
+    t.straggler_task = straggler->task;
+    t.straggler_worker = straggler->worker;
+    t.straggler_ms = static_cast<double>(straggler->duration_ns) / 1e6;
+  }
+
+  const uint64_t key = bucket_key(st.generation, st.iteration);
   BucketShard& shard = shard_for_key(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.buckets.find(key);
-  if (it == shard.buckets.end()) return;
+  if (it == shard.buckets.end()) return t;
   const IterBucket& b = it->second;
   t.bytes = b.bytes;
   t.msgs = b.msgs;
@@ -276,6 +303,7 @@ void TelemetryLedger::fill_iter(IterTelemetry& t) const {
     max_map = std::max(max_map, dur);
   }
   t.map_ms = static_cast<double>(max_map) / 1e6;
+  return t;
 }
 
 void TelemetryLedger::collect_profiles(std::vector<HotKey>* hot_keys,

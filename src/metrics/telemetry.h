@@ -151,6 +151,8 @@ class TrafficMatrixSnapshot {
 // Per-run records
 // ---------------------------------------------------------------------------
 
+// The export view of one decided iteration's IterationStat, joined with its
+// ledger bucket by TelemetryLedger::iter_view.
 struct IterTelemetry {
   int iteration = 0;
   int generation = 0;
@@ -232,10 +234,11 @@ class TelemetryLedger {
 
   TrafficMatrixSnapshot snapshot_matrix() const;
 
-  // Joins the ledger's per-(generation, iteration) evidence into a master
-  // record: map_ms, queue_hwm, and the per-category byte/msg buckets.
-  // Callers must be quiescent (engine threads joined).
-  void fill_iter(IterTelemetry& t) const;
+  // The iter line of decided iteration `st`: its own fields, the reduce and
+  // straggler figures derived from its reports, and the ledger's
+  // (generation, iteration) bucket: map_ms, queue_hwm and the per-category
+  // byte/msg counts. Callers must be quiescent (engine threads joined).
+  IterTelemetry iter_view(const IterationStat& st) const;
 
   // Merged hot-key/partition profile. Sketches merge in task order;
   // partition counts sum element-wise; skew = max/mean over partitions.

@@ -169,19 +169,28 @@ void Fabric::send(int sender_worker, VClock& vt, Endpoint& to, NetMessage msg,
   }
 }
 
+// One send() per destination, so each copy gets the fault machinery, the
+// ledger, telemetry and tracing. With more than one destination the copies
+// share msg's records buffer, marked so take_records never mutates it while
+// a sibling reads; a single destination keeps the point-to-point move. With
+// `siblings_free`, copies after the first are charged zero bytes.
+void Fabric::fan_out(int sender_worker, VClock& vt,
+                     const std::vector<std::shared_ptr<Endpoint>>& to,
+                     const NetMessage& msg, TrafficCategory category,
+                     bool siblings_free) {
+  const bool shared = to.size() > 1;
+  for (std::size_t n = 0; n < to.size(); ++n) {
+    NetMessage copy = msg;
+    if (shared) copy.mark_payload_shared();
+    if (siblings_free && n > 0) copy.charge_override = 0;
+    send(sender_worker, vt, *to[n], std::move(copy), category);
+  }
+}
+
 void Fabric::broadcast(int sender_worker, VClock& vt,
                        const std::vector<std::shared_ptr<Endpoint>>& to,
                        const NetMessage& msg, TrafficCategory category) {
-  // With more than one destination the enqueued copies share msg's records
-  // buffer; mark them so take_records never mutates it (siblings may be
-  // reading concurrently). A single-destination "broadcast" keeps the
-  // point-to-point move semantics.
-  const bool fan_out = to.size() > 1;
-  for (const auto& ep : to) {
-    NetMessage copy = msg;
-    if (fan_out) copy.mark_payload_shared();
-    send(sender_worker, vt, *ep, std::move(copy), category);
-  }
+  fan_out(sender_worker, vt, to, msg, category, /*siblings_free=*/false);
 }
 
 void Fabric::send_coalesced(int sender_worker, VClock& vt,
@@ -193,20 +202,9 @@ void Fabric::send_coalesced(int sender_worker, VClock& vt,
     IMR_CHECK_MSG(ep->home_worker() == home,
                   "coalesced destinations must share a home worker");
   }
-  // Reuses send() end to end (fault machinery, ledger, telemetry, tracing):
-  // the first copy carries the default full charge, siblings override it to
-  // zero — the wire transfer was already paid in full by the first copy.
-  // Payload sharing follows the broadcast discipline so take_records never
-  // mutates a buffer a sibling may still read.
-  const bool fan_out = to.size() > 1;
-  bool first = true;
-  for (const auto& ep : to) {
-    NetMessage copy = msg;
-    if (fan_out) copy.mark_payload_shared();
-    if (!first) copy.charge_override = 0;
-    send(sender_worker, vt, *ep, std::move(copy), category);
-    first = false;
-  }
+  // The first copy carries the full charge; siblings are charged zero, as
+  // the wire transfer was already paid in full by the first copy.
+  fan_out(sender_worker, vt, to, msg, category, /*siblings_free=*/true);
 }
 
 }  // namespace imr

@@ -323,6 +323,12 @@ class Fabric {
                       const NetMessage& msg, TrafficCategory category);
 
  private:
+  // The one loop under broadcast and send_coalesced (see fabric.cpp).
+  void fan_out(int sender_worker, VClock& vt,
+               const std::vector<std::shared_ptr<Endpoint>>& to,
+               const NetMessage& msg, TrafficCategory category,
+               bool siblings_free);
+
   const CostModel& cost_;
   MetricsRegistry& metrics_;
   TelemetryLedger* telemetry_;  // may be null; gated per send

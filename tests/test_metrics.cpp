@@ -71,10 +71,10 @@ TEST(RunReportCapture, PullsTotalsFromRegistry) {
   m.add_time(TimeCategory::kJobInit, sim_ms(12));
   RunReport r;
   r.capture(m);
-  EXPECT_EQ(r.shuffle_bytes, 500);
-  EXPECT_EQ(r.dfs_read_bytes, 200);
-  EXPECT_EQ(r.total_comm_bytes, 500);
-  EXPECT_EQ(r.job_init_time, sim_ms(12));
+  EXPECT_EQ(r.bytes[TrafficCategory::kShuffle], 500);
+  EXPECT_EQ(r.bytes[TrafficCategory::kDfsRead], 200);
+  EXPECT_EQ(r.total_comm_bytes(), 500);
+  EXPECT_EQ(r.time[TimeCategory::kJobInit], sim_ms(12));
 }
 
 TEST(RunReportCapture, CoversEveryCommunicationCategory) {
@@ -87,21 +87,46 @@ TEST(RunReportCapture, CoversEveryCommunicationCategory) {
   m.add_traffic(TrafficCategory::kControl, 9, true);
   RunReport r;
   r.capture(m);
-  EXPECT_EQ(r.reduce_to_map_bytes, 420);
-  EXPECT_EQ(r.reduce_to_map_remote_bytes, 120);
-  EXPECT_EQ(r.broadcast_bytes, 80);
-  EXPECT_EQ(r.broadcast_remote_bytes, 80);
-  EXPECT_EQ(r.checkpoint_bytes, 96);
-  EXPECT_EQ(r.checkpoint_remote_bytes, 32);
-  EXPECT_EQ(r.control_bytes, 9);
-  EXPECT_EQ(r.control_remote_bytes, 9);
-  EXPECT_EQ(r.shuffle_remote_bytes, 0);
+  using TC = TrafficCategory;
+  EXPECT_EQ(r.bytes[TC::kReduceToMap], 420);
+  EXPECT_EQ(r.remote_bytes[TC::kReduceToMap], 120);
+  EXPECT_EQ(r.bytes[TC::kBroadcast], 80);
+  EXPECT_EQ(r.remote_bytes[TC::kBroadcast], 80);
+  EXPECT_EQ(r.bytes[TC::kCheckpoint], 96);
+  EXPECT_EQ(r.remote_bytes[TC::kCheckpoint], 32);
+  EXPECT_EQ(r.bytes[TC::kControl], 9);
+  EXPECT_EQ(r.remote_bytes[TC::kControl], 9);
+  EXPECT_EQ(r.remote_bytes[TC::kShuffle], 0);
   // The report's per-category remote slices must sum to the communication
   // total (plus DFS, absent here) — the Fig. 11 decomposition closes.
-  EXPECT_EQ(r.total_comm_bytes, r.reduce_to_map_remote_bytes +
-                                    r.broadcast_remote_bytes +
-                                    r.checkpoint_remote_bytes +
-                                    r.control_remote_bytes);
+  EXPECT_EQ(r.total_comm_bytes(),
+            r.remote_bytes[TC::kReduceToMap] + r.remote_bytes[TC::kBroadcast] +
+                r.remote_bytes[TC::kCheckpoint] + r.remote_bytes[TC::kControl]);
+}
+
+// Every category is captured, DFS remote bytes and the compute and sort
+// times included, and subtract() scopes a later capture to its window.
+TEST(RunReportCapture, CapturesEveryCategoryAndSubtractsABase) {
+  MetricsRegistry m;
+  m.add_traffic(TrafficCategory::kDfsRead, 70, /*remote=*/true);
+  m.add_time(TimeCategory::kCompute, sim_ms(5));
+  m.add_time(TimeCategory::kSort, sim_ms(2));
+  RunReport base;
+  base.capture(m);
+  EXPECT_EQ(base.remote_bytes[TrafficCategory::kDfsRead], 70);
+  EXPECT_EQ(base.total_comm_bytes(), 70);
+  EXPECT_EQ(base.time[TimeCategory::kCompute], sim_ms(5));
+  EXPECT_EQ(base.time[TimeCategory::kSort], sim_ms(2));
+
+  m.add_traffic(TrafficCategory::kDfsRead, 30, /*remote=*/false);
+  m.add_time(TimeCategory::kSort, sim_ms(3));
+  RunReport window;
+  window.capture(m);
+  window.subtract(base);
+  EXPECT_EQ(window.bytes[TrafficCategory::kDfsRead], 30);
+  EXPECT_EQ(window.total_comm_bytes(), 0);
+  EXPECT_EQ(window.time[TimeCategory::kCompute], sim_ms(0));
+  EXPECT_EQ(window.time[TimeCategory::kSort], sim_ms(3));
 }
 
 // ---------------------------------------------------------------------------
@@ -198,11 +223,11 @@ TEST(Metrics, HistogramRegistryIsStableAcrossReset) {
 
 TEST(Metrics, ReportShowsHistogramPercentiles) {
   MetricsRegistry m;
-  Histogram& h = m.histogram("iteration_wall_us");
+  Histogram& h = m.histogram("queue_wait_us");
   for (int i = 0; i < 100; ++i) h.record(1000);
   m.histogram("empty_one");  // empty histograms are skipped
   std::string report = m.report();
-  EXPECT_NE(report.find("iteration_wall_us"), std::string::npos);
+  EXPECT_NE(report.find("queue_wait_us"), std::string::npos);
   EXPECT_NE(report.find("p50"), std::string::npos);
   EXPECT_EQ(report.find("empty_one"), std::string::npos);
 }
@@ -306,6 +331,33 @@ TEST(InvariantChecker, IterationLedgerMustStepByOneEvenAcrossRollbacks) {
   auto violations = InvariantChecker(m).with_report(r).check();
   ASSERT_FALSE(violations.empty());
   EXPECT_NE(violations[0].find("step by one"), std::string::npos);
+}
+
+// Rule 5 also reads each decision's reports: one per last-phase reduce, so
+// no task twice in an iteration and the same count in every iteration.
+TEST(InvariantChecker, IterationReportsNameDistinctTasksInEqualCounts) {
+  MetricsRegistry m;
+  RunReport r;
+  for (int it : {1, 2}) {
+    IterationStat st;
+    st.iteration = it;
+    for (int task : {0, 1, 2}) st.reports.push_back(TaskReport{.task = task});
+    r.iterations.push_back(st);
+  }
+  r.iterations_run = 2;
+  EXPECT_TRUE(InvariantChecker(m).with_report(r).check().empty());
+
+  r.iterations[1].reports[2].task = 0;  // task 0 reported iteration 2 twice
+  auto violations = InvariantChecker(m).with_report(r).check();
+  ASSERT_EQ(violations.size(), 1u) << ::testing::PrintToString(violations);
+  EXPECT_NE(violations[0].find("repeats a reporting task"), std::string::npos)
+      << violations[0];
+
+  r.iterations[1].reports.pop_back();  // iteration 2 decided on fewer
+  violations = InvariantChecker(m).with_report(r).check();
+  ASSERT_EQ(violations.size(), 1u) << ::testing::PrintToString(violations);
+  EXPECT_NE(violations[0].find("decided on 2 reports"), std::string::npos)
+      << violations[0];
 }
 
 TEST(InvariantChecker, DetectsMixedIterationPartFiles) {

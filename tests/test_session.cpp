@@ -737,6 +737,41 @@ TEST(SessionChaos, TaskErrorDuringDeltaBarrierReachesCaller) {
   EXPECT_NO_THROW(session.close());
 }
 
+// A worker that dies as its map applies an update, inside the delta barrier,
+// fails the update: the surviving maps' acks and seeds would not outlive a
+// rollback. apply_update throws an error naming the worker and the epoch,
+// and the torn-down session leaves no endpoint and no checkpoint behind.
+TEST(SessionChaos, WorkerDeathInsideDeltaBarrierFailsTheUpdate) {
+  const ChaosGraphs g = chaos_graphs();
+  IterJobConf conf = make_conf(SesAlgo::kSssp, "in", "out", 4);
+  conf.checkpoint_every = 2;
+  auto cluster = testutil::free_cluster(3, 4, 4);
+  Sssp::setup(*cluster, g.g0, 0, "in");
+  IterativeEngine engine(*cluster);
+  JobSession session = engine.open_session(conf);
+  ASSERT_TRUE(session.last_report().converged);
+
+  FaultSchedule schedule;
+  schedule.add(/*worker=*/1, FaultPoint::kDeltaApply, /*at_iteration=*/1);
+  cluster->set_fault_schedule(schedule);
+  try {
+    session.apply_update(Sssp::static_delta(g.g0, g.g1));
+    ADD_FAILURE() << "apply_update returned after a failure in its barrier";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find(
+                  "worker 1 failed while applying the update of session "
+                  "epoch 1"),
+              std::string::npos)
+        << e.what();
+  }
+  EXPECT_TRUE(session.closed());
+  EXPECT_NO_THROW(session.close());
+  chaos::expect_all_faults_consumed(*cluster);
+  EXPECT_EQ(cluster->metrics().count("imr_recoveries"), 0);
+  EXPECT_EQ(cluster->fabric().endpoint_count(), 0u);
+  EXPECT_TRUE(cluster->dfs().list("ckpt/").empty());
+}
+
 // ---------------------------------------------------------------------------
 // InvariantChecker session-aware rules (5, 8, 9) — synthetic reports.
 // ---------------------------------------------------------------------------

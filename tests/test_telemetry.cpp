@@ -40,6 +40,23 @@ namespace {
 
 using chaos::run_chaos_job;
 
+// The telemetry iter lines are views of the report's iteration records: the
+// same iteration, generation, session, decision time, distance and workset,
+// in the same order.
+void expect_iters_match_report(const std::vector<IterTelemetry>& iters,
+                               const std::vector<IterationStat>& report) {
+  ASSERT_EQ(iters.size(), report.size());
+  for (std::size_t k = 0; k < iters.size(); ++k) {
+    SCOPED_TRACE("iter line " + std::to_string(k));
+    EXPECT_EQ(iters[k].iteration, report[k].iteration);
+    EXPECT_EQ(iters[k].generation, report[k].generation);
+    EXPECT_EQ(iters[k].session, report[k].session);
+    EXPECT_EQ(iters[k].vt_ms, report[k].wall_ms_end);
+    EXPECT_EQ(iters[k].distance, report[k].distance);
+    EXPECT_EQ(iters[k].workset, report[k].workset_size);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Histogram percentile interpolation (companion pins to test_metrics).
 // ---------------------------------------------------------------------------
@@ -206,8 +223,18 @@ TEST_F(TelemetryTest, DisabledGateRecordsNothing) {
   PageRank::setup(*cluster, g, "in");
   IterJobConf conf = PageRank::imapreduce("in", "out", g.num_nodes(), 3);
   conf.num_tasks = 4;
-  IterativeEngine(*cluster).run(conf);
+  const RunReport report = IterativeEngine(*cluster).run(conf);
   EXPECT_TRUE(TelemetryRecorder::instance().runs().empty());
+  // The report still records every task's report of every decided
+  // iteration; only the state-size estimate waits for the gate.
+  ASSERT_EQ(report.iterations.size(), 3u);
+  for (const IterationStat& st : report.iterations) {
+    ASSERT_EQ(st.reports.size(), 4u);
+    for (const TaskReport& r : st.reports) {
+      EXPECT_GT(r.duration_ns, 0);
+      EXPECT_EQ(r.state_bytes, 0);
+    }
+  }
   // The fabric/DFS probes were gated off: the matrix stayed empty even
   // though the registry charged plenty of traffic.
   TrafficMatrixSnapshot m = cluster->telemetry().snapshot_matrix();
@@ -251,6 +278,11 @@ TEST_F(TelemetryTest, ChaosDeathSweepConservesMatrix) {
         EXPECT_EQ(runs[0].iters[k].iteration, static_cast<int>(k) + 1)
             << "seed=" << seed << " point=" << fault_point_name(point);
       }
+      // The iter lines are the returned report's records, re-run
+      // generation included.
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " point=" + fault_point_name(point));
+      expect_iters_match_report(runs[0].iters, result.report.iterations);
     }
   }
 }
@@ -402,8 +434,10 @@ TEST_F(TelemetryTest, SessionEpochReportsTile) {
 
   IterativeEngine engine(*cluster);
   JobSession session = engine.open_session(conf);
-  int64_t epoch_shuffle = session.last_report().shuffle_bytes;
-  int64_t epoch_r2m = session.last_report().reduce_to_map_bytes;
+  const RunReport initial = session.last_report();
+  int64_t epoch_shuffle = initial.bytes[TrafficCategory::kShuffle];
+  int64_t epoch_r2m = initial.bytes[TrafficCategory::kReduceToMap];
+  std::vector<IterationStat> epoch_iters = initial.iterations;
 
   // Perturb two edges and reconverge incrementally, twice.
   Graph g = g0;
@@ -412,21 +446,27 @@ TEST_F(TelemetryTest, SessionEpochReportsTile) {
     const uint32_t u = static_cast<uint32_t>(1 + round);
     g1.adj[u].push_back(WEdge{(u + 7) % g1.num_nodes(), 1.0});
     const RunReport ep = session.apply_update(Sssp::static_delta(g, g1));
-    EXPECT_GE(ep.shuffle_bytes, 0);
-    epoch_shuffle += ep.shuffle_bytes;
-    epoch_r2m += ep.reduce_to_map_bytes;
+    EXPECT_GE(ep.bytes[TrafficCategory::kShuffle], 0);
+    epoch_shuffle += ep.bytes[TrafficCategory::kShuffle];
+    epoch_r2m += ep.bytes[TrafficCategory::kReduceToMap];
+    ASSERT_FALSE(ep.iterations.empty());
+    EXPECT_EQ(ep.iterations.front().session, round + 1);
+    epoch_iters.insert(epoch_iters.end(), ep.iterations.begin(),
+                       ep.iterations.end());
     g = std::move(g1);
   }
   const RunReport total = session.close();
-  EXPECT_LE(epoch_shuffle, total.shuffle_bytes);
-  EXPECT_LE(total.shuffle_bytes - epoch_shuffle, 1024)
+  EXPECT_LE(epoch_shuffle, total.bytes[TrafficCategory::kShuffle]);
+  EXPECT_LE(total.bytes[TrafficCategory::kShuffle] - epoch_shuffle, 1024)
       << "more than stray eos envelopes leaked past the epoch windows";
-  EXPECT_EQ(epoch_r2m, total.reduce_to_map_bytes);
-  // The recorded run carries the session depth.
+  EXPECT_EQ(epoch_r2m, total.bytes[TrafficCategory::kReduceToMap]);
+  // The recorded run carries the session depth, and its iter lines are the
+  // epochs' iteration records back to back.
   auto runs = TelemetryRecorder::instance().runs();
   ASSERT_EQ(runs.size(), 1u);
   EXPECT_EQ(runs[0].session_epochs, 2);
   EXPECT_TRUE(runs[0].converged);
+  expect_iters_match_report(runs[0].iters, epoch_iters);
 }
 
 }  // namespace

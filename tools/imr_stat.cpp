@@ -25,10 +25,10 @@
 //   - the memory-footprint trajectory: resident reduce-state bytes per
 //     iteration on top of the static (in-memory StaticStore) baseline.
 //
-// --validate runs schema + conservation checks only and exits non-zero on
-// the first malformed or non-conserving file; CI uses it to gate telemetry
-// regressions. --top N widens the hot-key / edge / iteration tables
-// (default 10).
+// --validate runs schema, conservation and iteration-ledger checks only and
+// exits non-zero on the first malformed or non-conserving file; CI uses it
+// to gate telemetry regressions. --top N widens the hot-key / edge /
+// iteration tables (default 10).
 //
 // The parser below is a deliberately small recursive-descent JSON reader —
 // the tool must stay dependency-free and build anywhere the simulator does.
@@ -361,8 +361,8 @@ MatrixSums sum_matrix(const Run& run) {
 }
 
 // ---------------------------------------------------------------------------
-// Validation: schema shape + matrix/traffic conservation. Returns violation
-// strings; empty = clean.
+// Validation: schema shape, matrix/traffic conservation and the iteration
+// ledger. Returns violation strings; empty = clean.
 
 std::vector<std::string> validate_run(const Run& run) {
   std::vector<std::string> bad;
@@ -527,6 +527,25 @@ std::vector<std::string> validate_run(const Run& run) {
                                 static_cast<long long>(iter), kCatNames[c]));
       }
       iter_bytes[c] += b;
+    }
+  }
+  // Iteration ledger (invariant 5, re-checked offline): within a session the
+  // iter lines step by exactly one iteration, even across a rollback; a
+  // session boundary resumes above the drain, so across it the session and
+  // the iteration only advance.
+  for (std::size_t n = 1; n < run.iters.size(); ++n) {
+    const int64_t prev = run.iters[n - 1].int_at("iteration");
+    const int64_t cur = run.iters[n].int_at("iteration");
+    const int64_t prev_sess = run.iters[n - 1].int_at("session");
+    const int64_t cur_sess = run.iters[n].int_at("session");
+    if (cur_sess < prev_sess ||
+        (cur_sess == prev_sess ? cur != prev + 1 : cur <= prev)) {
+      bad.push_back(strprintf("iter ledger steps from iteration %lld "
+                              "(session %lld) to %lld (session %lld)",
+                              static_cast<long long>(prev),
+                              static_cast<long long>(prev_sess),
+                              static_cast<long long>(cur),
+                              static_cast<long long>(cur_sess)));
     }
   }
   // The per-iteration buckets only see fabric sends issued inside decided
