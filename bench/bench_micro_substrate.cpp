@@ -342,6 +342,214 @@ void BM_CombineKMeansPrefix(benchmark::State& state) {
 }
 BENCHMARK(BM_CombineKMeansPrefix)->Arg(75000);
 
+// --- Merge A/B: the budgeted reduce's group pass ---------------------------
+// A reduce over budget merges its sorted spill runs and in-memory tail
+// (ReduceInput::group); pagerank-spill's reduces merge about 20 runs of
+// ~14k records per iteration. These split a 262,144-record PageRank reduce
+// buffer in arrival order into k runs, each sorted as a spill sorts it, and
+// time the merge plus ReduceInput::group's group loop over them (the reduce
+// UDF only counts values). BM_MergeRunsPageRank runs the shipping
+// MergeCursor, which compares 16-byte head codes and hands out each head in
+// place, so the loop moves the key and values straight out of the run.
+// BM_MergeRunsPageRankCompare runs the loser tree it replaced, kept
+// verbatim below over the record-at-a-time source interface of its time:
+// it string-compares two heads at every level, and each record moves into
+// a head, then into the loop's record, then into the group.
+namespace moved_head {
+
+// next() MOVES the next record into `out` and returns false once the run is
+// exhausted (after which it keeps returning false).
+class RecordSource {
+ public:
+  virtual ~RecordSource() = default;
+  virtual bool next(KV& out) = 0;
+};
+
+// Streams a sorted KVVec, moving records out of the donated buffer.
+class VecSource : public RecordSource {
+ public:
+  explicit VecSource(KVVec& records) : records_(&records) {}
+  bool next(KV& out) override {
+    if (pos_ >= records_->size()) return false;
+    out = std::move((*records_)[pos_++]);
+    return true;
+  }
+
+ private:
+  KVVec* records_;
+  std::size_t pos_ = 0;
+};
+
+class MergeCursor {
+ public:
+  MergeCursor(std::vector<RecordSource*> sources, bool compare_values);
+
+  // Moves the globally-smallest head into `out`; false when all sources are
+  // exhausted.
+  bool next(KV& out);
+
+ private:
+  bool source_less(int a, int b) const;
+
+  std::vector<RecordSource*> sources_;
+  bool compare_values_;
+  int padded_;              // next_pow2(sources): full-tree leaf count
+  std::vector<KV> heads_;   // current head record per leaf
+  std::vector<char> alive_; // leaf has a head (padding leaves never do)
+  std::vector<int> tree_;   // tree_[0] = winner; tree_[1..] = loser nodes
+};
+
+bool MergeCursor::source_less(int a, int b) const {
+  // An exhausted leaf loses to any live one (and ties with another
+  // exhausted leaf resolve arbitrarily — next() checks alive_ before use).
+  if (!alive_[static_cast<std::size_t>(a)]) return false;
+  if (!alive_[static_cast<std::size_t>(b)]) return true;
+  const KV& x = heads_[static_cast<std::size_t>(a)];
+  const KV& y = heads_[static_cast<std::size_t>(b)];
+  int c = x.key.compare(y.key);
+  if (c != 0) return c < 0;
+  if (compare_values_) {
+    c = x.value.compare(y.value);
+    if (c != 0) return c < 0;
+  }
+  return a < b;  // arrival-order tiebreak == sort_records' index tiebreak
+}
+
+MergeCursor::MergeCursor(std::vector<RecordSource*> sources,
+                         bool compare_values)
+    : sources_(std::move(sources)), compare_values_(compare_values) {
+  const std::size_t k = sources_.size();
+  padded_ = static_cast<int>(next_pow2(k == 0 ? 1 : k));
+  heads_.resize(static_cast<std::size_t>(padded_));
+  alive_.assign(static_cast<std::size_t>(padded_), 0);
+  for (std::size_t i = 0; i < k; ++i) {
+    alive_[i] = sources_[i]->next(heads_[i]) ? 1 : 0;
+  }
+  // Build the loser tree bottom-up: winner[node] propagates the smaller
+  // head toward the root, each internal node keeping the loser. Leaves are
+  // virtual nodes [padded_, 2*padded_) mapping to leaf index node - padded_.
+  tree_.assign(static_cast<std::size_t>(padded_), 0);
+  std::vector<int> winner(static_cast<std::size_t>(2 * padded_), 0);
+  for (int i = 0; i < padded_; ++i) winner[static_cast<std::size_t>(padded_ + i)] = i;
+  for (int node = padded_ - 1; node >= 1; --node) {
+    int a = winner[static_cast<std::size_t>(2 * node)];
+    int b = winner[static_cast<std::size_t>(2 * node + 1)];
+    if (source_less(a, b)) {
+      winner[static_cast<std::size_t>(node)] = a;
+      tree_[static_cast<std::size_t>(node)] = b;
+    } else {
+      winner[static_cast<std::size_t>(node)] = b;
+      tree_[static_cast<std::size_t>(node)] = a;
+    }
+  }
+  tree_[0] = padded_ > 1 ? winner[1] : 0;
+}
+
+bool MergeCursor::next(KV& out) {
+  const int w = tree_[0];
+  if (!alive_[static_cast<std::size_t>(w)]) return false;
+  out = std::move(heads_[static_cast<std::size_t>(w)]);
+  alive_[static_cast<std::size_t>(w)] =
+      sources_[static_cast<std::size_t>(w)]->next(
+          heads_[static_cast<std::size_t>(w)])
+          ? 1
+          : 0;
+  // Replay the path from w's leaf to the root: the new head fights each
+  // stored loser; the winner bubbles up.
+  int cur = w;
+  for (int node = (padded_ + w) / 2; node >= 1; node /= 2) {
+    int& loser = tree_[static_cast<std::size_t>(node)];
+    if (source_less(loser, cur)) std::swap(cur, loser);
+  }
+  tree_[0] = cur;
+  return true;
+}
+
+}  // namespace moved_head
+
+// ReduceInput::group's loop over a merge: `next` returns each record in
+// merge order, or nullptr at the end. Returns the number of groups.
+template <typename Next>
+std::size_t group_merged(Next next) {
+  std::size_t groups = 0;
+  std::size_t values_seen = 0;
+  auto fn = [&](const Bytes&, const std::vector<Bytes>& values) {
+    ++groups;
+    values_seen += values.size();
+  };
+  Bytes key;
+  std::vector<Bytes> values;
+  bool in_group = false;
+  while (KV* rec = next()) {
+    if (!in_group || rec->key != key) {
+      if (in_group) fn(key, values);
+      key = std::move(rec->key);
+      values.clear();
+      in_group = true;
+    }
+    values.push_back(std::move(rec->value));
+  }
+  if (in_group) fn(key, values);
+  benchmark::DoNotOptimize(values_seen);
+  return groups;
+}
+
+// Times one merge-and-group pass over `k` runs of a 262,144-record
+// PageRank reduce buffer; `merge_runs` gets fresh copies of the runs.
+template <typename MergeRuns>
+void time_merge(benchmark::State& state, MergeRuns merge_runs) {
+  constexpr std::size_t kRecords = 262144;
+  const auto k = static_cast<std::size_t>(state.range(0));
+  const KVVec whole = pagerank_reduce_shape(kRecords);
+  std::vector<KVVec> base(k);
+  for (std::size_t c = 0, at = 0; c < k; ++c) {
+    const std::size_t take = kRecords / k + (c < kRecords % k ? 1 : 0);
+    base[c].assign(whole.begin() + static_cast<std::ptrdiff_t>(at),
+                   whole.begin() + static_cast<std::ptrdiff_t>(at + take));
+    at += take;
+    sort_records(base[c], /*sort_values=*/true);
+  }
+  for (auto _ : state) {
+    state.PauseTiming();
+    std::vector<KVVec> runs = base;
+    state.ResumeTiming();
+    benchmark::DoNotOptimize(merge_runs(runs));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(kRecords));
+}
+
+void BM_MergeRunsPageRank(benchmark::State& state) {
+  time_merge(state, [](std::vector<KVVec>& runs) {
+    std::vector<std::unique_ptr<VecSource>> owned;
+    std::vector<RecordSource*> sources;
+    for (KVVec& run : runs) {
+      owned.push_back(std::make_unique<VecSource>(run));
+      sources.push_back(owned.back().get());
+    }
+    MergeCursor merge(sources, /*compare_values=*/true);
+    return group_merged([&] { return merge.next(); });
+  });
+}
+BENCHMARK(BM_MergeRunsPageRank)->Arg(5)->Arg(24);
+
+void BM_MergeRunsPageRankCompare(benchmark::State& state) {
+  time_merge(state, [](std::vector<KVVec>& runs) {
+    std::vector<std::unique_ptr<moved_head::VecSource>> owned;
+    std::vector<moved_head::RecordSource*> sources;
+    for (KVVec& run : runs) {
+      owned.push_back(std::make_unique<moved_head::VecSource>(run));
+      sources.push_back(owned.back().get());
+    }
+    moved_head::MergeCursor merge(sources, /*compare_values=*/true);
+    KV rec;
+    return group_merged(
+        [&]() -> KV* { return merge.next(rec) ? &rec : nullptr; });
+  });
+}
+BENCHMARK(BM_MergeRunsPageRankCompare)->Arg(5)->Arg(24);
+
 // --- Codec A/B: one K-means partial -----------------------------------------
 // The fixed-width codec before one-append writes and whole-word reads,
 // verbatim: each write pushes one byte at a time, each read assembles one

@@ -11,6 +11,8 @@ Usage: scripts/check_bench_regression.py bench_out.json \
            [--reference BENCH_substrate.json] [--tolerance 2.0]
        scripts/check_bench_regression.py --key-index index_out.json \
            [--reference BENCH_substrate.json] [--tolerance 2.0]
+       scripts/check_bench_regression.py --merge merge_out.json \
+           [--reference BENCH_substrate.json] [--tolerance 2.0]
 
 `bench_out.json` is google-benchmark's --benchmark_out JSON for a run of
 bench_micro_substrate covering the BM_FabricSendMT* series. The reference
@@ -54,6 +56,15 @@ binary), whose speedup must stay at or above the reference divided by
 keys of one hash partition of 1 and of 64), whose slowdown at 64 must stay
 at or below the reference times --tolerance: an index whose home slot
 drops back to fnv1a's low bits reads about 8x there.
+
+--merge gates the budgeted reduce's merge pass the same way: merge_out.json
+is a --benchmark_out file of bench_micro_substrate covering
+BM_MergeRunsPageRankCompare/24 (the string-compare, moved-head loser tree
+the head-code cursor replaced, kept verbatim in the binary) and
+BM_MergeRunsPageRank/24 (the shipping MergeCursor), each merging 24 sorted
+runs of a PageRank reduce buffer and grouping the stream; the pair's ratio
+must stay at or above the merge_runs reference speedup divided by
+--tolerance.
 
 --placement instead gates bench_placement_ab's remote-byte measurements:
 virtual-traffic byte counts are fully deterministic (no machine drift), so
@@ -218,20 +229,23 @@ SORT_PAIRS = {
 }
 
 
-def check_sort(run_path: str, reference: dict, tolerance: float) -> int:
-    """Gate the radix kernel's speedup over the kernel it replaced."""
+def check_speedups(run_path: str, pairs: list, tolerance: float,
+                   passed: str) -> int:
+    """Gate in-run speedups of shipping kernels over the ones they replaced.
+
+    Each pair is (name, replaced benchmark, shipping benchmark, reference
+    speedup or None); the replaced-over-shipping ratio of one run must stay
+    at or above the reference divided by `tolerance`.
+    """
     run = load_run(run_path)
     failures = []
-    for key, (shape, old_bm, new_bm) in SORT_PAIRS.items():
-        series = reference.get("sort_records_radix", {}).get(key, {})
-        name = f"sort_records_radix/{key}/n_{shape}"
-        old = run.get(f"{old_bm}/{shape}")
-        new = run.get(f"{new_bm}/{shape}")
-        ref = series.get("speedup", {}).get(f"n_{shape}")
+    for name, old_bm, new_bm, ref in pairs:
+        old = run.get(old_bm)
+        new = run.get(new_bm)
         if old is None or new is None:
             failures.append(
                 f"{name}: series missing from the benchmark run "
-                f"(need {old_bm} and {new_bm} at {shape})"
+                f"(need {old_bm} and {new_bm})"
             )
             continue
         if ref is None:
@@ -241,8 +255,8 @@ def check_sort(run_path: str, reference: dict, tolerance: float) -> int:
         limit = float(ref) / tolerance
         verdict = "ok" if ratio >= limit else "REGRESSION"
         print(
-            f"{name}: prefix {old / 1e6:.1f}ms / radix {new / 1e6:.1f}ms = "
-            f"{ratio:.2f}x (reference {float(ref):.2f}x, floor {limit:.2f}x) "
+            f"{name}: {old_bm} {old / 1e6:.1f}ms / {new_bm} {new / 1e6:.1f}ms "
+            f"= {ratio:.2f}x (reference {float(ref):.2f}x, floor {limit:.2f}x) "
             f"{verdict}"
         )
         if ratio < limit:
@@ -254,8 +268,37 @@ def check_sort(run_path: str, reference: dict, tolerance: float) -> int:
         for f_ in failures:
             print(f"  {f_}")
         return 1
-    print("\nradix sort speedups at or above their floors")
+    print(f"\n{passed}")
     return 0
+
+
+def check_sort(run_path: str, reference: dict, tolerance: float) -> int:
+    """Gate the radix kernel's speedup over the kernel it replaced."""
+    series = reference.get("sort_records_radix", {})
+    pairs = [
+        (
+            f"sort_records_radix/{key}/n_{shape}",
+            f"{old_bm}/{shape}",
+            f"{new_bm}/{shape}",
+            series.get(key, {}).get("speedup", {}).get(f"n_{shape}"),
+        )
+        for key, (shape, old_bm, new_bm) in SORT_PAIRS.items()
+    ]
+    return check_speedups(run_path, pairs, tolerance,
+                          "radix sort speedups at or above their floors")
+
+
+def check_merge(run_path: str, reference: dict, tolerance: float) -> int:
+    """Gate the head-code merge's speedup over the cursor it replaced."""
+    ref = reference.get("merge_runs", {}).get("speedup", {}).get("runs_24")
+    pairs = [(
+        "merge_runs/runs_24",
+        "BM_MergeRunsPageRankCompare/24",
+        "BM_MergeRunsPageRank/24",
+        ref,
+    )]
+    return check_speedups(run_path, pairs, tolerance,
+                          "merge speedup at or above its floor")
 
 
 def check_key_index(run_path: str, reference: dict, tolerance: float) -> int:
@@ -342,15 +385,20 @@ def main() -> int:
         "and partitioned join series to gate instead of the probe-overhead "
         "series",
     )
+    ap.add_argument(
+        "--merge",
+        help="bench_micro_substrate --benchmark_out JSON of the merge series "
+        "to gate instead of the probe-overhead series",
+    )
     ap.add_argument("--reference", default="BENCH_substrate.json")
     ap.add_argument(
         "--tolerance",
         type=float,
         default=2.0,
         help="armed/disarmed ratio may exceed the reference ratio by "
-        "at most this factor (default 2.0); in --placement, --sort and "
-        "--key-index modes the measured ratio may fall short of the "
-        "reference by the same factor",
+        "at most this factor (default 2.0); in --placement, --sort, "
+        "--key-index and --merge modes the measured ratio may fall short of "
+        "the reference by the same factor",
     )
     args = ap.parse_args()
 
@@ -364,10 +412,12 @@ def main() -> int:
         return check_sort(args.sort, reference, args.tolerance)
     if args.key_index:
         return check_key_index(args.key_index, reference, args.tolerance)
+    if args.merge:
+        return check_merge(args.merge, reference, args.tolerance)
     if not args.bench_out:
         ap.error(
-            "either bench_out, --placement, --spill, --sort, or --key-index "
-            "is required"
+            "either bench_out, --placement, --spill, --sort, --key-index, or "
+            "--merge is required"
         )
     run = load_run(args.bench_out)
 

@@ -12,7 +12,8 @@ namespace {
 constexpr std::size_t kChunkRecords = 1024;
 
 // Streams one spill-run file in kChunkRecords slices, so a merge over many
-// runs never re-materializes a whole run in memory.
+// runs never re-materializes a whole run in memory. Each slice is handed
+// out in place and replaced by the next call's read.
 class DfsRunSource : public RecordSource {
  public:
   DfsRunSource(const MiniDfs& dfs, std::string path, std::size_t records,
@@ -23,20 +24,16 @@ class DfsRunSource : public RecordSource {
         reader_(reader),
         vt_(vt) {}
 
-  bool next(KV& out) override {
-    if (pos_ >= buf_.size()) {
-      if (read_ >= records_) return false;
-      InputSplit chunk;
-      chunk.path = path_;
-      chunk.begin = read_;
-      chunk.end = std::min(records_, read_ + kChunkRecords);
-      buf_ = dfs_.read_split(chunk, reader_, vt_, TrafficCategory::kSpill);
-      read_ = chunk.end;
-      pos_ = 0;
-      if (buf_.empty()) return false;
-    }
-    out = std::move(buf_[pos_++]);
-    return true;
+  std::span<KV> next_chunk() override {
+    if (read_ >= records_) return {};
+    InputSplit chunk;
+    chunk.path = path_;
+    chunk.begin = read_;
+    chunk.end = std::min(records_, read_ + kChunkRecords);
+    buf_ = dfs_.read_split(chunk, reader_, vt_, TrafficCategory::kSpill);
+    // An empty read ends the run.
+    read_ = buf_.empty() ? records_ : chunk.end;
+    return buf_;
   }
 
  private:
@@ -46,7 +43,6 @@ class DfsRunSource : public RecordSource {
   int reader_;
   VClock* vt_;
   KVVec buf_;
-  std::size_t pos_ = 0;
   std::size_t read_ = 0;  // records fetched from the file so far
 };
 

@@ -62,9 +62,10 @@ class SpillSet {
   bool has_runs(int stream) const;
 
   // Chunked streaming cursors over `stream`'s runs, one per run in write
-  // order. Reading charges kSpill traffic incrementally; the runs stay
-  // registered (and on the ledger's open side) until consume(stream) or
-  // abandon(). `vt` must outlive the cursors.
+  // order; each hands out a run's read chunks in place (the chunk contract
+  // of record_source.h). Reading charges kSpill traffic incrementally; the
+  // runs stay registered (and on the ledger's open side) until
+  // consume(stream) or abandon(). `vt` must outlive the cursors.
   std::vector<std::unique_ptr<RecordSource>> sources(int stream, VClock* vt);
 
   // Unregisters and removes all of `stream`'s runs, counting them read —

@@ -79,8 +79,8 @@ void ReduceInput::group(const GroupFn& fn) {
     IMR_CHECK_MSG(order_.size() == records_.size(), "group() before sort()");
     take_groups(records_, order_, fn);
   } else {
-    // Streams the merge, holding one group plus one read-ahead chunk per
-    // run.
+    // Streams the merge, holding one group plus one chunk per run; the key
+    // and values move straight out of the chunk that holds them.
     auto runs = spills_.sources(0, &ctx_.vt());
     std::vector<RecordSource*> sources;
     sources.reserve(runs.size() + 1);
@@ -88,18 +88,17 @@ void ReduceInput::group(const GroupFn& fn) {
     VecSource tail(records_);
     sources.push_back(&tail);
     MergeCursor merge(sources, /*compare_values=*/true);
-    KV rec;
     Bytes key;
     std::vector<Bytes> values;
     bool in_group = false;
-    while (merge.next(rec)) {
-      if (!in_group || rec.key != key) {
+    while (KV* rec = merge.next()) {
+      if (!in_group || rec->key != key) {
         if (in_group) fn(key, values);
-        key = std::move(rec.key);
+        key = std::move(rec->key);
         values.clear();
         in_group = true;
       }
-      values.push_back(std::move(rec.value));
+      values.push_back(std::move(rec->value));
     }
     if (in_group) fn(key, values);
     spills_.consume(0);

@@ -324,13 +324,45 @@ void take_groups(KVVec& records, std::span<const uint32_t> order,
 // MergeCursor
 // ---------------------------------------------------------------------------
 
-bool MergeCursor::source_less(int a, int b) const {
-  // An exhausted leaf loses to any live one (and ties with another
-  // exhausted leaf resolve arbitrarily — next() checks alive_ before use).
-  if (!alive_[static_cast<std::size_t>(a)]) return false;
-  if (!alive_[static_cast<std::size_t>(b)]) return true;
-  const KV& x = heads_[static_cast<std::size_t>(a)];
-  const KV& y = heads_[static_cast<std::size_t>(b)];
+namespace {
+
+// Both words of an exhausted leaf's head code. A live code's `lo` is below
+// it: its top 4 bits, the key's length code, are at most 9.
+constexpr uint64_t kExhausted = ~uint64_t{0};
+
+// Whether code x orders before code y, without a branch.
+inline bool code_less(uint64_t xhi, uint64_t xlo, uint64_t yhi, uint64_t ylo) {
+  return (xhi < yhi) | ((xhi == yhi) & (xlo < ylo));
+}
+
+}  // namespace
+
+// The code of the leaf's head, or all ones once the leaf is exhausted.
+MergeCursor::HeadCode MergeCursor::head_code(std::size_t leaf) const {
+  if (head_[leaf] == end_[leaf]) return {kExhausted, kExhausted};
+  const KV& kv = *head_[leaf];
+  const std::size_t key_bytes = kv.key.size();
+  uint64_t lo = static_cast<uint64_t>(std::min<std::size_t>(key_bytes, 9))
+                << 60;
+  if (compare_values_ && key_bytes <= 8) lo |= key_prefix_u64(kv.value) >> 4;
+  return {key_prefix_u64(kv.key), lo};
+}
+
+// Takes the leaf's next chunk; an empty one leaves the leaf exhausted
+// (head == end).
+void MergeCursor::refill(std::size_t leaf) {
+  const std::span<KV> chunk = sources_[leaf]->next_chunk();
+  head_[leaf] = chunk.data();
+  end_[leaf] = chunk.data() + chunk.size();
+}
+
+// Orders two leaves whose codes are equal: two exhausted leaves, or two
+// heads whose keys and values tie on everything the code holds.
+bool MergeCursor::tie_less(int a, int b) const {
+  const auto i = static_cast<std::size_t>(a);
+  if (codes_[i].lo == kExhausted) return a < b;
+  const KV& x = *head_[i];
+  const KV& y = *head_[static_cast<std::size_t>(b)];
   int c = x.key.compare(y.key);
   if (c != 0) return c < 0;
   if (compare_values_) {
@@ -344,57 +376,74 @@ MergeCursor::MergeCursor(std::vector<RecordSource*> sources,
                          bool compare_values)
     : sources_(std::move(sources)), compare_values_(compare_values) {
   const std::size_t k = sources_.size();
-  padded_ = static_cast<int>(next_pow2(k == 0 ? 1 : k));
-  heads_.resize(static_cast<std::size_t>(padded_));
-  alive_.assign(static_cast<std::size_t>(padded_), 0);
+  padded_ = next_pow2(k == 0 ? 1 : k);
+  codes_.assign(padded_, HeadCode{kExhausted, kExhausted});
+  head_.assign(padded_, nullptr);
+  end_.assign(padded_, nullptr);
   for (std::size_t i = 0; i < k; ++i) {
-    alive_[i] = sources_[i]->next(heads_[i]) ? 1 : 0;
+    refill(i);
+    codes_[i] = head_code(i);
   }
+  auto less = [this](int a, int b) {
+    const HeadCode& x = codes_[static_cast<std::size_t>(a)];
+    const HeadCode& y = codes_[static_cast<std::size_t>(b)];
+    if (x.hi == y.hi && x.lo == y.lo) return tie_less(a, b);
+    return code_less(x.hi, x.lo, y.hi, y.lo);
+  };
   // Build the loser tree bottom-up: winner[node] propagates the smaller
   // head toward the root, each internal node keeping the loser. Leaves are
   // virtual nodes [padded_, 2*padded_) mapping to leaf index node - padded_.
-  tree_.assign(static_cast<std::size_t>(padded_), 0);
-  std::vector<int> winner(static_cast<std::size_t>(2 * padded_), 0);
-  for (int i = 0; i < padded_; ++i) winner[static_cast<std::size_t>(padded_ + i)] = i;
-  for (int node = padded_ - 1; node >= 1; --node) {
-    int a = winner[static_cast<std::size_t>(2 * node)];
-    int b = winner[static_cast<std::size_t>(2 * node + 1)];
-    if (source_less(a, b)) {
-      winner[static_cast<std::size_t>(node)] = a;
-      tree_[static_cast<std::size_t>(node)] = b;
-    } else {
-      winner[static_cast<std::size_t>(node)] = b;
-      tree_[static_cast<std::size_t>(node)] = a;
-    }
+  tree_.assign(padded_, 0);
+  std::vector<int> winner(2 * padded_, 0);
+  for (std::size_t i = 0; i < padded_; ++i) {
+    winner[padded_ + i] = static_cast<int>(i);
+  }
+  for (std::size_t node = padded_ - 1; node >= 1; --node) {
+    const int a = winner[2 * node];
+    const int b = winner[2 * node + 1];
+    const bool a_wins = less(a, b);
+    winner[node] = a_wins ? a : b;
+    tree_[node] = a_wins ? b : a;
   }
   tree_[0] = padded_ > 1 ? winner[1] : 0;
 }
 
-bool MergeCursor::next(KV& out) {
-  const int w = tree_[0];
-  if (!alive_[static_cast<std::size_t>(w)]) return false;
-  out = std::move(heads_[static_cast<std::size_t>(w)]);
-  alive_[static_cast<std::size_t>(w)] =
-      sources_[static_cast<std::size_t>(w)]->next(
-          heads_[static_cast<std::size_t>(w)])
-          ? 1
-          : 0;
-  // Replay the path from w's leaf to the root: the new head fights each
-  // stored loser; the winner bubbles up.
-  int cur = w;
-  for (int node = (padded_ + w) / 2; node >= 1; node /= 2) {
-    int& loser = tree_[static_cast<std::size_t>(node)];
-    if (source_less(loser, cur)) std::swap(cur, loser);
+KV* MergeCursor::next() {
+  if (returned_ >= 0) {
+    // Advance the leaf whose head the caller took, then replay the path
+    // from it to the root: the new head fights each stored loser and the
+    // winner bubbles up. The code compare and the selects are branch-free;
+    // only equal codes branch off to read the records.
+    const auto w = static_cast<std::size_t>(returned_);
+    if (++head_[w] == end_[w]) refill(w);
+    HeadCode code = head_code(w);
+    codes_[w] = code;
+    int cur = returned_;
+    for (std::size_t node = (padded_ + w) / 2; node >= 1; node /= 2) {
+      const int other = tree_[node];
+      const HeadCode o = codes_[static_cast<std::size_t>(other)];
+      bool other_wins = code_less(o.hi, o.lo, code.hi, code.lo);
+      if (o.hi == code.hi && o.lo == code.lo) [[unlikely]] {
+        other_wins = tie_less(other, cur);
+      }
+      // Masked selects: a compiler may turn a ?: into a branch, which the
+      // interleaved runs of a merge mispredict half the time.
+      const int pick = -static_cast<int>(other_wins);
+      const uint64_t pick64 = 0 - static_cast<uint64_t>(other_wins);
+      tree_[node] = other ^ ((other ^ cur) & pick);
+      cur ^= (cur ^ other) & pick;
+      code.hi ^= (code.hi ^ o.hi) & pick64;
+      code.lo ^= (code.lo ^ o.lo) & pick64;
+    }
+    tree_[0] = cur;
   }
-  tree_[0] = cur;
-  return true;
-}
-
-void merge_sorted_runs(const std::vector<RecordSource*>& sources,
-                       bool compare_values, KVVec& out) {
-  MergeCursor merge(sources, compare_values);
-  KV kv;
-  while (merge.next(kv)) out.push_back(std::move(kv));
+  const int w = tree_[0];
+  if (codes_[static_cast<std::size_t>(w)].lo == kExhausted) {
+    returned_ = -1;
+    return nullptr;
+  }
+  returned_ = w;
+  return head_[static_cast<std::size_t>(w)];
 }
 
 std::size_t combine_sorted(KVVec& sorted, const CombineFn& fn) {

@@ -22,6 +22,10 @@
 //     in-memory reduce never moves a record into sorted position.
 //   - combine_records is the map-side combine both engines run: the order,
 //     then a take_groups walk that feeds each group to the combiner.
+//   - MergeCursor is the budgeted reduce's k-way merge of sorted runs: a
+//     loser tree that compares 16-byte head codes, not records, and hands
+//     out each head in place in its source's chunk, so the group loop
+//     moves keys and values straight out of the runs.
 //   - GroupCursor iterates key runs of a sorted buffer as spans — no value
 //     copies, one key compare per record.
 //   - GroupValues adapts a run to the std::vector<Bytes> shape user
@@ -88,31 +92,56 @@ void take_groups(KVVec& records, std::span<const uint32_t> order,
 // sort_records(run, compare_values) sorts — and whose records were split
 // from one logical buffer in arrival order (source 0's records preceded
 // source 1's, ...) — the merged stream is byte-identical to sorting the
-// concatenated buffer: the comparator breaks exact ties by source index,
-// which is precisely the original-position tiebreak sort_records applies.
-// O(log k) compares per record, no buffering beyond one head per source.
+// concatenated buffer: the order breaks exact ties by source index, which
+// is precisely the original-position tiebreak sort_records applies.
+//
+// Each leaf keeps its source's current chunk in place (the chunk contract
+// of record_source.h) and a 16-byte head code: `hi` is the head key's
+// 8-byte big-endian prefix (zero-padded), `lo` holds min(key length, 9) in
+// its top 4 bits and then, only when the key ends within 8 bytes and values
+// are compared, the top 60 bits of the value's 8-byte prefix. An exhausted
+// leaf's code is all ones, above every live code (a live length code is at
+// most 9). Codes order like their records: a smaller code is a smaller
+// (key, value), so the replay picks winner and loser with a branch-free
+// two-word compare, and only equal codes read the records, finishing with
+// the full (key, value, source index) compare. O(log k) code compares per
+// record; no record moves until the caller moves it.
 class MergeCursor {
  public:
   MergeCursor(std::vector<RecordSource*> sources, bool compare_values);
 
+  // The globally-smallest head, in place in its source's chunk, or nullptr
+  // once every source is exhausted. The record may be moved from; it stays
+  // valid until the next call, which advances its leaf.
+  KV* next();
+
   // Moves the globally-smallest head into `out`; false when all sources are
   // exhausted.
-  bool next(KV& out);
+  bool next(KV& out) {
+    KV* rec = next();
+    if (rec != nullptr) out = std::move(*rec);
+    return rec != nullptr;
+  }
 
  private:
-  bool source_less(int a, int b) const;
+  struct HeadCode {
+    uint64_t hi;
+    uint64_t lo;
+  };
+
+  HeadCode head_code(std::size_t leaf) const;
+  void refill(std::size_t leaf);
+  bool tie_less(int a, int b) const;
 
   std::vector<RecordSource*> sources_;
   bool compare_values_;
-  int padded_;              // next_pow2(sources): full-tree leaf count
-  std::vector<KV> heads_;   // current head record per leaf
-  std::vector<char> alive_; // leaf has a head (padding leaves never do)
-  std::vector<int> tree_;   // tree_[0] = winner; tree_[1..] = loser nodes
+  std::size_t padded_;          // next_pow2(sources): full-tree leaf count
+  std::vector<HeadCode> codes_; // head code per leaf (padding: all ones)
+  std::vector<KV*> head_;       // head record per leaf, in its chunk
+  std::vector<KV*> end_;        // end of the leaf's chunk
+  std::vector<int> tree_;       // tree_[0] = winner; tree_[1..] = losers
+  int returned_ = -1;           // leaf whose head next() returned, or -1
 };
-
-// Convenience: drains a MergeCursor over `sources` into `out` (appending).
-void merge_sorted_runs(const std::vector<RecordSource*>& sources,
-                       bool compare_values, KVVec& out);
 
 // Iterates a key-sorted buffer as runs of equal keys. Zero-copy: key() and
 // run() reference the underlying records.

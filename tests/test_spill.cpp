@@ -178,6 +178,48 @@ KVVec nasty_corpus(uint64_t seed, std::size_t n) {
   return out;
 }
 
+// Records built to land on every edge of MergeCursor's 16-byte head code
+// (the key's 8-byte prefix; its length code, then the top 60 bits of the
+// value's prefix), mixed with nasty_corpus records.
+KVVec head_code_corpus(uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  KVVec out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    const uint64_t r = rng.next_u64();
+    const uint64_t s = rng.next_u64();
+    const Bytes short_key = u32_key(static_cast<uint32_t>(s % 4));
+    switch (r % 7) {
+      case 0:  // values longer than 8 bytes that tie on their first 8
+        out.emplace_back(short_key,
+                         Bytes("tiedfirs") + u64_key(s).substr(0, 1 + s % 9));
+        break;
+      case 1:  // 8-byte values that differ only in the low 4 bits of byte 8
+        out.emplace_back(
+            short_key,
+            Bytes("seven-b") + static_cast<char>(0x40 | ((s >> 8) & 0xf)));
+        break;
+      case 2: {  // keys past the prefix whose values order the other way
+        const auto j = static_cast<unsigned char>(s % 16);
+        out.emplace_back(Bytes("longkey!") + static_cast<char>(j),
+                         Bytes(1, static_cast<char>(255 - j)));
+        break;
+      }
+      case 3:  // all-0xFF keys and values, across the prefix length
+        out.emplace_back(Bytes(s % 11, '\xff'), Bytes((s >> 8) % 11, '\xff'));
+        break;
+      case 4:  // keys that differ only by trailing 0x00 bytes
+        out.emplace_back(Bytes("k0") + Bytes(s % 10, '\0'),
+                         f64_value(static_cast<double>(s % 3)));
+        break;
+      default:
+        out.emplace_back(nasty_key(rng, n),
+                         f64_value(static_cast<double>(i % 7)));
+    }
+  }
+  return out;
+}
+
 void expect_identical(const KVVec& a, const KVVec& b) {
   ASSERT_EQ(a.size(), b.size());
   for (std::size_t i = 0; i < a.size(); ++i) {
@@ -186,35 +228,94 @@ void expect_identical(const KVVec& a, const KVVec& b) {
   }
 }
 
+// Copies every record the cursor returns, in order.
+KVVec drain(MergeCursor& merge) {
+  KVVec out;
+  while (const KV* rec = merge.next()) out.push_back(*rec);
+  return out;
+}
+
+// Splits `whole` into k contiguous runs in arrival order (uneven on
+// purpose), each sorted the way the engines sort runs: chunk c's records
+// all precede chunk c+1's, the precondition under which the merge's
+// source-index tiebreak equals the position tiebreak.
+std::vector<KVVec> arrival_runs(const KVVec& whole, std::size_t k,
+                                bool compare_values) {
+  std::vector<KVVec> runs(k);
+  std::size_t at = 0;
+  for (std::size_t c = 0; c < k; ++c) {
+    const std::size_t take =
+        whole.size() / k + ((c < whole.size() % k) ? 1 : 0);
+    for (std::size_t i = 0; i < take; ++i) runs[c].push_back(whole[at++]);
+    sort_records(runs[c], compare_values);
+  }
+  return runs;
+}
+
 TEST(MergeCursor, MatchesWholeBufferSortAcrossChunkings) {
   for (std::size_t n : {0u, 1u, 17u, 256u, 1500u}) {
-    for (std::size_t k : {1u, 2u, 3u, 7u}) {
+    for (std::size_t k : {1u, 2u, 3u, 7u, 24u, 33u}) {
       for (bool compare_values : {false, true}) {
-        KVVec whole = nasty_corpus(n * 31 + k, n);
-        // Contiguous arrival-order split (uneven on purpose): chunk c's
-        // records all precede chunk c+1's, the precondition under which the
-        // merge's source-index tiebreak equals the position tiebreak.
-        std::vector<KVVec> chunks(k);
-        std::size_t at = 0;
-        for (std::size_t c = 0; c < k; ++c) {
-          std::size_t take = whole.size() / k + ((c < whole.size() % k) ? 1 : 0);
-          for (std::size_t i = 0; i < take; ++i) chunks[c].push_back(whole[at++]);
-          sort_records(chunks[c], compare_values);
-        }
-        sort_records(whole, compare_values);
+        for (bool head_codes : {false, true}) {
+          for (bool empty_between : {false, true}) {
+            const uint64_t seed = n * 31 + k;
+            KVVec whole = head_codes ? head_code_corpus(seed, n)
+                                     : nasty_corpus(seed, n);
+            std::vector<KVVec> runs = arrival_runs(whole, k, compare_values);
+            sort_records(whole, compare_values);
 
-        std::vector<std::unique_ptr<VecSource>> vs;
-        std::vector<RecordSource*> sources;
-        for (auto& c : chunks) {
-          vs.push_back(std::make_unique<VecSource>(c));
-          sources.push_back(vs.back().get());
+            // An empty run between live ones holds no records, so it
+            // cannot move the arrival order the tiebreak reproduces.
+            KVVec empty;
+            std::vector<std::unique_ptr<VecSource>> vs;
+            std::vector<RecordSource*> sources;
+            for (auto& run : runs) {
+              if (empty_between && !sources.empty()) {
+                vs.push_back(std::make_unique<VecSource>(empty));
+                sources.push_back(vs.back().get());
+              }
+              vs.push_back(std::make_unique<VecSource>(run));
+              sources.push_back(vs.back().get());
+            }
+            MergeCursor merge(sources, compare_values);
+            SCOPED_TRACE(testing::Message()
+                         << "n=" << n << " k=" << k
+                         << " compare_values=" << compare_values
+                         << " head_codes=" << head_codes
+                         << " empty_between=" << empty_between);
+            expect_identical(whole, drain(merge));
+          }
         }
-        KVVec merged;
-        merge_sorted_runs(sources, compare_values, merged);
-        expect_identical(whole, merged);
       }
     }
   }
+}
+
+TEST(MergeCursor, ReturnedRecordCanBeMovedFrom) {
+  // Keys and values past the small-string buffer, so a move empties them:
+  // a cursor that read a head after handing it out would see "" and
+  // misorder the stream.
+  KVVec whole = head_code_corpus(77, 4000);
+  for (KV& kv : whole) {
+    kv.key += Bytes(16, '~');
+    kv.value += Bytes(16, '~');
+  }
+  std::vector<KVVec> runs = arrival_runs(whole, 24, /*compare_values=*/true);
+  sort_records(whole, /*compare_values=*/true);
+
+  std::vector<std::unique_ptr<VecSource>> vs;
+  std::vector<RecordSource*> sources;
+  for (auto& run : runs) {
+    vs.push_back(std::make_unique<VecSource>(run));
+    sources.push_back(vs.back().get());
+  }
+  MergeCursor merge(sources, /*compare_values=*/true);
+  KVVec merged;
+  while (KV* rec = merge.next()) {
+    merged.emplace_back(std::move(rec->key), std::move(rec->value));
+  }
+  expect_identical(whole, merged);
+  EXPECT_EQ(merge.next(), nullptr) << "an exhausted cursor stays exhausted";
 }
 
 TEST(MergeCursor, NoSourcesAndEmptySourcesDrainImmediately) {
@@ -265,10 +366,10 @@ TEST(SpillSet, SourcesThenConsumeRoundTripsThroughChunkedCursors) {
   VClock vt;
   SpillSet spills(cluster->dfs(), cluster->metrics(), "t/u2", 0);
   // > 1024 records per run so the DfsRunSource chunk boundary is crossed.
-  KVVec whole = nasty_corpus(9, 3000);
+  KVVec whole = nasty_corpus(9, 3300);
   std::vector<KVVec> runs(3);
   for (std::size_t c = 0, at = 0; c < 3; ++c) {
-    for (std::size_t i = 0; i < 1000; ++i) runs[c].push_back(whole[at++]);
+    for (std::size_t i = 0; i < 1100; ++i) runs[c].push_back(whole[at++]);
     sort_records(runs[c], /*sort_values=*/true);
     spills.write_run(0, runs[c], &vt);
   }
@@ -278,14 +379,58 @@ TEST(SpillSet, SourcesThenConsumeRoundTripsThroughChunkedCursors) {
   ASSERT_EQ(cursors.size(), 3u);
   std::vector<RecordSource*> sources;
   for (auto& c : cursors) sources.push_back(c.get());
+  MergeCursor merge(sources, /*compare_values=*/true);
   KVVec merged;
-  merge_sorted_runs(sources, /*compare_values=*/true, merged);
+  KV rec;
+  while (merge.next(rec)) merged.push_back(std::move(rec));
   expect_identical(whole, merged);
 
   spills.consume(0);
   expect_balanced(*cluster);
   EXPECT_EQ(ledger(*cluster).runs_read, 3);
   EXPECT_TRUE(cluster->dfs().list("spill/").empty());
+}
+
+TEST(SpillSet, MergesTwentyFourRunsAcrossChunkBoundaries) {
+  // A reduce's merge fan-in at pagerank-spill's run counts, every run
+  // spanning two or more 1024-record read chunks, two of them ending
+  // exactly on a chunk boundary. Keys and values move out of the chunks as
+  // ReduceInput::group moves them.
+  auto cluster = testutil::free_cluster(1, 1, 1);
+  VClock vt;
+  SpillSet spills(cluster->dfs(), cluster->metrics(), "t/u24", 0);
+  constexpr std::size_t kRuns = 24;
+  std::vector<std::size_t> sizes(kRuns);
+  std::size_t total = 0;
+  for (std::size_t c = 0; c < kRuns; ++c) {
+    sizes[c] = c == 0 ? 2048 : c == 1 ? 3072 : 2049 + (c * 131) % 1500;
+    total += sizes[c];
+  }
+  KVVec whole = head_code_corpus(24, total);
+  for (std::size_t c = 0, at = 0; c < kRuns; ++c) {
+    KVVec run(whole.begin() + static_cast<std::ptrdiff_t>(at),
+              whole.begin() + static_cast<std::ptrdiff_t>(at + sizes[c]));
+    at += sizes[c];
+    sort_records(run, /*sort_values=*/true);
+    spills.write_run(0, std::move(run), &vt);
+  }
+  sort_records(whole, /*sort_values=*/true);
+
+  auto cursors = spills.sources(0, &vt);
+  ASSERT_EQ(cursors.size(), kRuns);
+  std::vector<RecordSource*> sources;
+  for (auto& c : cursors) sources.push_back(c.get());
+  MergeCursor merge(sources, /*compare_values=*/true);
+  KVVec merged;
+  while (KV* rec = merge.next()) {
+    merged.emplace_back(std::move(rec->key), std::move(rec->value));
+  }
+  expect_identical(whole, merged);
+
+  cursors.clear();
+  spills.consume(0);
+  expect_balanced(*cluster);
+  EXPECT_EQ(ledger(*cluster).runs_read, static_cast<int64_t>(kRuns));
 }
 
 TEST(SpillSet, DestructorAbandonsAndBalancesTheLedger) {
