@@ -1085,8 +1085,9 @@ BENCHMARK(BM_FabricSendMTTraceEnabled)->Threads(1)->Threads(4)->Threads(8);
 
 // Telemetry-overhead series, same discipline as the tracing series above:
 // BM_FabricSendMTDisarmed is the disabled-telemetry baseline (one relaxed
-// atomic load per probe), and this measures the armed ledger — striped
-// matrix counters plus per-iteration buckets — on the same loop. Registered
+// atomic load per probe; the registry's traffic matrix is charged on both
+// sides), and this measures the armed ledger — a per-iteration bucket add
+// under the sending thread's own shard mutex — on the same loop. Registered
 // after the tracing series; the init lambda swaps the sticky trace gate off
 // so the two armed costs are not conflated.
 void BM_FabricSendMTTelemetryEnabled(benchmark::State& state) {

@@ -8,14 +8,14 @@
 
 namespace imr {
 
-Cluster::Cluster(ClusterConfig config) : config_(config) {
+Cluster::Cluster(ClusterConfig config)
+    : config_(config), metrics_(config_.num_workers), telemetry_(metrics_) {
   IMR_CHECK(config_.num_workers > 0);
   IMR_CHECK(config_.map_slots_per_worker > 0);
   IMR_CHECK(config_.reduce_slots_per_worker > 0);
-  telemetry_ = std::make_unique<TelemetryLedger>(config_.num_workers);
   dfs_ = std::make_unique<MiniDfs>(config_.num_workers, config_.cost,
-                                   metrics_, config_.seed, telemetry_.get());
-  fabric_ = std::make_unique<Fabric>(config_.cost, metrics_, telemetry_.get());
+                                   metrics_, config_.seed);
+  fabric_ = std::make_unique<Fabric>(config_.cost, metrics_, &telemetry_);
   fabric_->set_liveness_probe([this](int w) {
     return w < 0 || w >= config_.num_workers || worker_alive(w);
   });

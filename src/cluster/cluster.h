@@ -51,10 +51,12 @@ class Cluster {
   MetricsRegistry& metrics() { return metrics_; }
   MiniDfs& dfs() { return *dfs_; }
   Fabric& fabric() { return *fabric_; }
-  // Per-cluster telemetry accumulator (traffic matrix, iteration buckets,
-  // hot-key profiles). Always wired into the fabric and DFS; its probes are
-  // inert until the TelemetryRecorder gate is armed.
-  TelemetryLedger& telemetry() { return *telemetry_; }
+  // Per-cluster telemetry accumulator (iteration buckets, hot-key profiles,
+  // static sizes). Always wired into the fabric; its probes are inert until
+  // the TelemetryRecorder gate is armed. The traffic matrix is the
+  // registry's (metrics().traffic_matrix()), kept whether or not telemetry
+  // is armed.
+  TelemetryLedger& telemetry() { return telemetry_; }
 
   // Per-cluster job ordinal, used by the engines to uniquify DFS paths
   // ("name#N/..."). Scoped to the cluster — not process-global — because the
@@ -115,9 +117,9 @@ class Cluster {
   }
 
   ClusterConfig config_;
-  MetricsRegistry metrics_;
-  // Declared before the DFS and fabric, which hold raw pointers into it.
-  std::unique_ptr<TelemetryLedger> telemetry_;
+  // Declared before the DFS and fabric, which hold references into them.
+  MetricsRegistry metrics_;  // its traffic matrix sized by num_workers
+  TelemetryLedger telemetry_;
   std::unique_ptr<MiniDfs> dfs_;
   std::unique_ptr<Fabric> fabric_;
 

@@ -4,19 +4,13 @@
 
 #include "common/error.h"
 #include "common/hash.h"
-#include "metrics/telemetry.h"
 #include "metrics/trace.h"
 
 namespace imr {
 
 MiniDfs::MiniDfs(int num_workers, const CostModel& cost,
-                 MetricsRegistry& metrics, uint64_t seed,
-                 TelemetryLedger* telemetry)
-    : num_workers_(num_workers),
-      cost_(cost),
-      metrics_(metrics),
-      telemetry_(telemetry),
-      seed_(seed) {
+                 MetricsRegistry& metrics, uint64_t seed)
+    : num_workers_(num_workers), cost_(cost), metrics_(metrics), seed_(seed) {
   IMR_CHECK(num_workers > 0);
 }
 
@@ -90,29 +84,15 @@ void MiniDfs::write_file(const std::string& path, KVVec records,
     vt->advance(d);
     metrics_.add_time(TimeCategory::kDfsIo, d);
   }
-  // Replication copies leave the writer: (replicas-1) remote copies.
-  int copies = std::max(0, std::min(cost_.dfs_replication, num_workers_) - 1);
-  metrics_.add_traffic(category, f.bytes, /*remote=*/false);
-  if (copies > 0) {
-    metrics_.add_traffic(category, f.bytes * static_cast<std::size_t>(copies),
-                         /*remote=*/true);
-  }
-  // Telemetry mirror of the two charges above, byte-for-byte: the local
-  // part on the writer's diagonal cell (one message, like the registry's
-  // one transfer), and the replication copies attributed to the FIRST
-  // block's tail replicas — a placement approximation (later blocks may
-  // place elsewhere) that preserves the per-category byte/remote/message
-  // conservation sums exactly. The registry counts the whole copies-sized
-  // charge as ONE transfer, so only the first remote cell gets a message.
-  if (telemetry_ != nullptr && TelemetryRecorder::enabled()) {
-    telemetry_->add_dfs(writer_worker, writer_worker, category,
-                        static_cast<int64_t>(f.bytes), /*count_msg=*/true);
-    const std::vector<int>& reps = f.blocks.front().replicas;
-    for (int n = 1; n <= copies && n < static_cast<int>(reps.size()); ++n) {
-      telemetry_->add_dfs(writer_worker, reps[static_cast<std::size_t>(n)],
-                          category, static_cast<int64_t>(f.bytes),
-                          /*count_msg=*/n == 1);
-    }
+  // The local copy stays on the writer's diagonal cell. The replication
+  // copies leave the writer for the FIRST block's other replicas — a
+  // placement approximation (later blocks may place elsewhere) — and count
+  // as one transfer between them.
+  metrics_.add_traffic(writer_worker, writer_worker, category, f.bytes);
+  const std::vector<int>& reps = f.blocks.front().replicas;
+  for (std::size_t n = 1; n < reps.size(); ++n) {
+    metrics_.add_traffic(writer_worker, reps[n], category, f.bytes,
+                         /*count_msg=*/n == 1);
   }
 
   files_[path] = std::move(f);
@@ -134,13 +114,10 @@ void MiniDfs::charge_read_block(const Block& b, std::size_t bytes, int reader,
     vt->advance(d);
     metrics_.add_time(TimeCategory::kDfsIo, d);
   }
-  metrics_.add_traffic(category, bytes, /*remote=*/!local);
-  // Telemetry mirror: a local read stays on the reader's diagonal; a remote
-  // read is attributed to the block's primary replica as the source.
-  if (telemetry_ != nullptr && TelemetryRecorder::enabled()) {
-    telemetry_->add_dfs(local ? reader : b.replicas.front(), reader, category,
-                        static_cast<int64_t>(bytes), /*count_msg=*/true);
-  }
+  // A local read stays on the reader's diagonal; a remote one comes from
+  // the block's primary replica.
+  metrics_.add_traffic(local ? reader : b.replicas.front(), reader, category,
+                       bytes);
 }
 
 KVVec MiniDfs::read_all(const std::string& path, int reader_worker, VClock* vt,
@@ -171,27 +148,6 @@ KVVec MiniDfs::read_split(const InputSplit& split, int reader_worker,
   }
   return KVVec(f.records.begin() + static_cast<std::ptrdiff_t>(split.begin),
                f.records.begin() + static_cast<std::ptrdiff_t>(split.end));
-}
-
-KVVec MiniDfs::read_partition(const std::string& path, uint32_t index,
-                              uint32_t num_partitions, int reader_worker,
-                              VClock* vt, TrafficCategory category) const {
-  TraceSpan read_span("dfs_read", vt);
-  std::lock_guard<std::mutex> lock(mu_);
-  const File& f = get_file_locked(path);
-  KVVec out;
-  for (const Block& b : f.blocks) {
-    std::size_t bytes = 0;
-    for (std::size_t i = b.begin; i < b.end; ++i) {
-      const KV& kv = f.records[i];
-      if (partition_of(kv.key, num_partitions) == index) {
-        bytes += kv.wire_size();
-        out.push_back(kv);
-      }
-    }
-    if (bytes > 0) charge_read_block(b, bytes, reader_worker, vt, category);
-  }
-  return out;
 }
 
 KVVec MiniDfs::read_partition(const std::string& path, uint32_t index,

@@ -4,7 +4,10 @@
 // placement across workers. Reads and writes charge virtual time against the
 // caller's clock: a block read is charged at the local rate when the reading
 // worker holds a replica and the remote rate otherwise; a write is charged at
-// the (replication-pipeline) write rate, and the replication copies count as
+// the (replication-pipeline) write rate. Each write and each block read
+// charges the registry's traffic matrix once: a local read or the writer's
+// own copy on the diagonal, a remote read from the block's primary replica,
+// and the replication copies from the writer to the other replicas, as
 // remote traffic.
 //
 // The MapReduce engine uses block-aligned input splits with preferred
@@ -28,8 +31,6 @@
 
 namespace imr {
 
-class TelemetryLedger;
-
 // A contiguous range of records of one file, plus the workers that hold all
 // of its blocks locally (empty when no single worker holds all of them).
 struct InputSplit {
@@ -42,10 +43,9 @@ struct InputSplit {
 
 class MiniDfs {
  public:
-  // `telemetry` (optional) mirrors every traffic charge into the cluster's
-  // telemetry matrix while the TelemetryRecorder gate is armed.
+  // `metrics`' traffic matrix should be sized by `num_workers`.
   MiniDfs(int num_workers, const CostModel& cost, MetricsRegistry& metrics,
-          uint64_t seed = 17, TelemetryLedger* telemetry = nullptr);
+          uint64_t seed = 17);
 
   MiniDfs(const MiniDfs&) = delete;
   MiniDfs& operator=(const MiniDfs&) = delete;
@@ -65,23 +65,17 @@ class MiniDfs {
   KVVec read_split(const InputSplit& split, int reader_worker, VClock* vt,
                    TrafficCategory category = TrafficCategory::kDfsRead) const;
 
-  // Reads the records whose key hashes to partition `index` of
-  // `num_partitions` (the hash-partitioned share a persistent task owns).
-  // Charges only the selected records' bytes, locality per block — modeling
-  // a graph pre-partitioned on DFS (§3.2: "iMapReduce supports automatic
-  // graph partitioning and graph loading").
-  KVVec read_partition(const std::string& path, uint32_t index,
-                       uint32_t num_partitions, int reader_worker, VClock* vt,
-                       TrafficCategory category = TrafficCategory::kDfsRead) const;
-
   // Key -> partition function for partitioner-aware loads. Kept as a
   // std::function so the dfs layer does not depend on the graph library.
   using PartitionFn = std::function<uint32_t(BytesView)>;
 
-  // Same as read_partition, but membership comes from `part` (the job's
-  // configured partitioner) instead of the flat hash — static/state loading
-  // must agree with the shuffle's routing or a key would live on one task
-  // and be updated on another (DESIGN.md §9).
+  // Reads the records whose key `part` maps to partition `index` (the share
+  // a persistent task owns). Charges only the selected records' bytes,
+  // locality per block — modeling a graph pre-partitioned on DFS (§3.2:
+  // "iMapReduce supports automatic graph partitioning and graph loading").
+  // `part` is the job's configured partitioner: static/state loading must
+  // agree with the shuffle's routing or a key would live on one task and be
+  // updated on another (DESIGN.md §9).
   KVVec read_partition(const std::string& path, uint32_t index,
                        const PartitionFn& part, int reader_worker, VClock* vt,
                        TrafficCategory category = TrafficCategory::kDfsRead) const;
@@ -122,7 +116,6 @@ class MiniDfs {
   int num_workers_;
   const CostModel& cost_;
   MetricsRegistry& metrics_;
-  TelemetryLedger* telemetry_;  // may be null; gated per charge
   mutable std::mutex mu_;
   std::map<std::string, File> files_;
   // Placement draws come from a per-file Rng seeded by (seed_, path), not a

@@ -384,6 +384,15 @@ class JobRun {
     if (!records.empty()) msg.set_records(std::move(records));
     return msg;
   }
+  // A control message from the master about `iteration`, stamped with the
+  // current generation.
+  CtlMsg master_ctl(CtlType type, int iteration) const {
+    CtlMsg ctl;
+    ctl.type = type;
+    ctl.iteration = iteration;
+    ctl.generation = generation_;
+    return ctl;
+  }
   void master_send(Endpoint& to, const CtlMsg& ctl, KVVec records = {}) {
     cluster_.fabric().send(/*sender_worker=*/-1, mvt_, to,
                            control_message(ctl, -1, std::move(records)),
@@ -725,7 +734,7 @@ class JobRun::MapTask : public PairTask {
       if (!process()) return;
       if (profiled_) {
         run_.cluster_.telemetry().record_map_iter(
-            i_, gen_, k_, ctx_.vt().now_ns() - iter_start_vt_ns);
+            gen_, k_, ctx_.vt().now_ns() - iter_start_vt_ns);
       }
       IMR_DEBUG << "finished iter " << k_ << " gen " << gen_;
       ++k_;
@@ -1515,10 +1524,7 @@ void JobRun::decide(int k) {
   if (v == Verdict::kContinue) {
     // Open iteration k+1: the phase-0 reduces' gate and, in sync mode, the
     // phase-0 maps'.
-    CtlMsg cont;
-    cont.type = CtlType::kContinue;
-    cont.iteration = k;
-    cont.generation = generation_;
+    const CtlMsg cont = master_ctl(CtlType::kContinue, k);
     master_send_phase0(Role::kReduce, cont);
     if (!conf_.async_maps && !maps_all(0)) master_send_phase0(Role::kMap, cont);
     maybe_migrate(it);  // last: a migration's rollback drops `it`
@@ -1535,10 +1541,7 @@ void JobRun::decide(int k) {
   ckpt_acks_ = 0;
   TraceRecorder::instance().instant("session_quiesce", mvt_.now_ns(), k,
                                     generation_);
-  CtlMsg cc;
-  cc.type = CtlType::kConvergedCkpt;
-  cc.iteration = k;
-  cc.generation = generation_;
+  CtlMsg cc = master_ctl(CtlType::kConvergedCkpt, k);
   cc.session = session_id_;
   master_send_phase0(Role::kReduce, cc);
 }
@@ -1663,10 +1666,7 @@ void JobRun::terminate() {
   terminating_ = true;
   TraceRecorder::instance().instant("terminate", mvt_.now_ns(), decided_,
                                     generation_);
-  CtlMsg t;
-  t.type = CtlType::kTerminate;
-  t.iteration = decided_;
-  t.generation = generation_;
+  const CtlMsg t = master_ctl(CtlType::kTerminate, decided_);
   for (auto& ep : all_endpoints()) master_send(*ep, t);
   cluster_.metrics().inc("imr_terminate_broadcasts");
 }
@@ -1679,9 +1679,7 @@ void JobRun::respawn_and_rollback(const std::vector<int>& pairs,
   // off a worker the master no longer trusts, onto a recovery target. A
   // moving task's old incarnation gets a Kill in its old mailbox, which a
   // fresh one then replaces.
-  CtlMsg kill;
-  kill.type = CtlType::kKill;
-  kill.generation = generation_;
+  const CtlMsg kill = master_ctl(CtlType::kKill, 0);
   std::vector<Slot> moved;
   std::vector<Slot> stay;
   for_each_slot([&](const Slot& s) {
@@ -1708,10 +1706,7 @@ void JobRun::respawn_and_rollback(const std::vector<int>& pairs,
   }
   // Roll every other task back to the checkpoint (§3.4.2 step 3), aux tasks
   // included.
-  CtlMsg rb;
-  rb.type = CtlType::kRollback;
-  rb.iteration = ckpt;
-  rb.generation = generation_;
+  const CtlMsg rb = master_ctl(CtlType::kRollback, ckpt);
   for (const Slot& s : stay) master_send(*mailbox(s), rb);
   pending_.clear();
   decided_ = ckpt;
@@ -1876,7 +1871,7 @@ RunReport JobRun::finish() {
     for (const IterationStat& st : report_.iterations) {
       rt.iters.push_back(led.iter_view(st));
     }
-    rt.matrix = led.snapshot_matrix();
+    rt.matrix = cluster_.metrics().traffic_matrix();
     led.collect_profiles(&rt.hot_keys, &rt.hot_key_samples,
                          &rt.partition_records, &rt.skew);
     rt.static_bytes_per_task = led.static_bytes_per_task();
@@ -1974,10 +1969,7 @@ RunReport JobRun::apply_update(const StaticDelta& delta) {
   // epoch, which then runs until it quiesces again.
   quiesced_ = false;
   delta_open_ = true;
-  CtlMsg d;
-  d.type = CtlType::kDelta;
-  d.iteration = decided_;
-  d.generation = generation_;
+  CtlMsg d = master_ctl(CtlType::kDelta, decided_);
   d.session = new_session;
   for (int idx = 0; idx < T_; ++idx) {
     master_send(*mailbox({Role::kMap, 0, idx}), d,
@@ -2039,10 +2031,7 @@ void JobRun::open_epoch() {
            << " resuming at iter " << base + 1
            << (reset_all ? " (full replay)" : " (incremental)");
 
-  CtlMsg rs;
-  rs.type = CtlType::kResume;
-  rs.iteration = base;
-  rs.generation = generation_;
+  CtlMsg rs = master_ctl(CtlType::kResume, base);
   rs.session = new_session;
   for (int idx = 0; idx < T_; ++idx) {
     master_send(*mailbox({Role::kReduce, 0, idx}), rs);

@@ -12,11 +12,18 @@ std::vector<std::string> InvariantChecker::check(
   std::vector<std::string> violations;
   auto fail = [&](std::string what) { violations.push_back(std::move(what)); };
 
+  // Rules 1, 3 and 10 read one snapshot of the registry's traffic matrix.
+  const TrafficMatrixSnapshot traffic = metrics_.traffic_matrix();
+
   // 1. Traffic conservation.
+  int64_t total_bytes = 0;
+  int64_t total_remote = 0;
   for (int cat = 0; cat < kNumTrafficCategories; ++cat) {
     auto c = static_cast<TrafficCategory>(cat);
-    int64_t bytes = metrics_.traffic_bytes(c);
-    int64_t remote = metrics_.traffic_remote_bytes(c);
+    int64_t bytes = traffic.category_bytes(c);
+    int64_t remote = traffic.category_remote_bytes(c);
+    total_bytes += bytes;
+    total_remote += remote;
     if (bytes < 0 || remote < 0 || remote > bytes) {
       fail(strprintf("traffic[%s]: remote %lld outside [0, total %lld]",
                      traffic_category_name(c),
@@ -24,7 +31,7 @@ std::vector<std::string> InvariantChecker::check(
                      static_cast<long long>(bytes)));
     }
   }
-  if (metrics_.total_remote_bytes() > metrics_.total_bytes()) {
+  if (total_remote > total_bytes) {
     fail("total remote bytes exceed total bytes");
   }
 
@@ -51,7 +58,7 @@ std::vector<std::string> InvariantChecker::check(
   // 3. Co-location of the one2one reduce->map state channel.
   if (expect.colocated_state_channel) {
     int64_t remote =
-        metrics_.traffic_remote_bytes(TrafficCategory::kReduceToMap);
+        traffic.category_remote_bytes(TrafficCategory::kReduceToMap);
     if (remote != 0) {
       fail(strprintf("reduce->map channel moved %lld remote bytes; one2one "
                      "pairs must stay co-located through recovery",
@@ -210,33 +217,37 @@ std::vector<std::string> InvariantChecker::check(
     }
   }
 
-  // 10. Telemetry conservation: the traffic matrix mirrors every registry
-  // charge, so per category its cell sums must reproduce the Fig-11 totals
-  // exactly — bytes, off-diagonal (remote) bytes, and message counts.
+  // 10. Quiet snapshot: the caller's matrix snapshot is the registry's own
+  // record taken earlier, so per category its sums must equal the check's
+  // snapshot exactly — bytes, off-diagonal (remote) bytes, and transfers.
+  // A difference means traffic was charged between the two reads.
   if (has_matrix_) {
     for (int cat = 0; cat < kNumTrafficCategories; ++cat) {
       auto c = static_cast<TrafficCategory>(cat);
-      int64_t m_bytes = matrix_.category_bytes(c);
-      int64_t m_remote = matrix_.category_remote_bytes(c);
-      int64_t m_msgs = matrix_.category_msgs(c);
-      if (m_bytes != metrics_.traffic_bytes(c)) {
-        fail(strprintf("telemetry matrix[%s]: %lld bytes != registry %lld",
+      const int64_t m_bytes = matrix_.category_bytes(c);
+      const int64_t m_remote = matrix_.category_remote_bytes(c);
+      const int64_t m_msgs = matrix_.category_msgs(c);
+      const int64_t bytes = traffic.category_bytes(c);
+      const int64_t remote = traffic.category_remote_bytes(c);
+      const int64_t msgs = traffic.category_msgs(c);
+      if (m_bytes != bytes) {
+        fail(strprintf("traffic snapshot[%s]: %lld bytes != registry %lld",
                        traffic_category_name(c),
                        static_cast<long long>(m_bytes),
-                       static_cast<long long>(metrics_.traffic_bytes(c))));
+                       static_cast<long long>(bytes)));
       }
-      if (m_remote != metrics_.traffic_remote_bytes(c)) {
+      if (m_remote != remote) {
         fail(strprintf(
-            "telemetry matrix[%s]: %lld remote bytes != registry %lld",
+            "traffic snapshot[%s]: %lld remote bytes != registry %lld",
             traffic_category_name(c), static_cast<long long>(m_remote),
-            static_cast<long long>(metrics_.traffic_remote_bytes(c))));
+            static_cast<long long>(remote)));
       }
-      if (m_msgs != metrics_.traffic_transfers(c)) {
-        fail(strprintf("telemetry matrix[%s]: %lld messages != registry "
+      if (m_msgs != msgs) {
+        fail(strprintf("traffic snapshot[%s]: %lld messages != registry "
                        "%lld transfers",
                        traffic_category_name(c),
                        static_cast<long long>(m_msgs),
-                       static_cast<long long>(metrics_.traffic_transfers(c))));
+                       static_cast<long long>(msgs)));
       }
     }
   }

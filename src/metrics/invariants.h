@@ -45,11 +45,11 @@
 //   9. delta conservation    — every static-delta op the session master
 //      routed was applied by exactly one map task (job sessions mutate the
 //      static stores exactly once per op, no loss, no double-apply);
-//  10. telemetry conservation — when a traffic-matrix snapshot is attached,
-//      its per-category cell sums equal the registry's Fig-11 totals
-//      exactly: bytes, off-diagonal (remote) bytes, and message counts all
-//      balance, so the placement-advice matrix never invents or loses a
-//      byte relative to the audited counters;
+//  10. quiet snapshot         — when a traffic-matrix snapshot is attached
+//      (it is the registry's own record, read earlier by the caller), its
+//      per-category sums equal the registry's at the check: bytes,
+//      off-diagonal (remote) bytes and transfers. It checks that nothing
+//      charged traffic between the caller's snapshot and the check;
 //  11. spill conservation   — every byte (and every run) spilled to MiniDfs
 //      by the out-of-core record path is either merged back or explicitly
 //      dropped: written == read + dropped, for bytes and for run counts.
@@ -62,7 +62,6 @@
 #include <vector>
 
 #include "metrics/metrics.h"
-#include "metrics/telemetry.h"
 
 namespace imr {
 
@@ -115,8 +114,8 @@ class InvariantChecker {
     report_ = &report;
     return *this;
   }
-  // Attach a telemetry traffic-matrix snapshot (stored by value — snapshots
-  // are plain data) and arm invariant 10 against the same registry.
+  // Attach an earlier snapshot of the registry's traffic matrix (stored by
+  // value — snapshots are plain data) and arm invariant 10.
   InvariantChecker& with_traffic_matrix(TrafficMatrixSnapshot matrix) {
     matrix_ = std::move(matrix);
     has_matrix_ = true;

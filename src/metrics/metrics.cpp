@@ -1,8 +1,7 @@
 #include "metrics/metrics.h"
 
-#include <functional>
+#include <algorithm>
 #include <sstream>
-#include <thread>
 
 #include "common/strings.h"
 
@@ -112,29 +111,91 @@ void Histogram::reset() {
   sum_.store(0, std::memory_order_relaxed);
 }
 
-int64_t MetricsRegistry::total_remote_bytes() const {
+std::size_t thread_stripe(std::size_t n) {
+  // Threads are numbered in the order they first ask, not by a hash of
+  // their ids: glibc recycles thread stacks, so the threads alive at once
+  // often hash onto a few stripes (8 concurrent threads, 4 of 8 stripes).
+  static std::atomic<std::size_t> next{0};
+  static const thread_local std::size_t number =
+      next.fetch_add(1, std::memory_order_relaxed);
+  return number % n;
+}
+
+int64_t TrafficMatrixSnapshot::category_bytes(TrafficCategory c) const {
   int64_t total = 0;
-  for (const auto& t : traffic_) total += t.remote_bytes.load();
+  for (int f = -1; f < workers_; ++f) {
+    for (int t = -1; t < workers_; ++t) total += cell(f, t, c).bytes;
+  }
+  return total;
+}
+
+int64_t TrafficMatrixSnapshot::category_remote_bytes(TrafficCategory c) const {
+  int64_t total = 0;
+  for (int f = -1; f < workers_; ++f) {
+    for (int t = -1; t < workers_; ++t) {
+      if (f != t) total += cell(f, t, c).bytes;
+    }
+  }
+  return total;
+}
+
+int64_t TrafficMatrixSnapshot::category_msgs(TrafficCategory c) const {
+  int64_t total = 0;
+  for (int f = -1; f < workers_; ++f) {
+    for (int t = -1; t < workers_; ++t) total += cell(f, t, c).msgs;
+  }
+  return total;
+}
+
+MetricsRegistry::MetricsRegistry(int num_workers)
+    : workers_(std::max(0, num_workers)),
+      // Four 16-byte counters to a 64-byte line.
+      stripe_cells_((TrafficMatrixSnapshot::cell_count(workers_) + 3) / 4 * 4),
+      traffic_(stripe_cells_ * kTrafficStripes) {}
+
+void MetricsRegistry::add_traffic(int from_worker, int to_worker,
+                                  TrafficCategory c, std::size_t bytes,
+                                  bool count_msg) {
+  TrafficCounter& t =
+      traffic_[thread_stripe(kTrafficStripes) * stripe_cells_ +
+               TrafficMatrixSnapshot::index(workers_, from_worker, to_worker,
+                                            c)];
+  t.bytes.fetch_add(static_cast<int64_t>(bytes), std::memory_order_relaxed);
+  if (count_msg) t.msgs.fetch_add(1, std::memory_order_relaxed);
+}
+
+TrafficMatrixSnapshot MetricsRegistry::traffic_matrix() const {
+  TrafficMatrixSnapshot snap(workers_);
+  for (std::size_t s = 0; s < kTrafficStripes; ++s) {
+    for (std::size_t i = 0; i < snap.cells_.size(); ++i) {
+      const TrafficCounter& t = traffic_[s * stripe_cells_ + i];
+      snap.cells_[i].bytes += t.bytes.load(std::memory_order_relaxed);
+      snap.cells_[i].msgs += t.msgs.load(std::memory_order_relaxed);
+    }
+  }
+  return snap;
+}
+
+int64_t MetricsRegistry::total_remote_bytes() const {
+  const TrafficMatrixSnapshot m = traffic_matrix();
+  int64_t total = 0;
+  for (int c = 0; c < kNumTrafficCategories; ++c) {
+    total += m.category_remote_bytes(static_cast<TrafficCategory>(c));
+  }
   return total;
 }
 
 int64_t MetricsRegistry::total_bytes() const {
+  const TrafficMatrixSnapshot m = traffic_matrix();
   int64_t total = 0;
-  for (const auto& t : traffic_) total += t.bytes.load();
+  for (int c = 0; c < kNumTrafficCategories; ++c) {
+    total += m.category_bytes(static_cast<TrafficCategory>(c));
+  }
   return total;
 }
 
-MetricsRegistry::NamedShard& MetricsRegistry::shard_for_this_thread() const {
-  // The shard index is computed once per thread; every registry indexes its
-  // own shard array with it, so distinct registries stay independent.
-  static const thread_local std::size_t idx =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-      static_cast<std::size_t>(kNamedShards);
-  return named_shards_[idx];
-}
-
 void MetricsRegistry::inc(const std::string& name, int64_t by) {
-  NamedShard& shard = shard_for_this_thread();
+  NamedShard& shard = named_shards_[thread_stripe(kNamedShards)];
   std::lock_guard<std::mutex> lock(shard.mu);
   shard.counts[name] += by;
 }
@@ -192,13 +253,15 @@ std::map<std::string, const Histogram*> MetricsRegistry::histograms() const {
 std::string MetricsRegistry::report() const {
   std::ostringstream os;
   os << "traffic (bytes total / remote / transfers):\n";
+  const TrafficMatrixSnapshot m = traffic_matrix();
   for (int i = 0; i < kNumTrafficCategories; ++i) {
-    const auto& t = traffic_[i];
-    if (t.transfers.load() == 0) continue;
-    os << "  " << traffic_category_name(static_cast<TrafficCategory>(i))
-       << ": " << human_bytes(static_cast<std::size_t>(t.bytes.load()))
-       << " / " << human_bytes(static_cast<std::size_t>(t.remote_bytes.load()))
-       << " / " << t.transfers.load() << "\n";
+    const auto c = static_cast<TrafficCategory>(i);
+    const int64_t transfers = m.category_msgs(c);
+    if (transfers == 0) continue;
+    os << "  " << traffic_category_name(c) << ": "
+       << human_bytes(static_cast<std::size_t>(m.category_bytes(c))) << " / "
+       << human_bytes(static_cast<std::size_t>(m.category_remote_bytes(c)))
+       << " / " << transfers << "\n";
   }
   os << "time (simulated/measured ms):\n";
   for (int i = 0; i < kNumTimeCategories; ++i) {
@@ -243,10 +306,9 @@ std::string MetricsRegistry::report() const {
 }
 
 void MetricsRegistry::reset() {
-  for (auto& t : traffic_) {
+  for (TrafficCounter& t : traffic_) {
     t.bytes.store(0);
-    t.remote_bytes.store(0);
-    t.transfers.store(0);
+    t.msgs.store(0);
   }
   for (auto& t : times_) t.store(0);
   for (NamedShard& shard : named_shards_) {
@@ -270,10 +332,11 @@ int64_t RunReport::total_comm_bytes() const {
 }
 
 void RunReport::capture(const MetricsRegistry& m) {
+  const TrafficMatrixSnapshot matrix = m.traffic_matrix();
   for (int c = 0; c < kNumTrafficCategories; ++c) {
     const auto cat = static_cast<TrafficCategory>(c);
-    bytes[cat] = m.traffic_bytes(cat);
-    remote_bytes[cat] = m.traffic_remote_bytes(cat);
+    bytes[cat] = matrix.category_bytes(cat);
+    remote_bytes[cat] = matrix.category_remote_bytes(cat);
   }
   for (int c = 0; c < kNumTimeCategories; ++c) {
     time[static_cast<TimeCategory>(c)] = m.time(static_cast<TimeCategory>(c));

@@ -1,12 +1,15 @@
 // Metrics: counters and simulated-time accounting for one engine run.
 //
 // Every experiment creates a fresh MetricsRegistry; the cluster, DFS, network
-// fabric, and engines write into it. Two kinds of entries:
+// fabric, and engines write into it. Three kinds of entries:
+//   - traffic:   the worker x worker x TrafficCategory matrix of bytes and
+//                transfers, charged once per fabric send and per DFS block
 //   - counters:  monotonically increasing int64 values (bytes, records, events)
 //   - sim times: accumulated simulated nanoseconds by category
 //
-// Traffic is recorded per TrafficCategory so that the paper's decomposition
-// figures (Fig. 10, Fig. 11) can be computed exactly from a run.
+// The matrix is the one record of traffic: the per-category totals behind
+// the paper's decomposition figures (Fig. 10, Fig. 11) are sums over one
+// snapshot of it, and remote bytes are its off-diagonal cells.
 #pragma once
 
 #include <array>
@@ -97,30 +100,89 @@ class Histogram {
   std::atomic<int64_t> sum_{0};
 };
 
+// The calling thread's stripe among `n`, fixed for the thread's life.
+// Striped stores (the registry's traffic matrix and named counters,
+// telemetry's iteration buckets) index their shards with it, so a thread
+// always writes the same shard and threads started together spread evenly
+// over the shards.
+std::size_t thread_stripe(std::size_t n);
+
+struct TrafficCell {
+  int64_t bytes = 0;
+  int64_t msgs = 0;
+};
+
+// Plain (non-atomic) view of the traffic matrix. Slot 0 is the master/driver
+// (worker -1, and any id outside [0, workers)); worker w maps to slot w + 1.
+class TrafficMatrixSnapshot {
+ public:
+  TrafficMatrixSnapshot() = default;
+  explicit TrafficMatrixSnapshot(int num_workers)
+      : workers_(num_workers), cells_(cell_count(num_workers)) {}
+
+  int workers() const { return workers_; }
+
+  // `from` / `to` are worker ids; -1 addresses the master/driver slot.
+  const TrafficCell& cell(int from, int to, TrafficCategory c) const {
+    return cells_[index(workers_, from, to, c)];
+  }
+  TrafficCell& cell(int from, int to, TrafficCategory c) {
+    return cells_[index(workers_, from, to, c)];
+  }
+
+  // Per-category sums: every cell, the off-diagonal (remote) cells, and the
+  // transfers.
+  int64_t category_bytes(TrafficCategory c) const;
+  int64_t category_remote_bytes(TrafficCategory c) const;
+  int64_t category_msgs(TrafficCategory c) const;
+
+  // The flat layout, shared with the registry's striped counters.
+  static std::size_t cell_count(int workers) {
+    const auto slots = static_cast<std::size_t>(workers + 1);
+    return slots * slots * kNumTrafficCategories;
+  }
+  static std::size_t index(int workers, int from, int to, TrafficCategory c) {
+    auto slot = [workers](int w) {
+      return static_cast<std::size_t>(w < 0 || w >= workers ? 0 : w + 1);
+    };
+    return (slot(from) * static_cast<std::size_t>(workers + 1) + slot(to)) *
+               kNumTrafficCategories +
+           static_cast<std::size_t>(c);
+  }
+
+ private:
+  friend class MetricsRegistry;
+  int workers_ = 0;
+  std::vector<TrafficCell> cells_;
+};
+
 class MetricsRegistry {
  public:
-  MetricsRegistry() = default;
+  // `num_workers` sizes the traffic matrix (a cluster passes its worker
+  // count); the default registry has only the master slot, so it keeps
+  // totals but no remote bytes.
+  explicit MetricsRegistry(int num_workers = 0);
   MetricsRegistry(const MetricsRegistry&) = delete;
   MetricsRegistry& operator=(const MetricsRegistry&) = delete;
 
   // --- traffic ---
-  void add_traffic(TrafficCategory c, std::size_t bytes, bool remote) {
-    auto& t = traffic_[static_cast<int>(c)];
-    t.bytes.fetch_add(static_cast<int64_t>(bytes), std::memory_order_relaxed);
-    t.transfers.fetch_add(1, std::memory_order_relaxed);
-    if (remote) {
-      t.remote_bytes.fetch_add(static_cast<int64_t>(bytes),
-                               std::memory_order_relaxed);
-    }
-  }
+  // The one way to charge a byte: `bytes` of category `c` moved from worker
+  // `from_worker` to worker `to_worker` (-1 = the master/driver), counted as
+  // one transfer unless `count_msg` is false. Two relaxed atomic adds on
+  // the calling thread's stripe of the matrix — no mutex, no allocation.
+  void add_traffic(int from_worker, int to_worker, TrafficCategory c,
+                   std::size_t bytes, bool count_msg = true);
+  // Merges the stripes. Every reader below is a sum over one snapshot; they
+  // are the cold path, taken at window boundaries and by the checker.
+  TrafficMatrixSnapshot traffic_matrix() const;
   int64_t traffic_bytes(TrafficCategory c) const {
-    return traffic_[static_cast<int>(c)].bytes.load();
+    return traffic_matrix().category_bytes(c);
   }
   int64_t traffic_remote_bytes(TrafficCategory c) const {
-    return traffic_[static_cast<int>(c)].remote_bytes.load();
+    return traffic_matrix().category_remote_bytes(c);
   }
   int64_t traffic_transfers(TrafficCategory c) const {
-    return traffic_[static_cast<int>(c)].transfers.load();
+    return traffic_matrix().category_msgs(c);
   }
   // All bytes that crossed between two distinct workers (the paper's
   // "communication cost").
@@ -137,8 +199,8 @@ class MetricsRegistry {
   }
 
   // --- named counters (records emitted, iterations run, tasks launched...) ---
-  // Writes are striped: each thread increments its own shard (picked by
-  // thread id), so concurrent tasks never contend on one counter mutex.
+  // Writes are striped: each thread increments its own shard
+  // (thread_stripe), so concurrent tasks never contend on one counter mutex.
   // Reads (count / named_counters / report) merge the shards — they are the
   // cold path, taken once per run by benches and the invariant checker.
   void inc(const std::string& name, int64_t by = 1);
@@ -167,22 +229,25 @@ class MetricsRegistry {
   void reset();
 
  private:
-  struct Traffic {
+  struct TrafficCounter {
     std::atomic<int64_t> bytes{0};
-    std::atomic<int64_t> remote_bytes{0};
-    std::atomic<int64_t> transfers{0};
+    std::atomic<int64_t> msgs{0};
   };
-  Traffic traffic_[kNumTrafficCategories];
+  // kTrafficStripes copies of the matrix, back to back, each laid out as
+  // TrafficMatrixSnapshot's cells and padded to whole cache lines.
+  static constexpr std::size_t kTrafficStripes = 8;
+  const int workers_;
+  const std::size_t stripe_cells_;
+  std::vector<TrafficCounter> traffic_;
   std::atomic<int64_t> times_[kNumTimeCategories] = {};
 
   // One shard per stripe of threads; a thread always hits the same shard,
   // so each shard's map sees a consistent, uncontended stream of updates.
-  static constexpr int kNamedShards = 16;
+  static constexpr std::size_t kNamedShards = 16;
   struct NamedShard {
     mutable std::mutex mu;
     std::map<std::string, int64_t> counts;
   };
-  NamedShard& shard_for_this_thread() const;
   mutable NamedShard named_shards_[kNamedShards];
 
   mutable std::mutex gauge_mu_;

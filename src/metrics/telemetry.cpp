@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <fstream>
-#include <functional>
 #include <ostream>
-#include <thread>
 
 #include "common/strings.h"
 
@@ -105,94 +103,18 @@ std::vector<HotKey> SpaceSaving::top() const {
 }
 
 // ---------------------------------------------------------------------------
-// TrafficMatrixSnapshot
-// ---------------------------------------------------------------------------
-
-int64_t TrafficMatrixSnapshot::category_bytes(TrafficCategory c) const {
-  int64_t total = 0;
-  for (int f = -1; f < workers_; ++f) {
-    for (int t = -1; t < workers_; ++t) total += cell(f, t, c).bytes;
-  }
-  return total;
-}
-
-int64_t TrafficMatrixSnapshot::category_remote_bytes(TrafficCategory c) const {
-  int64_t total = 0;
-  for (int f = -1; f < workers_; ++f) {
-    for (int t = -1; t < workers_; ++t) {
-      if (f != t) total += cell(f, t, c).bytes;
-    }
-  }
-  return total;
-}
-
-int64_t TrafficMatrixSnapshot::category_msgs(TrafficCategory c) const {
-  int64_t total = 0;
-  for (int f = -1; f < workers_; ++f) {
-    for (int t = -1; t < workers_; ++t) total += cell(f, t, c).msgs;
-  }
-  return total;
-}
-
-// ---------------------------------------------------------------------------
 // TelemetryLedger
 // ---------------------------------------------------------------------------
 
-TelemetryLedger::TelemetryLedger(int num_workers)
-    : workers_(num_workers), slots_(num_workers + 1) {
-  const std::size_t cells = static_cast<std::size_t>(slots_) *
-                            static_cast<std::size_t>(slots_) *
-                            kNumTrafficCategories * 2;
-  for (MatrixStripe& s : matrix_stripes_) {
-    s.counters = std::vector<std::atomic<int64_t>>(cells);
-  }
-}
-
-std::size_t TelemetryLedger::stripe_for_this_thread() const {
-  static const thread_local std::size_t idx =
-      std::hash<std::thread::id>{}(std::this_thread::get_id()) %
-      static_cast<std::size_t>(kStripes);
-  return idx;
-}
-
-std::size_t TelemetryLedger::matrix_index(int from, int to,
-                                          TrafficCategory c) const {
-  auto slot = [this](int w) {
-    return (w < 0 || w >= workers_) ? 0 : w + 1;
-  };
-  return ((static_cast<std::size_t>(slot(from)) *
-               static_cast<std::size_t>(slots_) +
-           static_cast<std::size_t>(slot(to))) *
-              kNumTrafficCategories +
-          static_cast<std::size_t>(c)) *
-         2;
-}
-
-void TelemetryLedger::add_send(int from_worker, int to_worker,
-                               TrafficCategory c, int64_t bytes,
+void TelemetryLedger::add_send(TrafficCategory c, int64_t bytes,
                                int generation, int iteration,
                                uint32_t endpoint_uid) {
-  MatrixStripe& stripe = matrix_stripes_[stripe_for_this_thread()];
-  const std::size_t idx = matrix_index(from_worker, to_worker, c);
-  stripe.counters[idx].fetch_add(bytes, std::memory_order_relaxed);
-  stripe.counters[idx + 1].fetch_add(1, std::memory_order_relaxed);
-
-  const uint64_t key = bucket_key(generation, iteration);
-  BucketShard& shard = shard_for_key(key);
+  BucketShard& shard = bucket_shards_[thread_stripe(kBucketShards)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  IterBucket& b = shard.buckets[key];
+  IterBucket& b = shard.buckets[bucket_key(generation, iteration)];
   b.bytes[static_cast<std::size_t>(c)] += bytes;
   b.msgs[static_cast<std::size_t>(c)] += 1;
   b.endpoint_msgs[endpoint_uid] += 1;
-}
-
-void TelemetryLedger::add_dfs(int from_worker, int to_worker,
-                              TrafficCategory c, int64_t bytes,
-                              bool count_msg) {
-  MatrixStripe& stripe = matrix_stripes_[stripe_for_this_thread()];
-  const std::size_t idx = matrix_index(from_worker, to_worker, c);
-  stripe.counters[idx].fetch_add(bytes, std::memory_order_relaxed);
-  if (count_msg) stripe.counters[idx + 1].fetch_add(1, std::memory_order_relaxed);
 }
 
 void TelemetryLedger::begin_run() {
@@ -205,12 +127,11 @@ void TelemetryLedger::begin_run() {
   static_bytes_.clear();
 }
 
-void TelemetryLedger::record_map_iter(int task, int generation, int iteration,
+void TelemetryLedger::record_map_iter(int generation, int iteration,
                                       int64_t duration_ns) {
-  const uint64_t key = bucket_key(generation, iteration);
-  BucketShard& shard = shard_for_key(key);
+  BucketShard& shard = bucket_shards_[thread_stripe(kBucketShards)];
   std::lock_guard<std::mutex> lock(shard.mu);
-  int64_t& dur = shard.buckets[key].map_dur_ns[task];
+  int64_t& dur = shard.buckets[bucket_key(generation, iteration)].max_map_ns;
   dur = std::max(dur, duration_ns);
 }
 
@@ -239,24 +160,6 @@ void TelemetryLedger::record_task_profile(int task, int generation,
   for (std::size_t n = 0; n < counts.size(); ++n) {
     p.partition_counts[n] += counts[n];
   }
-}
-
-TrafficMatrixSnapshot TelemetryLedger::snapshot_matrix() const {
-  TrafficMatrixSnapshot snap(workers_);
-  for (int f = -1; f < workers_; ++f) {
-    for (int t = -1; t < workers_; ++t) {
-      for (int c = 0; c < kNumTrafficCategories; ++c) {
-        auto cat = static_cast<TrafficCategory>(c);
-        const std::size_t idx = matrix_index(f, t, cat);
-        TrafficCell& cell = snap.cell(f, t, cat);
-        for (const MatrixStripe& s : matrix_stripes_) {
-          cell.bytes += s.counters[idx].load(std::memory_order_relaxed);
-          cell.msgs += s.counters[idx + 1].load(std::memory_order_relaxed);
-        }
-      }
-    }
-  }
-  return snap;
 }
 
 IterTelemetry TelemetryLedger::iter_view(const IterationStat& st) const {
@@ -288,19 +191,22 @@ IterTelemetry TelemetryLedger::iter_view(const IterationStat& st) const {
   }
 
   const uint64_t key = bucket_key(st.generation, st.iteration);
-  BucketShard& shard = shard_for_key(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.buckets.find(key);
-  if (it == shard.buckets.end()) return t;
-  const IterBucket& b = it->second;
-  t.bytes = b.bytes;
-  t.msgs = b.msgs;
-  for (const auto& [uid, n] : b.endpoint_msgs) {
-    t.queue_hwm = std::max(t.queue_hwm, n);
-  }
+  std::map<uint32_t, int64_t> endpoint_msgs;
   int64_t max_map = 0;
-  for (const auto& [task, dur] : b.map_dur_ns) {
-    max_map = std::max(max_map, dur);
+  for (BucketShard& shard : bucket_shards_) {
+    std::lock_guard<std::mutex> lock(shard.mu);
+    auto it = shard.buckets.find(key);
+    if (it == shard.buckets.end()) continue;
+    const IterBucket& b = it->second;
+    for (std::size_t c = 0; c < b.bytes.size(); ++c) {
+      t.bytes[c] += b.bytes[c];
+      t.msgs[c] += b.msgs[c];
+    }
+    for (const auto& [uid, n] : b.endpoint_msgs) endpoint_msgs[uid] += n;
+    max_map = std::max(max_map, b.max_map_ns);
+  }
+  for (const auto& [uid, n] : endpoint_msgs) {
+    t.queue_hwm = std::max(t.queue_hwm, n);
   }
   t.map_ms = static_cast<double>(max_map) / 1e6;
   return t;

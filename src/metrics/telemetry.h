@@ -4,14 +4,13 @@
 // Three pieces, same cost discipline as TraceRecorder (one relaxed-atomic
 // branch per probe when disabled):
 //
-//  * TelemetryLedger — per-cluster accumulator the Fabric, MiniDfs, and
-//    engine feed while a run executes. It holds the worker x worker x
-//    TrafficCategory traffic matrix (lock-free striped counters mirroring
-//    every MetricsRegistry::add_traffic charge byte-for-byte, so the matrix
-//    row/column sums are invariant-checkable against the Fig-11 category
-//    totals), per-(generation, iteration) byte/message buckets keyed by the
-//    NetMessage tags, per-map-task iteration durations, hot-key sketches,
-//    and static-store size estimates.
+//  * TelemetryLedger — per-cluster accumulator the Fabric and engine feed
+//    while a run executes: per-(generation, iteration) byte/message buckets
+//    keyed by the NetMessage tags and sharded by sending thread, map-task
+//    iteration durations, hot-key sketches, and static-store size
+//    estimates. The worker x worker x TrafficCategory matrix a run line
+//    exports is not the ledger's: it is the MetricsRegistry's own traffic
+//    record, kept whether or not telemetry is armed.
 //
 //  * TelemetryRecorder — process-global sink mirroring TraceRecorder:
 //    armed by IMR_TELEMETRY (or enable()), gated by one relaxed atomic
@@ -95,59 +94,6 @@ class SpaceSaving {
 };
 
 // ---------------------------------------------------------------------------
-// Traffic matrix
-// ---------------------------------------------------------------------------
-
-struct TrafficCell {
-  int64_t bytes = 0;
-  int64_t msgs = 0;
-};
-
-// Plain (non-atomic) merged view of the matrix. Slot 0 is the master/driver
-// (worker -1); worker w maps to slot w + 1.
-class TrafficMatrixSnapshot {
- public:
-  TrafficMatrixSnapshot() = default;
-  explicit TrafficMatrixSnapshot(int num_workers)
-      : workers_(num_workers),
-        cells_(static_cast<std::size_t>((num_workers + 1)) *
-               static_cast<std::size_t>(num_workers + 1) *
-               kNumTrafficCategories) {}
-
-  int workers() const { return workers_; }
-  int slots() const { return workers_ + 1; }
-
-  // `from` / `to` are worker ids; -1 addresses the master/driver slot.
-  const TrafficCell& cell(int from, int to, TrafficCategory c) const {
-    return cells_[index(from, to, c)];
-  }
-  TrafficCell& cell(int from, int to, TrafficCategory c) {
-    return cells_[index(from, to, c)];
-  }
-
-  // Conservation sums, comparable to the MetricsRegistry totals.
-  int64_t category_bytes(TrafficCategory c) const;
-  int64_t category_remote_bytes(TrafficCategory c) const;  // off-diagonal
-  int64_t category_msgs(TrafficCategory c) const;
-
-  std::size_t index(int from, int to, TrafficCategory c) const {
-    return (static_cast<std::size_t>(slot(from)) *
-                static_cast<std::size_t>(slots()) +
-            static_cast<std::size_t>(slot(to))) *
-               kNumTrafficCategories +
-           static_cast<std::size_t>(c);
-  }
-  int slot(int worker) const {
-    if (worker < 0 || worker >= workers_) return 0;
-    return worker + 1;
-  }
-
- private:
-  int workers_ = 0;
-  std::vector<TrafficCell> cells_;
-};
-
-// ---------------------------------------------------------------------------
 // Per-run records
 // ---------------------------------------------------------------------------
 
@@ -193,7 +139,7 @@ struct RunTelemetry {
   int64_t spill_bytes_dropped = 0;
   int64_t spill_runs = 0;          // runs written
   int64_t arena_hwm = 0;           // max per-task arena block bytes
-  TrafficMatrixSnapshot matrix;    // cumulative for the cluster
+  TrafficMatrixSnapshot matrix;    // the registry's, since its last reset
   std::vector<IterTelemetry> iters;
 };
 
@@ -203,28 +149,22 @@ struct RunTelemetry {
 
 class TelemetryLedger {
  public:
-  explicit TelemetryLedger(int num_workers);
+  explicit TelemetryLedger(const MetricsRegistry& metrics)
+      : metrics_(metrics) {}
 
-  // Fabric probe: mirrors the MetricsRegistry::add_traffic charge of one
-  // accounted send (zombie-suppressed sends never reach it). Buckets the
-  // bytes under the message's (generation, iteration) tag and counts the
-  // delivery against `endpoint_uid` for the queue high-water mark.
-  void add_send(int from_worker, int to_worker, TrafficCategory c,
-                int64_t bytes, int generation, int iteration,
-                uint32_t endpoint_uid);
-
-  // DFS probe: mirrors one MiniDfs add_traffic charge. `count_msg` matches
-  // the registry's one-transfer-per-add_traffic-call accounting.
-  void add_dfs(int from_worker, int to_worker, TrafficCategory c,
-               int64_t bytes, bool count_msg);
+  // Fabric probe: one accounted send (zombie-suppressed sends never reach
+  // it). Buckets the bytes under the message's (generation, iteration) tag
+  // and counts the delivery against `endpoint_uid` for the queue high-water
+  // mark.
+  void add_send(TrafficCategory c, int64_t bytes, int generation,
+                int iteration, uint32_t endpoint_uid);
 
   // Engine-side records. begin_run clears the per-run stores (buckets,
-  // durations, sketches, static sizes) but NOT the matrix — the matrix is
-  // cumulative like the registry, so conservation holds across multiple
-  // jobs on one cluster.
+  // durations, sketches, static sizes).
   void begin_run();
-  void record_map_iter(int task, int generation, int iteration,
-                       int64_t duration_ns);
+  // One map task's virtual duration for an iteration; the iter line keeps
+  // the longest.
+  void record_map_iter(int generation, int iteration, int64_t duration_ns);
   void record_static_bytes(int task, int64_t bytes);
   // Pushed at task exit. A higher generation replaces the stored entry
   // (the respawned task supersedes the zombie); the same generation merges
@@ -232,12 +172,16 @@ class TelemetryLedger {
   void record_task_profile(int task, int generation, SpaceSaving sketch,
                            std::vector<int64_t> partition_counts);
 
-  TrafficMatrixSnapshot snapshot_matrix() const;
+  // The registry's traffic matrix (MetricsRegistry::traffic_matrix).
+  TrafficMatrixSnapshot snapshot_matrix() const {
+    return metrics_.traffic_matrix();
+  }
 
   // The iter line of decided iteration `st`: its own fields, the reduce and
   // straggler figures derived from its reports, and the ledger's
-  // (generation, iteration) bucket: map_ms, queue_hwm and the per-category
-  // byte/msg counts. Callers must be quiescent (engine threads joined).
+  // (generation, iteration) bucket merged across the thread shards: map_ms,
+  // queue_hwm and the per-category byte/msg counts. Callers must be
+  // quiescent (engine threads joined).
   IterTelemetry iter_view(const IterationStat& st) const;
 
   // Merged hot-key/partition profile. Sketches merge in task order;
@@ -247,26 +191,18 @@ class TelemetryLedger {
                         double* skew) const;
   std::vector<int64_t> static_bytes_per_task() const;
 
-  int num_workers() const { return workers_; }
-
  private:
-  static constexpr int kStripes = 4;
-  static constexpr std::size_t kCells = kNumTrafficCategories;
-
-  struct MatrixStripe {
-    // 2 counters (bytes, msgs) per matrix cell.
-    std::vector<std::atomic<int64_t>> counters;
-  };
-
   struct IterBucket {
     std::array<int64_t, kNumTrafficCategories> bytes{};
     std::array<int64_t, kNumTrafficCategories> msgs{};
     std::map<uint32_t, int64_t> endpoint_msgs;
-    std::map<int, int64_t> map_dur_ns;  // task -> map-iter virtual duration
+    int64_t max_map_ns = 0;  // longest map-iter virtual duration
   };
 
-  struct BucketShard {
-    mutable std::mutex mu;
+  // A thread always writes its own shard (thread_stripe), so the senders of
+  // one iteration take different mutexes, on cache lines of their own.
+  struct alignas(64) BucketShard {
+    std::mutex mu;
     std::map<uint64_t, IterBucket> buckets;  // (gen << 32) | iter
   };
 
@@ -280,15 +216,8 @@ class TelemetryLedger {
     return (static_cast<uint64_t>(static_cast<uint32_t>(generation)) << 32) |
            static_cast<uint32_t>(iteration);
   }
-  std::size_t stripe_for_this_thread() const;
-  std::size_t matrix_index(int from, int to, TrafficCategory c) const;
-  BucketShard& shard_for_key(uint64_t key) const {
-    return bucket_shards_[key % kBucketShards];
-  }
 
-  int workers_;
-  int slots_;
-  std::array<MatrixStripe, kStripes> matrix_stripes_;
+  const MetricsRegistry& metrics_;
 
   static constexpr std::size_t kBucketShards = 8;
   mutable std::array<BucketShard, kBucketShards> bucket_shards_;

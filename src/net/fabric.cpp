@@ -107,7 +107,6 @@ void Fabric::send(int sender_worker, VClock& vt, Endpoint& to, NetMessage msg,
       metrics_.add_time(TimeCategory::kNetwork, ser);
       metrics_.inc("net_dropped_sends");
       metrics_.inc("net_dropped_bytes", static_cast<int64_t>(bytes));
-      metrics_.inc("net_retries");
       backoff = std::min(
           SimDuration(static_cast<int64_t>(
               static_cast<double>(backoff.count()) * faults.backoff_factor)),
@@ -118,16 +117,14 @@ void Fabric::send(int sender_worker, VClock& vt, Endpoint& to, NetMessage msg,
   // Sender pays serialization onto the wire.
   vt.advance(ser);
   metrics_.add_time(TimeCategory::kNetwork, ser + latency);
-  metrics_.add_traffic(category, bytes, /*remote=*/!local);
+  metrics_.add_traffic(sender_worker, to.home_worker(), category, bytes);
 
-  // Telemetry mirror of the add_traffic charge just made: the traffic
-  // matrix cell plus the message's (generation, iteration) bucket. Same
-  // cost discipline as the trace gate — a null-pointer test and one relaxed
-  // load when disabled. Placed before the queue push so rejected sends are
-  // mirrored exactly like the registry charges them.
+  // The message's (generation, iteration) telemetry bucket. Same cost
+  // discipline as the trace gate — a null-pointer test and one relaxed load
+  // when disabled. Placed before the queue push so rejected sends are
+  // bucketed exactly like the registry charges them.
   if (telemetry_ != nullptr && TelemetryRecorder::enabled()) {
-    telemetry_->add_send(sender_worker, to.home_worker(), category,
-                         static_cast<int64_t>(bytes), msg.generation,
+    telemetry_->add_send(category, static_cast<int64_t>(bytes), msg.generation,
                          msg.iteration, to.uid());
   }
 

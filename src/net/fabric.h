@@ -7,10 +7,12 @@
 // Receivers sync their clock forward to each message's ready time, so a
 // barrier over many senders is automatically max() over their finish times.
 //
-// Local delivery (sender and receiver homed on the same worker) is charged at
-// memory bandwidth and does not count as remote traffic — this is exactly the
-// saving iMapReduce gets from co-locating each reduce task with its paired
-// map task (§3.2.1).
+// Every accounted send is charged once to the registry's traffic matrix, from
+// the sender's worker to the receiver's home worker. Local delivery (sender
+// and receiver homed on the same worker) is charged at memory bandwidth and
+// lands on the matrix diagonal, so it does not count as remote traffic —
+// this is exactly the saving iMapReduce gets from co-locating each reduce
+// task with its paired map task (§3.2.1).
 //
 // Hot-path discipline: with channel faults disarmed (the common case), send()
 // takes no fabric-global lock — a single relaxed atomic load skips the fault
@@ -250,9 +252,11 @@ class Endpoint {
 
 class Fabric {
  public:
-  // `telemetry` (optional) receives a traffic-matrix / per-iteration mirror
-  // of every accounted send while the TelemetryRecorder gate is armed; the
-  // cluster wires its ledger in, direct constructions stay untelemetered.
+  // `telemetry` (optional) buckets every accounted send by its (generation,
+  // iteration) tag while the TelemetryRecorder gate is armed; the cluster
+  // wires its ledger in, direct constructions stay untelemetered. Traffic
+  // is charged to `metrics`, whose matrix should be sized by the cluster's
+  // worker count.
   Fabric(const CostModel& cost, MetricsRegistry& metrics,
          TelemetryLedger* telemetry = nullptr)
       : cost_(cost),

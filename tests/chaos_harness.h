@@ -49,11 +49,11 @@ inline ChaosResult run_chaos_job(Cluster& cluster, const IterJobConf& conf,
   InvariantChecker checker(cluster.metrics());
   checker.with_channel_stats(cluster.fabric().channel_stats())
       .with_report(out.report);
-  // With telemetry armed, the traffic matrix mirrors every registry charge
-  // through deaths, rollbacks, and migrations — reconcile it against the
-  // Fig-11 totals (invariant 10) on every chaos run.
+  // With telemetry armed, attach a snapshot of the registry's traffic
+  // matrix: invariant 10 then checks that no charge lands after the job has
+  // returned, through deaths, rollbacks, and migrations.
   if (TelemetryRecorder::enabled()) {
-    checker.with_traffic_matrix(cluster.telemetry().snapshot_matrix());
+    checker.with_traffic_matrix(cluster.metrics().traffic_matrix());
   }
   out.violations = checker.check(expect);
   cluster.fabric().set_channel_faults(ChannelFaultConfig{});

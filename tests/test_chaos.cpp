@@ -315,7 +315,7 @@ TEST(ChaosChannel, HeavyDropsLoseNothing) {
   ChannelStats stats = cluster->fabric().channel_stats();
   EXPECT_GT(stats.dropped, 0);
   EXPECT_EQ(stats.attempts, stats.delivered + stats.dropped + stats.rejected);
-  EXPECT_GT(cluster->metrics().count("net_retries"), 0);
+  EXPECT_GT(cluster->metrics().count("net_dropped_sends"), 0);
   EXPECT_EQ(result.report.iterations_run, 6);
   expect_near_vectors(Sssp::reference(g, 0, 6),
                       Sssp::read_result_imr(*cluster, "out", g.num_nodes()),

@@ -102,7 +102,8 @@ TEST(MiniDfs, ReadPartitionMatchesHashPartitioner) {
   cluster->dfs().write_file("f", recs, 0, nullptr);
   std::size_t total = 0;
   for (uint32_t p = 0; p < 7; ++p) {
-    KVVec part = cluster->dfs().read_partition("f", p, 7, 0, nullptr);
+    KVVec part = cluster->dfs().read_partition(
+        "f", p, [](BytesView k) { return partition_of(k, 7); }, 0, nullptr);
     for (const KV& kv : part) {
       EXPECT_EQ(partition_of(kv.key, 7), p);
     }
@@ -123,6 +124,14 @@ TEST(MiniDfs, LocalReadCheaperThanRemote) {
   cluster.dfs().read_all("f", 2, &local);
   cluster.dfs().read_all("f", 3, &remote);
   EXPECT_LT(local.now_ns(), remote.now_ns());
+  // The local read stays on the reader's diagonal; the remote one comes
+  // from the block's primary replica, worker 2.
+  const auto bytes = static_cast<int64_t>(cluster.dfs().file_bytes("f"));
+  const TrafficMatrixSnapshot m = cluster.metrics().traffic_matrix();
+  EXPECT_EQ(m.cell(2, 2, TrafficCategory::kDfsRead).bytes, bytes);
+  EXPECT_EQ(m.cell(2, 3, TrafficCategory::kDfsRead).bytes, bytes);
+  EXPECT_EQ(m.category_bytes(TrafficCategory::kDfsRead), 2 * bytes);
+  EXPECT_EQ(m.category_remote_bytes(TrafficCategory::kDfsRead), bytes);
 }
 
 TEST(MiniDfs, WriteChargesReplicationTraffic) {
@@ -136,6 +145,21 @@ TEST(MiniDfs, WriteChargesReplicationTraffic) {
   // 2 remote copies of every byte.
   EXPECT_EQ(cluster.metrics().traffic_remote_bytes(TrafficCategory::kDfsWrite),
             static_cast<int64_t>(2 * bytes));
+  // The writer's own copy is one transfer on its diagonal; the two copies
+  // are one more, from the writer to the other replicas.
+  const TrafficMatrixSnapshot m = cluster.metrics().traffic_matrix();
+  EXPECT_EQ(m.cell(0, 0, TrafficCategory::kDfsWrite).bytes,
+            static_cast<int64_t>(bytes));
+  EXPECT_EQ(m.category_bytes(TrafficCategory::kDfsWrite),
+            static_cast<int64_t>(3 * bytes));
+  EXPECT_EQ(m.category_msgs(TrafficCategory::kDfsWrite), 2);
+  int copies = 0;
+  for (int to = 1; to < 4; ++to) {
+    const TrafficCell& c = m.cell(0, to, TrafficCategory::kDfsWrite);
+    EXPECT_TRUE(c.bytes == 0 || c.bytes == static_cast<int64_t>(bytes));
+    copies += c.bytes > 0 ? 1 : 0;
+  }
+  EXPECT_EQ(copies, 2);
 }
 
 TEST(MiniDfs, CheckpointCategoryTracked) {

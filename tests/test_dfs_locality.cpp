@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/codec.h"
+#include "common/hash.h"
 #include "tests/test_util.h"
 
 namespace imr {
@@ -73,7 +74,8 @@ TEST(DfsLocality, PartitionedReadChargesOnlySelectedBytes) {
 
   VClock full, part;
   cluster.dfs().read_all("f", 1, &full);
-  cluster.dfs().read_partition("f", 0, 8, 1, &part);
+  cluster.dfs().read_partition(
+      "f", 0, [](BytesView k) { return partition_of(k, 8); }, 1, &part);
   // One of eight partitions costs roughly an eighth of the full read.
   EXPECT_LT(part.now_ns(), full.now_ns() / 4);
   EXPECT_GT(part.now_ns(), 0);
@@ -83,7 +85,10 @@ TEST(DfsLocality, PartitionsOfOneIsFullFile) {
   auto cluster = testutil::free_cluster();
   KVVec recs = sized_records(100, 16);
   cluster->dfs().write_file("f", recs, 0, nullptr);
-  EXPECT_EQ(cluster->dfs().read_partition("f", 0, 1, 0, nullptr), recs);
+  EXPECT_EQ(cluster->dfs().read_partition(
+                "f", 0, [](BytesView k) { return partition_of(k, 1); }, 0,
+                nullptr),
+            recs);
 }
 
 TEST(DfsLocality, SmallerBlocksMeanMoreSplits) {

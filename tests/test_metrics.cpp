@@ -12,15 +12,38 @@ namespace imr {
 namespace {
 
 TEST(Metrics, TrafficByCategory) {
-  MetricsRegistry m;
-  m.add_traffic(TrafficCategory::kShuffle, 100, true);
-  m.add_traffic(TrafficCategory::kShuffle, 50, false);
-  m.add_traffic(TrafficCategory::kDfsRead, 10, true);
+  MetricsRegistry m(2);
+  m.add_traffic(0, 1, TrafficCategory::kShuffle, 100);
+  m.add_traffic(1, 1, TrafficCategory::kShuffle, 50);
+  m.add_traffic(-1, 0, TrafficCategory::kDfsRead, 10);
   EXPECT_EQ(m.traffic_bytes(TrafficCategory::kShuffle), 150);
   EXPECT_EQ(m.traffic_remote_bytes(TrafficCategory::kShuffle), 100);
   EXPECT_EQ(m.traffic_transfers(TrafficCategory::kShuffle), 2);
   EXPECT_EQ(m.total_remote_bytes(), 110);
   EXPECT_EQ(m.total_bytes(), 160);
+}
+
+// Slot 0 of the matrix holds the master (-1) and every id outside the
+// cluster, so the default registry, which has only that slot, keeps totals
+// but books nothing as remote. count_msg = false adds bytes, no transfer.
+TEST(Metrics, TrafficMatrixSlots) {
+  MetricsRegistry m(2);
+  m.add_traffic(-1, 1, TrafficCategory::kControl, 7);
+  m.add_traffic(5, -1, TrafficCategory::kControl, 3);
+  m.add_traffic(0, 1, TrafficCategory::kShuffle, 11, /*count_msg=*/false);
+  const TrafficMatrixSnapshot s = m.traffic_matrix();
+  EXPECT_EQ(s.workers(), 2);
+  EXPECT_EQ(s.cell(-1, 1, TrafficCategory::kControl).bytes, 7);
+  EXPECT_EQ(s.cell(-1, -1, TrafficCategory::kControl).bytes, 3);
+  EXPECT_EQ(m.traffic_remote_bytes(TrafficCategory::kControl), 7);
+  EXPECT_EQ(m.traffic_transfers(TrafficCategory::kControl), 2);
+  EXPECT_EQ(m.traffic_bytes(TrafficCategory::kShuffle), 11);
+  EXPECT_EQ(m.traffic_transfers(TrafficCategory::kShuffle), 0);
+
+  MetricsRegistry flat;
+  flat.add_traffic(0, 1, TrafficCategory::kShuffle, 5);
+  EXPECT_EQ(flat.total_bytes(), 5);
+  EXPECT_EQ(flat.total_remote_bytes(), 0);
 }
 
 TEST(Metrics, TimesAccumulate) {
@@ -44,8 +67,8 @@ TEST(Metrics, NamedCountersThreadSafe) {
 }
 
 TEST(Metrics, ResetClearsEverything) {
-  MetricsRegistry m;
-  m.add_traffic(TrafficCategory::kShuffle, 100, true);
+  MetricsRegistry m(2);
+  m.add_traffic(0, 1, TrafficCategory::kShuffle, 100);
   m.add_time(TimeCategory::kCompute, sim_ms(1));
   m.inc("x");
   m.reset();
@@ -55,8 +78,8 @@ TEST(Metrics, ResetClearsEverything) {
 }
 
 TEST(Metrics, ReportMentionsActiveCategories) {
-  MetricsRegistry m;
-  m.add_traffic(TrafficCategory::kBroadcast, 100, true);
+  MetricsRegistry m(2);
+  m.add_traffic(1, 0, TrafficCategory::kBroadcast, 100);
   m.inc("imr_iterations", 7);
   std::string report = m.report();
   EXPECT_NE(report.find("broadcast"), std::string::npos);
@@ -65,9 +88,9 @@ TEST(Metrics, ReportMentionsActiveCategories) {
 }
 
 TEST(RunReportCapture, PullsTotalsFromRegistry) {
-  MetricsRegistry m;
-  m.add_traffic(TrafficCategory::kShuffle, 500, true);
-  m.add_traffic(TrafficCategory::kDfsRead, 200, false);
+  MetricsRegistry m(2);
+  m.add_traffic(0, 1, TrafficCategory::kShuffle, 500);
+  m.add_traffic(0, 0, TrafficCategory::kDfsRead, 200);
   m.add_time(TimeCategory::kJobInit, sim_ms(12));
   RunReport r;
   r.capture(m);
@@ -78,13 +101,13 @@ TEST(RunReportCapture, PullsTotalsFromRegistry) {
 }
 
 TEST(RunReportCapture, CoversEveryCommunicationCategory) {
-  MetricsRegistry m;
-  m.add_traffic(TrafficCategory::kReduceToMap, 300, false);
-  m.add_traffic(TrafficCategory::kReduceToMap, 120, true);
-  m.add_traffic(TrafficCategory::kBroadcast, 80, true);
-  m.add_traffic(TrafficCategory::kCheckpoint, 64, false);
-  m.add_traffic(TrafficCategory::kCheckpoint, 32, true);
-  m.add_traffic(TrafficCategory::kControl, 9, true);
+  MetricsRegistry m(2);
+  m.add_traffic(0, 0, TrafficCategory::kReduceToMap, 300);
+  m.add_traffic(0, 1, TrafficCategory::kReduceToMap, 120);
+  m.add_traffic(1, 0, TrafficCategory::kBroadcast, 80);
+  m.add_traffic(1, 1, TrafficCategory::kCheckpoint, 64);
+  m.add_traffic(1, 0, TrafficCategory::kCheckpoint, 32);
+  m.add_traffic(-1, 1, TrafficCategory::kControl, 9);
   RunReport r;
   r.capture(m);
   using TC = TrafficCategory;
@@ -107,8 +130,8 @@ TEST(RunReportCapture, CoversEveryCommunicationCategory) {
 // Every category is captured, DFS remote bytes and the compute and sort
 // times included, and subtract() scopes a later capture to its window.
 TEST(RunReportCapture, CapturesEveryCategoryAndSubtractsABase) {
-  MetricsRegistry m;
-  m.add_traffic(TrafficCategory::kDfsRead, 70, /*remote=*/true);
+  MetricsRegistry m(2);
+  m.add_traffic(1, 0, TrafficCategory::kDfsRead, 70);
   m.add_time(TimeCategory::kCompute, sim_ms(5));
   m.add_time(TimeCategory::kSort, sim_ms(2));
   RunReport base;
@@ -118,7 +141,7 @@ TEST(RunReportCapture, CapturesEveryCategoryAndSubtractsABase) {
   EXPECT_EQ(base.time[TimeCategory::kCompute], sim_ms(5));
   EXPECT_EQ(base.time[TimeCategory::kSort], sim_ms(2));
 
-  m.add_traffic(TrafficCategory::kDfsRead, 30, /*remote=*/false);
+  m.add_traffic(0, 0, TrafficCategory::kDfsRead, 30);
   m.add_time(TimeCategory::kSort, sim_ms(3));
   RunReport window;
   window.capture(m);
@@ -257,8 +280,8 @@ TEST(TextTable, RejectsRaggedRows) {
 // ---------------------------------------------------------------------------
 
 TEST(InvariantChecker, CleanStateHasNoViolations) {
-  MetricsRegistry m;
-  m.add_traffic(TrafficCategory::kShuffle, 100, true);
+  MetricsRegistry m(2);
+  m.add_traffic(0, 1, TrafficCategory::kShuffle, 100);
   ChannelStats stats;
   stats.attempts = 10;
   stats.delivered = 8;
@@ -296,8 +319,8 @@ TEST(InvariantChecker, DetectsUnquiescedDeliveries) {
 }
 
 TEST(InvariantChecker, DetectsRemoteBytesOnStateChannel) {
-  MetricsRegistry m;
-  m.add_traffic(TrafficCategory::kReduceToMap, 64, /*remote=*/true);
+  MetricsRegistry m(2);
+  m.add_traffic(0, 1, TrafficCategory::kReduceToMap, 64);
   auto violations = InvariantChecker(m).check();
   ASSERT_FALSE(violations.empty());
   EXPECT_NE(violations[0].find("co-located"), std::string::npos);

@@ -74,6 +74,11 @@ TEST(Fabric, LocalSendCheaperThanRemote) {
   EXPECT_GT(total, remote);
   EXPECT_GT(remote, 100000);
   EXPECT_LT(remote, 2 * 100000 + 1000);
+  // Each send is charged from the sender's worker to the endpoint's home.
+  const TrafficMatrixSnapshot m = cluster->metrics().traffic_matrix();
+  EXPECT_EQ(m.cell(1, 0, TrafficCategory::kReduceToMap).bytes, remote);
+  EXPECT_EQ(m.cell(0, 0, TrafficCategory::kReduceToMap).bytes,
+            total - remote);
 }
 
 TEST(Fabric, ReceiverClockNeverMovesBackwards) {
@@ -152,7 +157,7 @@ TEST(Fabric, ChannelFaultsRetryUntilDelivered) {
   EXPECT_EQ(s.received, 50);
   EXPECT_GT(s.dropped, 0);
   EXPECT_EQ(s.attempts, s.delivered + s.dropped + s.rejected);
-  EXPECT_GT(cluster->metrics().count("net_retries"), 0);
+  EXPECT_GT(cluster->metrics().count("net_dropped_sends"), 0);
   EXPECT_EQ(cluster->metrics().count("net_dropped_sends"), s.dropped);
 }
 
@@ -179,7 +184,7 @@ TEST(Fabric, SameSeedSameDropDecisions) {
     }
     ChannelStats s = cluster->fabric().channel_stats();
     return std::tuple(s.attempts, s.dropped,
-                      cluster->metrics().count("net_retries"));
+                      cluster->metrics().count("net_dropped_sends"));
   };
   auto first = run_once();
   EXPECT_GT(std::get<1>(first), 0) << "fault config never dropped a send";

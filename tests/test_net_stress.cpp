@@ -2,8 +2,9 @@
 //
 // These exist primarily for the thread-sanitizer CI job (IMR_SANITIZE=thread):
 // the fabric's disarmed send fast path, the arm/disarm flag, the shared
-// broadcast payload buffers, and the striped metrics counters all have
-// lock-free components whose absence-of-races only a sanitizer run can prove.
+// broadcast payload buffers, the striped metrics counters and the striped
+// traffic matrix all have lock-free components whose absence-of-races only a
+// sanitizer run can prove.
 // The assertions themselves (ledger conservation, exact counts) also hold
 // under a plain build, so the suite doubles as a concurrency smoke test.
 #include <gtest/gtest.h>
@@ -198,6 +199,94 @@ TEST(NetStress, StripedCountersMergeExactlyUnderContention) {
   EXPECT_EQ(metrics.count("stress_counter"), kThreads * kIncs);
   EXPECT_EQ(metrics.count("per_thread_total"), kThreads * kIncs);
   EXPECT_EQ(metrics.named_counters().at("stress_counter"), kThreads * kIncs);
+}
+
+// The traffic matrix under contention: 8 writers charge a fixed pattern of
+// cells — the master's row and column, the diagonal, charges that count no
+// transfer — while a reader snapshots. Every cell, category total, remote
+// total and transfer count must come out exact, and reset() zeroes them.
+TEST(NetStress, TrafficMatrixChargesExactlyUnderContention) {
+  constexpr int kWorkers = 3;
+  constexpr int kThreads = 8;
+  constexpr int kRounds = 6000;
+  struct Charge {
+    int from, to;
+    TrafficCategory c;
+    std::size_t bytes;
+    bool count_msg;
+  };
+  // Ids run over [-1, kWorkers), so the pattern covers every slot.
+  auto charge = [](int t, int r) {
+    return Charge{(t + r) % (kWorkers + 1) - 1,
+                  (3 * t + r / 2) % (kWorkers + 1) - 1,
+                  static_cast<TrafficCategory>((t + 2 * r) %
+                                               kNumTrafficCategories),
+                  static_cast<std::size_t>(1 + (t * 7 + r) % 13), r % 4 != 0};
+  };
+  MetricsRegistry metrics(kWorkers);
+  std::atomic<bool> done{false};
+  // Counters only grow, so a reader's successive snapshots never shrink.
+  std::thread reader([&] {
+    int64_t last = 0;
+    while (!done.load()) {
+      int64_t total = metrics.total_bytes();
+      EXPECT_GE(total, last);
+      last = total;
+    }
+  });
+  std::vector<std::thread> writers;
+  for (int t = 0; t < kThreads; ++t) {
+    writers.emplace_back([&, t] {
+      for (int r = 0; r < kRounds; ++r) {
+        const Charge ch = charge(t, r);
+        metrics.add_traffic(ch.from, ch.to, ch.c, ch.bytes, ch.count_msg);
+      }
+    });
+  }
+  for (auto& th : writers) th.join();
+  done.store(true);
+  reader.join();
+
+  TrafficMatrixSnapshot expect(kWorkers);
+  for (int t = 0; t < kThreads; ++t) {
+    for (int r = 0; r < kRounds; ++r) {
+      const Charge ch = charge(t, r);
+      TrafficCell& cell = expect.cell(ch.from, ch.to, ch.c);
+      cell.bytes += static_cast<int64_t>(ch.bytes);
+      cell.msgs += ch.count_msg ? 1 : 0;
+    }
+  }
+  const TrafficMatrixSnapshot got = metrics.traffic_matrix();
+  int64_t total = 0;
+  int64_t remote = 0;
+  for (int c = 0; c < kNumTrafficCategories; ++c) {
+    const auto cat = static_cast<TrafficCategory>(c);
+    for (int f = -1; f < kWorkers; ++f) {
+      for (int to = -1; to < kWorkers; ++to) {
+        EXPECT_EQ(got.cell(f, to, cat).bytes, expect.cell(f, to, cat).bytes);
+        EXPECT_EQ(got.cell(f, to, cat).msgs, expect.cell(f, to, cat).msgs);
+      }
+    }
+    EXPECT_EQ(metrics.traffic_bytes(cat), expect.category_bytes(cat));
+    EXPECT_EQ(metrics.traffic_remote_bytes(cat),
+              expect.category_remote_bytes(cat));
+    EXPECT_EQ(metrics.traffic_transfers(cat), expect.category_msgs(cat));
+    EXPECT_GT(expect.category_remote_bytes(cat), 0);
+    EXPECT_LT(expect.category_remote_bytes(cat), expect.category_bytes(cat));
+    total += expect.category_bytes(cat);
+    remote += expect.category_remote_bytes(cat);
+  }
+  EXPECT_EQ(metrics.total_bytes(), total);
+  EXPECT_EQ(metrics.total_remote_bytes(), remote);
+
+  metrics.reset();
+  const TrafficMatrixSnapshot zero = metrics.traffic_matrix();
+  for (int c = 0; c < kNumTrafficCategories; ++c) {
+    const auto cat = static_cast<TrafficCategory>(c);
+    EXPECT_EQ(zero.category_bytes(cat), 0);
+    EXPECT_EQ(zero.category_msgs(cat), 0);
+  }
+  EXPECT_EQ(metrics.total_bytes(), 0);
 }
 
 }  // namespace
